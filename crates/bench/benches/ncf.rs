@@ -3,12 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedrec_bench::micro_fixture;
-use fedrec_data::PublicView;
+use fedrec_data::{Dataset, PublicView};
+use fedrec_federated::server::SumAggregator;
+use fedrec_federated::{Adversary, DefensePipeline, FedConfig, NoAttack, Simulation, StoreBackend};
 use fedrec_linalg::{Matrix, SeededRng};
-use fedrec_ncf::attack::{NcfFedRecAttack, NcfNoAttack};
-use fedrec_ncf::sim::{NcfConfig, NcfSimulation};
-use fedrec_ncf::{NcfModel, Theta};
+use fedrec_ncf::attack::NcfFedRecAttack;
+use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -30,28 +32,41 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
+/// Ten undefended NCF rounds (k = 8, hidden 16) over `train`.
+fn run_ncf(train: &Arc<Dataset>, adversary: Box<dyn Adversary>, num_malicious: usize) -> Vec<f32> {
+    let cfg = FedConfig {
+        k: 8,
+        lr: 0.05,
+        epochs: 10,
+        ..FedConfig::default()
+    };
+    let mut sim = Simulation::with_model(
+        train.clone(),
+        cfg,
+        Box::new(NcfClientModel::new(16, cfg.k)),
+        adversary,
+        num_malicious,
+        DefensePipeline::plain(Box::new(SumAggregator)),
+        StoreBackend::Dense,
+    );
+    sim.run(None).losses
+}
+
 fn bench_simulation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ncf_simulation");
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(8));
     let (train, _, targets) = micro_fixture(3);
-    let cfg = NcfConfig {
-        epochs: 10,
-        ..NcfConfig::smoke()
-    };
+    let train = Arc::new(train);
     g.bench_function("clean_10_epochs", |b| {
-        b.iter(|| {
-            let mut sim = NcfSimulation::new(&train, cfg, Box::new(NcfNoAttack), 0);
-            black_box(sim.run())
-        })
+        b.iter(|| black_box(run_ncf(&train, Box::new(NoAttack), 0)))
     });
     g.bench_function("attacked_10_epochs", |b| {
         b.iter(|| {
-            let public = PublicView::sample(&train, 0.05, 2);
+            let public = PublicView::sample(&*train, 0.05, 2);
             let attack = NcfFedRecAttack::new(targets.clone(), public, 3, 7);
-            let mut sim = NcfSimulation::new(&train, cfg, Box::new(attack), 3);
-            black_box(sim.run())
+            black_box(run_ncf(&train, Box::new(attack), 3))
         })
     });
     g.finish();

@@ -19,9 +19,6 @@
 //!       [--eval-every N] [--eval-mode full|pruned|incremental]
 //!       [--eval-threads N] [--out FILE]
 //! repro report --dir DIR [--csv] [--out FILE]
-//! repro scale [--smoke] [--users N] [--items N] [--epochs N] [--fraction F]
-//!       [--workers N] [--eval-users N] [--backend dense|sharded]
-//!       [--shard-rows N] [--seed N] [--out FILE]
 //! repro serve [--users N] [--items N] [--requests N] [--threads N]
 //!       [--publish-every N] [--k N] [--seed N] [--smoke] [--out FILE]
 //! repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]
@@ -37,7 +34,8 @@
 //! preset (the NCF half over a representative attack/defense subset),
 //! checks
 //! every record's schema, asserts the lazy-store invariant
-//! (`rows_materialized ≤ participants_touched`), reruns the grid on the
+//! (`rows_materialized ≤ participants_touched`, and fewer rows than the
+//! population on the sharded backend), reruns the grid on the
 //! dense backend to assert dense-vs-sharded byte-identity, reruns one
 //! cell standalone to assert byte-identical output, and reruns a probe
 //! cell under `--eval-mode pruned` and `incremental` to assert the eval
@@ -49,13 +47,6 @@
 //! (norm-bound top-K pruning) or `incremental` (cross-epoch candidate
 //! caching with drift bounds). All three produce byte-identical metrics;
 //! only `eval_mode`/`items_scored`/`items_skipped` differ in the records.
-//!
-//! `scale` runs a scale-free population through the sharded client store
-//! (defaults: 1M users / 100k items, ~500 participants per round).
-//! `scale --smoke` is the 50k-user CI gate: it asserts the lazy store
-//! materialized no more client rows than participants were touched, and
-//! that dense and sharded backends are byte-identical across thread
-//! counts.
 //!
 //! `serve` drives the online top-K serving layer (`fedrec-serve`) in a
 //! closed loop at the million-user preset — 300k requests over 1M lazy
@@ -77,10 +68,9 @@ use fedrec_experiments::matrix::{
     MatrixConfig, ModelKind, Population,
 };
 use fedrec_experiments::{
-    fig3_side_effects, run_scale, run_serve, scale_smoke, serve_smoke, table2_datasets,
-    table3_xi_sweep, table4_rho_sweep, table5_kappa_sweep, table6_data_poisoning,
-    table7_effectiveness, table8_model_poisoning, table9_ablation, DatasetId, Scale, ScaleSpec,
-    ServeSpec, Table,
+    fig3_side_effects, run_serve, serve_smoke, table2_datasets, table3_xi_sweep, table4_rho_sweep,
+    table5_kappa_sweep, table6_data_poisoning, table7_effectiveness, table8_model_poisoning,
+    table9_ablation, DatasetId, Scale, ServeSpec, Table,
 };
 use fedrec_federated::StoreBackend;
 use fedrec_recsys::EvalMode;
@@ -109,10 +99,6 @@ struct Args {
     out_dir: Option<PathBuf>,
     dir: Option<PathBuf>,
     smoke: bool,
-    // scale options
-    users: Option<usize>,
-    items: Option<usize>,
-    fraction: Option<f64>,
     eval_users: Option<usize>,
     backend_dense: Option<bool>,
     shard_rows: Option<usize>,
@@ -120,6 +106,8 @@ struct Args {
     eval_threads: Option<usize>,
     serve: bool,
     // serve options
+    users: Option<usize>,
+    items: Option<usize>,
     requests: Option<usize>,
     threads: Option<usize>,
     publish_every: Option<usize>,
@@ -140,9 +128,6 @@ fn usage() -> ! {
          \x20 repro cell --attack A --defense D --rho R [--model mf|ncf]\n\
          \x20      [--out FILE] [shared flags]\n\
          \x20 repro report --dir DIR [--csv] [--out FILE]\n\
-         \x20 repro scale [--smoke] [--users N] [--items N] [--epochs N] [--fraction F]\n\
-         \x20      [--workers N] [--eval-users N] [--backend dense|sharded]\n\
-         \x20      [--shard-rows N] [--seed N] [--out FILE]\n\
          \x20 repro serve [--users N] [--items N] [--requests N] [--threads N]\n\
          \x20      [--publish-every N] [--k N] [--seed N] [--smoke] [--out FILE]\n\
          \x20 repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]"
@@ -172,15 +157,14 @@ fn parse_args() -> Args {
         out_dir: None,
         dir: None,
         smoke: false,
-        users: None,
-        items: None,
-        fraction: None,
         eval_users: None,
         backend_dense: None,
         shard_rows: None,
         eval_mode: None,
         eval_threads: None,
         serve: false,
+        users: None,
+        items: None,
         requests: None,
         threads: None,
         publish_every: None,
@@ -222,7 +206,6 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--users" => args.users = Some(next().parse().unwrap_or_else(|_| usage())),
             "--items" => args.items = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--fraction" => args.fraction = Some(next().parse().unwrap_or_else(|_| usage())),
             "--eval-users" => args.eval_users = Some(next().parse().unwrap_or_else(|_| usage())),
             "--backend" => match next().to_ascii_lowercase().as_str() {
                 "dense" => args.backend_dense = Some(true),
@@ -428,7 +411,8 @@ fn cmd_matrix(args: &Args) {
 ///
 /// 1. every record parses against the schema;
 /// 2. every record satisfies the lazy-store invariant
-///    `rows_materialized ≤ participants_touched`;
+///    `rows_materialized ≤ participants_touched`, and on the sharded
+///    backend materialized fewer rows than the population (`users`);
 /// 3. rerunning the whole grid on the **dense** backend reproduces every
 ///    record byte-identically after [`matrix::backend_invariant`]
 ///    normalization (only the `backend`/`rows_materialized` fields and
@@ -459,6 +443,7 @@ fn cmd_matrix(args: &Args) {
 ///
 /// [`FaultPlan::smoke`]: fedrec_federated::FaultPlan::smoke
 fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
+    let sharded_backend = cfg.backend != StoreBackend::Dense;
     let mut checked = 0usize;
     // One read per cell file; the later identity checks reuse these lines.
     let sharded_cells: Vec<Vec<String>> = outcomes
@@ -488,6 +473,13 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
                 fail(&format!(
                     "lazy invariant violated in cell {}: {rows} rows materialized > \
                      {touched} participants touched",
+                    o.cell.id()
+                ));
+            }
+            if sharded_backend && rows >= get("users") {
+                fail(&format!(
+                    "lazy invariant violated in cell {}: the sharded store materialized the \
+                     whole population ({rows} rows)",
                     o.cell.id()
                 ));
             }
@@ -708,7 +700,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
 
     println!(
         "smoke OK: {checked} records schema-valid, rows_materialized <= participants_touched \
-         in every record, dense/sharded byte-identical across {} cells (MF and NCF), cell {} \
+         and < users in every record, dense/sharded byte-identical across {} cells (MF and NCF), cell {} \
          byte-identical on standalone rerun and under pruned/incremental eval modes at 1/2 \
          eval threads ({pruned_skipped} items pruned), NCF cell {} byte-identical on \
          standalone rerun and pinned to full-mode eval, cells {} kill-and-resume \
@@ -749,76 +741,6 @@ fn cmd_cell(args: &Args) {
                 .unwrap_or_else(|e| fail(&format!("cell failed: {e}")));
         }
     }
-}
-
-fn cmd_scale(args: &Args) {
-    if args.smoke {
-        match scale_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => fail(&format!("scale smoke failed: {e}")),
-        }
-        return;
-    }
-    let mut spec = ScaleSpec::million();
-    if let Some(u) = args.users {
-        if u == 0 {
-            fail("--users must be positive");
-        }
-        spec.data.num_users = u;
-    }
-    if let Some(m) = args.items {
-        // The generator needs room for negatives (max_degree <= m/2) and
-        // at least min_degree items below the cap.
-        if m / 2 < spec.data.min_degree {
-            fail(&format!(
-                "--items {m} too small: need at least {} items for min degree {}",
-                2 * spec.data.min_degree,
-                spec.data.min_degree
-            ));
-        }
-        spec.data.num_items = m;
-        spec.data.max_degree = spec.data.max_degree.min(m / 2);
-    }
-    if let Some(e) = args.epochs {
-        spec.epochs = e;
-    }
-    if let Some(f) = args.fraction {
-        spec.client_fraction = f;
-    }
-    if let Some(w) = args.workers {
-        spec.threads = w.max(1);
-    }
-    if let Some(e) = args.eval_users {
-        spec.eval_users = e;
-    }
-    if let Some(s) = args.shard_rows {
-        spec.data.shard_rows = s;
-    }
-    spec.seed = args.seed;
-    let backend = if args.backend_dense == Some(true) {
-        StoreBackend::Dense
-    } else {
-        StoreBackend::Sharded {
-            shard_rows: args.shard_rows.unwrap_or(StoreBackend::DEFAULT_SHARD_ROWS),
-        }
-    };
-    // fedrec-lint: allow(wall-clock) — stderr summary timing; the JSON report's timings come from run_scale's own suppressed clocks
-    let started = std::time::Instant::now();
-    let report = run_scale(&spec, backend);
-    let rendered = format!("{}\n", report.to_json());
-    emit(&rendered, args, 1);
-    eprintln!(
-        "scale run: {} users, {} rounds, {} participants touched, {} rows materialized \
-         ({:.1}s build, {:.1}s train, {:.1}s eval, {:.1}s total)",
-        report.users,
-        report.epochs,
-        report.participants_touched,
-        report.rows_materialized,
-        report.build_secs,
-        report.train_secs,
-        report.eval_secs,
-        started.elapsed().as_secs_f64()
-    );
 }
 
 fn cmd_serve(args: &Args) {
@@ -958,7 +880,6 @@ fn main() {
         "matrix" => return cmd_matrix(&args),
         "cell" => return cmd_cell(&args),
         "report" => return cmd_report(&args),
-        "scale" => return cmd_scale(&args),
         "serve" => return cmd_serve(&args),
         _ => {}
     }

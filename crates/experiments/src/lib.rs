@@ -32,7 +32,6 @@ pub mod paper_ref;
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod scale_run;
 pub mod serve_run;
 pub mod tables;
 
@@ -45,7 +44,6 @@ pub use matrix::{
 pub use report::Table;
 pub use runner::{run_experiment, ExperimentSpec, Outcome};
 pub use scale::{DatasetId, Scale};
-pub use scale_run::{run_scale, scale_smoke, ScaleReport, ScaleSpec};
 pub use serve_run::{run_serve, serve_smoke, ServeReport, ServeSpec};
 pub use tables::{
     table2_datasets, table3_xi_sweep, table4_rho_sweep, table5_kappa_sweep, table6_data_poisoning,

@@ -80,8 +80,7 @@ use fedrec_federated::simulation::Snapshot;
 use fedrec_federated::{FaultPlan, Simulation, StoreBackend};
 use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
 use fedrec_recsys::eval::{EvalReport, Evaluator};
-use fedrec_recsys::metrics::MetricsAccumulator;
-use fedrec_recsys::scorer::{DenseScores, PrunedItems, PrunedScores};
+use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_recsys::{EvalCounters, EvalMode, IncrementalEvalState};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
 use std::io::{self, BufWriter, Write};
@@ -915,11 +914,11 @@ struct CellEval<'w> {
     eval_users: usize,
     mode: EvalMode,
     threads: usize,
-    /// `Some((hidden, k))` for NCF cells: scores go through the MLP
-    /// instead of dot products, which rules out the pruned/incremental
-    /// fast paths (their norm bounds are dot-product math) — NCF cells
-    /// always run the full sweep and record `eval_mode:"full"`.
-    ncf: Option<(usize, usize)>,
+    /// NCF cells score through the MLP instead of dot products, which
+    /// rules out the pruned/incremental fast paths (their norm bounds are
+    /// dot-product math) — they always run [`NcfModel::evaluate`]'s full
+    /// sweep and record `eval_mode:"full"`.
+    ncf: bool,
     /// Cross-epoch candidate caches for [`EvalMode::Incremental`]; lives
     /// for the cell's lifetime (one eval per epoch snapshot warms the
     /// next). A mutex only for interior mutability behind the harness's
@@ -931,56 +930,6 @@ struct CellEval<'w> {
 }
 
 impl CellEval<'_> {
-    /// The NCF sweep: score every item for each user in the eval span
-    /// through the MLP and feed the same accumulator as the MF paths.
-    /// Users are processed in fixed [`EVAL_SHARD_ROWS`] shards with
-    /// per-shard accumulators merged in order — the identical summation
-    /// order as the streamed MF sweep, so the report is independent of
-    /// backend and thread count by construction.
-    fn run_ncf(
-        &self,
-        hidden: usize,
-        k: usize,
-        items: &fedrec_linalg::Matrix,
-        shared: &[f32],
-        users: &dyn fedrec_recsys::UserRowSource,
-    ) -> (EvalReport, EvalCounters) {
-        let theta = Theta::from_flat(hidden, k, shared);
-        let m = items.rows();
-        let mut total = MetricsAccumulator::new();
-        let mut row = vec![0.0f32; items.cols()];
-        let mut scores = vec![0.0f32; m];
-        let mut lo = 0usize;
-        while lo < self.eval_users {
-            let hi = (lo + EVAL_SHARD_ROWS).min(self.eval_users);
-            let mut acc = MetricsAccumulator::new();
-            for u in lo..hi {
-                users.write_user_row(u, &mut row);
-                NcfModel::scores_for_vector(&theta, items, &row, &mut scores);
-                let mut src = DenseScores::new(&scores);
-                acc.push_user_attack(
-                    &mut src,
-                    self.source.user_items(u),
-                    self.evaluator.targets(),
-                );
-                if let Some(test_item) = self.test.get(u).copied().flatten() {
-                    acc.push_user_hr(&mut src, test_item, self.evaluator.hr_negatives(u));
-                }
-            }
-            total.merge(&acc);
-            lo = hi;
-        }
-        let rep = EvalReport {
-            attack: total.attack_metrics(),
-            hr_at_10: total.hr_at_10(),
-        };
-        let counters = EvalCounters {
-            items_scored: (self.eval_users as u64) * (m as u64),
-            items_skipped: 0,
-        };
-        (rep, counters)
-    }
-
     fn run(
         &self,
         items: &fedrec_linalg::Matrix,
@@ -989,8 +938,22 @@ impl CellEval<'_> {
     ) -> (EvalReport, EvalStats) {
         // fedrec-lint: allow(wall-clock) — times the eval pass for the volatile `eval_ms` record field; every identity gate strips it (volatile_invariant)
         let started = std::time::Instant::now();
-        let (rep, counters, mode) = if let Some((hidden, k)) = self.ncf {
-            let (rep, counters) = self.run_ncf(hidden, k, items, shared, users);
+        let (rep, counters, mode) = if self.ncf {
+            let rep = NcfModel::evaluate(
+                &self.evaluator,
+                &Theta::from_shared(items.cols(), shared),
+                items,
+                users,
+                self.source,
+                self.test,
+                self.eval_users,
+                EVAL_SHARD_ROWS,
+            );
+            // The MLP sweep scores every (user, item) pair of the span.
+            let counters = EvalCounters {
+                items_scored: (self.eval_users as u64) * (items.rows() as u64),
+                items_skipped: 0,
+            };
             (rep, counters, EvalMode::Full)
         } else {
             match self.dense {
@@ -1313,7 +1276,7 @@ fn prepare_cell<'w>(
             eval_users,
             mode: cfg.eval_mode,
             threads: cfg.eval_threads.max(1),
-            ncf: (cell.model == ModelKind::Ncf).then_some((NCF_HIDDEN, fed.k)),
+            ncf: cell.model == ModelKind::Ncf,
             inc: Mutex::new(IncrementalEvalState::new()),
         },
         cell: *cell,

@@ -76,8 +76,10 @@ pub trait Adversary {
     /// Restore the state written by [`Adversary::checkpoint_state`].
     ///
     /// The default pairs with the default writer: it accepts only an
-    /// empty blob, so a stateful adversary that forgets to implement the
-    /// pair fails loudly at restore instead of silently diverging.
+    /// empty blob, so it catches an adversary that writes state but has
+    /// no reader. It cannot catch one that keeps state but writes none:
+    /// such an adversary must implement both methods, or a resumed run
+    /// silently diverges.
     fn restore_state(&mut self, bytes: &[u8]) {
         assert!(
             bytes.is_empty(),

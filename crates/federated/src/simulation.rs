@@ -931,11 +931,11 @@ impl Simulation {
             self.shared.len(),
             "checkpoint shared-length mismatch"
         );
+        // The writer records a fault seed only when a plan is attached.
         let had_faults = r.bool();
-        let fault_seed = r.u64();
         match (&self.faults, had_faults) {
             (Some(inj), true) => {
-                assert_eq!(inj.seed(), fault_seed, "checkpoint fault seed mismatch")
+                assert_eq!(inj.seed(), r.u64(), "checkpoint fault seed mismatch")
             }
             (None, false) => {}
             (Some(_), false) | (None, true) => {
@@ -1308,6 +1308,9 @@ mod tests {
         );
     }
 
+    /// Kill-and-resume with and without a fault plan: the checkpoint
+    /// carries a fault seed only when a plan is attached, and both blob
+    /// shapes must restore.
     #[test]
     fn checkpoint_resume_is_byte_identical() {
         let data = SyntheticConfig::smoke().generate(13);
@@ -1315,47 +1318,51 @@ mod tests {
             epochs: 12,
             ..smoke_cfg()
         };
-        let build = || {
-            let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 4);
-            sim.enable_faults(FaultPlan::smoke(), 31);
-            sim
-        };
-        // Straight-through reference.
-        let mut straight = build();
-        let h_straight = straight.run(None);
+        for faulted in [true, false] {
+            let build = || {
+                let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 4);
+                if faulted {
+                    sim.enable_faults(FaultPlan::smoke(), 31);
+                }
+                sim
+            };
+            // Straight-through reference.
+            let mut straight = build();
+            let h_straight = straight.run(None);
 
-        // Killed at epoch 5, resumed in a fresh simulation.
-        let mut first = build();
-        let mut h_first = TrainingHistory::new();
-        first.run_segment(None, &mut h_first, 5);
-        let blob = first.checkpoint(&h_first);
-        drop(first);
-        let mut resumed = build();
-        let mut h_resumed = resumed.restore(&blob);
-        assert_eq!(resumed.next_epoch(), 5);
-        resumed.run_segment(None, &mut h_resumed, cfg.epochs);
+            // Killed at epoch 5, resumed in a fresh simulation.
+            let mut first = build();
+            let mut h_first = TrainingHistory::new();
+            first.run_segment(None, &mut h_first, 5);
+            let blob = first.checkpoint(&h_first);
+            drop(first);
+            let mut resumed = build();
+            let mut h_resumed = resumed.restore(&blob);
+            assert_eq!(resumed.next_epoch(), 5);
+            resumed.run_segment(None, &mut h_resumed, cfg.epochs);
 
-        assert_eq!(h_straight.losses, h_resumed.losses);
-        assert_eq!(h_straight.faults, h_resumed.faults);
-        assert_eq!(
-            straight.items(),
-            resumed.items(),
-            "resumed V must be byte-identical to straight-through V"
-        );
-        assert_eq!(straight.user_factors(), resumed.user_factors());
-        assert_eq!(
-            straight.rows_materialized(),
-            resumed.rows_materialized(),
-            "materialization counters must replay identically"
-        );
-        assert_eq!(
-            straight.participants_touched(),
-            resumed.participants_touched()
-        );
-        // And a second checkpoint at the end agrees byte-for-byte.
-        let b1 = straight.checkpoint(&h_straight);
-        let b2 = resumed.checkpoint(&h_resumed);
-        assert_eq!(b1, b2, "end-state checkpoints must be byte-identical");
+            assert_eq!(h_straight.losses, h_resumed.losses);
+            assert_eq!(h_straight.faults, h_resumed.faults);
+            assert_eq!(
+                straight.items(),
+                resumed.items(),
+                "resumed V must be byte-identical to straight-through V (faulted: {faulted})"
+            );
+            assert_eq!(straight.user_factors(), resumed.user_factors());
+            assert_eq!(
+                straight.rows_materialized(),
+                resumed.rows_materialized(),
+                "materialization counters must replay identically"
+            );
+            assert_eq!(
+                straight.participants_touched(),
+                resumed.participants_touched()
+            );
+            // And a second checkpoint at the end agrees byte-for-byte.
+            let b1 = straight.checkpoint(&h_straight);
+            let b2 = resumed.checkpoint(&h_resumed);
+            assert_eq!(b1, b2, "end-state checkpoints must be byte-identical");
+        }
     }
 
     #[test]

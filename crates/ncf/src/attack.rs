@@ -19,70 +19,21 @@
 //!   them so target scores rise globally. Effective, but it perturbs one
 //!   shared function for all items, so collateral accuracy damage is
 //!   structural (the tests measure it).
+//!
+//! Both are plain `fedrec_federated::Adversary`s. Their Θ-aware body is
+//! `poison_with_shared`, which the round loop calls with the current
+//! shared block; `poison`, which has no block to differentiate through,
+//! uploads nothing.
 
 use crate::model::NcfModel;
 use crate::theta::Theta;
 use fedrec_attack::upload::{select_item_set, take_upload};
 use fedrec_data::PublicView;
+use fedrec_federated::adversary::{Adversary, RoundCtx};
+use fedrec_federated::checkpoint::{read_rng, write_rng, ByteReader, ByteWriter};
+use fedrec_federated::NoAttack;
 use fedrec_linalg::{vector, Matrix, SeededRng, SparseGrad};
 use fedrec_recsys::topk;
-
-/// Round context for NCF adversaries.
-#[derive(Debug, Clone, Copy)]
-pub struct NcfRoundCtx<'a> {
-    /// Round index.
-    pub round: usize,
-    /// Server learning rate.
-    pub lr: f32,
-    /// ℓ2 bound for uploads.
-    pub clip_norm: f32,
-    /// Selected malicious client indices.
-    pub selected_malicious: &'a [usize],
-}
-
-/// A coordinated attacker over the NCF federation. Each selected client
-/// uploads an item gradient plus a Θ gradient.
-pub trait NcfAdversary {
-    /// Produce `(∇V_i, ∇Θ_i)` for each selected malicious client.
-    fn poison(
-        &mut self,
-        items: &Matrix,
-        theta: &Theta,
-        ctx: &NcfRoundCtx<'_>,
-        rng: &mut SeededRng,
-    ) -> Vec<(SparseGrad, Theta)>;
-
-    /// Name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Upload nothing (the `None` arm).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NcfNoAttack;
-
-impl NcfAdversary for NcfNoAttack {
-    fn poison(
-        &mut self,
-        items: &Matrix,
-        theta: &Theta,
-        ctx: &NcfRoundCtx<'_>,
-        _rng: &mut SeededRng,
-    ) -> Vec<(SparseGrad, Theta)> {
-        ctx.selected_malicious
-            .iter()
-            .map(|_| {
-                (
-                    SparseGrad::new(items.cols()),
-                    Theta::zeros(theta.hidden, theta.k),
-                )
-            })
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
 
 /// FedRecAttack through the NCF jacobians, poisoning `V` only.
 pub struct NcfFedRecAttack {
@@ -92,12 +43,6 @@ pub struct NcfFedRecAttack {
     top_k: usize,
     approx_epochs: usize,
     approx_lr: f32,
-    /// Whether to also push the margin item down (the MF attack's
-    /// sub-gradient through the min). Through the MLP this cycles through
-    /// and deflates many *good* items over the rounds, destabilizing both
-    /// the attack and accuracy, so the NCF transplant defaults to pushing
-    /// targets up only.
-    pub push_down_margin: bool,
     u_hat: Option<Matrix>,
     item_sets: Vec<Option<Vec<u32>>>,
     rng: SeededRng,
@@ -117,7 +62,6 @@ impl NcfFedRecAttack {
             top_k: 10,
             approx_epochs: 4,
             approx_lr: 0.05,
-            push_down_margin: false,
             u_hat: None,
             item_sets: vec![None; num_malicious],
             rng: SeededRng::new(seed),
@@ -155,7 +99,11 @@ impl NcfFedRecAttack {
 
     /// Eq. 20 through the MLP: the attack-loss gradient with respect to
     /// `V`. Margins and top-K lists use NCF scores; `∂x̂/∂v` comes from
-    /// the backward pass instead of being `u` as in MF.
+    /// the backward pass instead of being `u` as in MF. Only the targets
+    /// are pushed up: the MF attack's sub-gradient that also pushes the
+    /// margin item down cycles through and deflates many *good* items
+    /// over the rounds once it runs through the MLP, destabilizing both
+    /// the attack and accuracy.
     fn attack_gradient(&self, items: &Matrix, theta: &Theta) -> Matrix {
         let u_hat = self.u_hat.as_ref().expect("refine first");
         let m = items.rows();
@@ -190,31 +138,38 @@ impl NcfFedRecAttack {
                 if gp <= 1e-12 {
                     continue;
                 }
-                // ∂L/∂v_t = −g′·∂x̂_it/∂v_t ; ∂L/∂v_j* = +g′·∂x̂_ij*/∂v_j*
+                // ∂L/∂v_t = −g′·∂x̂_it/∂v_t
                 let ft = NcfModel::forward_vec(theta, u, items.row(t as usize));
                 let bt = NcfModel::backward(theta, &ft, 1.0);
                 vector::axpy(-gp, &bt.dv, grad.row_mut(t as usize));
-                if self.push_down_margin {
-                    let fj = NcfModel::forward_vec(theta, u, items.row(jstar as usize));
-                    let bj = NcfModel::backward(theta, &fj, 1.0);
-                    vector::axpy(gp, &bj.dv, grad.row_mut(jstar as usize));
-                }
             }
         }
         grad
     }
 }
 
-impl NcfAdversary for NcfFedRecAttack {
+impl Adversary for NcfFedRecAttack {
+    /// Without a shared block there is no MLP to differentiate through,
+    /// so the malicious clients upload nothing.
     fn poison(
         &mut self,
         items: &Matrix,
-        theta: &Theta,
-        ctx: &NcfRoundCtx<'_>,
+        ctx: &RoundCtx<'_>,
         rng: &mut SeededRng,
-    ) -> Vec<(SparseGrad, Theta)> {
-        self.refine_users(items, theta);
-        let mut grad = self.attack_gradient(items, theta);
+    ) -> Vec<SparseGrad> {
+        NoAttack.poison(items, ctx, rng)
+    }
+
+    fn poison_with_shared(
+        &mut self,
+        items: &Matrix,
+        shared: &[f32],
+        ctx: &RoundCtx<'_>,
+        rng: &mut SeededRng,
+    ) -> Vec<(SparseGrad, Vec<f32>)> {
+        let theta = Theta::from_shared(items.cols(), shared);
+        self.refine_users(items, &theta);
+        let mut grad = self.attack_gradient(items, &theta);
         let mut out = Vec::with_capacity(ctx.selected_malicious.len());
         for &mi in ctx.selected_malicious {
             if self.item_sets[mi].is_none() {
@@ -222,7 +177,7 @@ impl NcfAdversary for NcfFedRecAttack {
             }
             let set = self.item_sets[mi].as_ref().expect("just set");
             let upload = take_upload(&mut grad, set, ctx.clip_norm);
-            out.push((upload, Theta::zeros(theta.hidden, theta.k)));
+            out.push((upload, vec![0.0; shared.len()]));
         }
         out
     }
@@ -230,7 +185,59 @@ impl NcfAdversary for NcfFedRecAttack {
     fn name(&self) -> &'static str {
         "ncf-fedrecattack"
     }
+
+    fn checkpoint_state(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new();
+        match &self.u_hat {
+            Some(u_hat) => {
+                w.bool(true);
+                w.usize(u_hat.cols());
+                w.f32_slice(u_hat.as_slice());
+            }
+            None => w.bool(false),
+        }
+        w.usize(self.item_sets.len());
+        for set in &self.item_sets {
+            match set {
+                Some(s) => {
+                    w.bool(true);
+                    w.u32_slice(s);
+                }
+                None => w.bool(false),
+            }
+        }
+        write_rng(&mut w, &self.rng);
+        out.extend_from_slice(&w.into_bytes());
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) {
+        let mut r = ByteReader::new(bytes);
+        self.u_hat = if r.bool() {
+            let k = r.usize();
+            Some(Matrix::from_vec(self.public.num_users(), k, r.f32_vec()))
+        } else {
+            None
+        };
+        let n = r.usize();
+        assert_eq!(
+            n,
+            self.item_sets.len(),
+            "checkpointed malicious-client count mismatch"
+        );
+        for set in &mut self.item_sets {
+            *set = if r.bool() { Some(r.u32_vec()) } else { None };
+        }
+        self.rng = read_rng(&mut r);
+        assert!(
+            r.is_exhausted(),
+            "trailing bytes in ncf-fedrecattack checkpoint"
+        );
+    }
 }
+
+/// Non-target contrast items [`ThetaBoostAttack`] samples per target and
+/// round.
+const CONTRAST_SAMPLES: usize = 8;
 
 /// The non-generic shortcut: poison `Θ` so that target scores rise for
 /// everyone. Each malicious client holds a fake `u_m` and *contrastively*
@@ -240,12 +247,14 @@ impl NcfAdversary for NcfFedRecAttack {
 /// shift *every* score equally and never change a ranking. Split across
 /// the selected clients (same coordination rationale as the MF EB
 /// baseline).
+///
+/// Needs no checkpoint bytes: each fake `u_m` is a pure function of
+/// `(seed, m)`, and the contrast samples come from the round loop's
+/// adversary stream, which the simulation checkpoints itself.
 pub struct ThetaBoostAttack {
     targets: Vec<u32>,
     user_vecs: Vec<Vec<f32>>,
     boost: f32,
-    /// How many non-target contrast items are sampled per round.
-    pub contrast_samples: usize,
     seed: u64,
 }
 
@@ -260,22 +269,32 @@ impl ThetaBoostAttack {
             targets: t,
             user_vecs: vec![Vec::new(); num_malicious],
             boost,
-            contrast_samples: 8,
             seed,
         }
     }
 }
 
-impl NcfAdversary for ThetaBoostAttack {
+impl Adversary for ThetaBoostAttack {
+    /// Without a shared block there is no `Θ` to poison, so the
+    /// malicious clients upload nothing.
     fn poison(
         &mut self,
         items: &Matrix,
-        theta: &Theta,
-        ctx: &NcfRoundCtx<'_>,
-        _rng: &mut SeededRng,
-    ) -> Vec<(SparseGrad, Theta)> {
+        ctx: &RoundCtx<'_>,
+        rng: &mut SeededRng,
+    ) -> Vec<SparseGrad> {
+        NoAttack.poison(items, ctx, rng)
+    }
+
+    fn poison_with_shared(
+        &mut self,
+        items: &Matrix,
+        shared: &[f32],
+        ctx: &RoundCtx<'_>,
+        rng: &mut SeededRng,
+    ) -> Vec<(SparseGrad, Vec<f32>)> {
+        let theta = Theta::from_shared(items.cols(), shared);
         let share = 1.0 / (ctx.selected_malicious.len().max(1) as f32).sqrt();
-        // (kept name `_rng` in the trait signature; used for contrast sampling)
         ctx.selected_malicious
             .iter()
             .map(|&mi| {
@@ -286,33 +305,33 @@ impl NcfAdversary for ThetaBoostAttack {
                 let mut dtheta = Theta::zeros(theta.hidden, theta.k);
                 for &t in &self.targets {
                     let fwd =
-                        NcfModel::forward_vec(theta, &self.user_vecs[mi], items.row(t as usize));
+                        NcfModel::forward_vec(&theta, &self.user_vecs[mi], items.row(t as usize));
                     // Ascend the score: the server *descends*, so upload
                     // the negative gradient of x̂, BCE-weighted like EB.
                     let coeff = -vector::sigmoid(-fwd.score);
-                    let b = NcfModel::backward(theta, &fwd, coeff * self.boost * share);
+                    let b = NcfModel::backward(&theta, &fwd, coeff * self.boost * share);
                     dtheta.axpy(1.0, &b.dtheta);
                     // Contrast: push sampled non-targets down so the Θ
                     // perturbation is ranking-relevant, not a global
                     // score shift.
-                    for _ in 0..self.contrast_samples {
+                    for _ in 0..CONTRAST_SAMPLES {
                         let s = loop {
-                            let v = _rng.below(items.rows()) as u32;
+                            let v = rng.below(items.rows()) as u32;
                             if self.targets.binary_search(&v).is_err() {
                                 break v;
                             }
                         };
                         let fs = NcfModel::forward_vec(
-                            theta,
+                            &theta,
                             &self.user_vecs[mi],
                             items.row(s as usize),
                         );
-                        let cs = -coeff / self.contrast_samples as f32;
-                        let bs = NcfModel::backward(theta, &fs, cs * self.boost * share);
+                        let cs = -coeff / CONTRAST_SAMPLES as f32;
+                        let bs = NcfModel::backward(&theta, &fs, cs * self.boost * share);
                         dtheta.axpy(1.0, &bs.dtheta);
                     }
                 }
-                (SparseGrad::new(theta.k), dtheta)
+                (SparseGrad::new(theta.k), dtheta.as_slice().to_vec())
             })
             .collect()
     }
@@ -325,10 +344,12 @@ impl NcfAdversary for ThetaBoostAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{NcfConfig, NcfSimulation};
+    use crate::testkit::{evaluate, ncf_sim, smoke_cfg};
     use fedrec_data::split::leave_one_out;
     use fedrec_data::synthetic::SyntheticConfig;
     use fedrec_data::Dataset;
+    use fedrec_federated::history::TrainingHistory;
+    use fedrec_federated::{FedConfig, Simulation};
 
     fn fixture() -> (Dataset, fedrec_data::split::TestSet, Vec<u32>) {
         // Dataset seed picked by probing several seeds under the current
@@ -352,23 +373,23 @@ mod tests {
         let malicious = train.num_users() / 10;
         let public = PublicView::sample(&train, 0.05, 2);
         let attack = NcfFedRecAttack::new(targets.clone(), public, malicious, 7);
-        let cfg = NcfConfig {
+        let cfg = FedConfig {
             epochs: 100,
-            ..NcfConfig::smoke()
+            ..smoke_cfg()
         };
-        let mut sim = NcfSimulation::new(&train, cfg, Box::new(attack), malicious);
-        sim.run();
-        let rep = sim.evaluate(&train, &test, &targets, 3);
+        let mut sim = ncf_sim(&train, cfg, Box::new(attack), malicious);
+        sim.run(None);
+        let rep = evaluate(&sim, &train, &test, &targets, 3);
 
-        let mut clean = NcfSimulation::new(&train, cfg, Box::new(NcfNoAttack), 0);
-        clean.run();
-        let clean_rep = clean.evaluate(&train, &test, &targets, 3);
+        let mut clean = ncf_sim(&train, cfg, Box::new(NoAttack), 0);
+        clean.run(None);
+        let clean_rep = evaluate(&clean, &train, &test, &targets, 3);
 
         assert!(
-            rep.er_at_10 > clean_rep.er_at_10 + 0.2,
+            rep.attack.er_at_10 > clean_rep.attack.er_at_10 + 0.2,
             "NCF attack ineffective: clean {} vs attacked {}",
-            clean_rep.er_at_10,
-            rep.er_at_10
+            clean_rep.attack.er_at_10,
+            rep.attack.er_at_10
         );
         assert!(
             rep.hr_at_10 > clean_rep.hr_at_10 - 0.2,
@@ -388,34 +409,38 @@ mod tests {
         let items = Matrix::random_normal(train.num_items(), 8, 0.0, 0.1, &mut rng);
         let theta = Theta::init(16, 8, &mut rng);
         let selected = [0usize, 1];
-        let ctx = NcfRoundCtx {
+        let ctx = RoundCtx {
             round: 0,
             lr: 0.05,
             clip_norm: 0.8,
             selected_malicious: &selected,
         };
-        let ups = attack.poison(&items, &theta, &ctx, &mut rng);
+        let ups = attack.poison_with_shared(&items, theta.as_slice(), &ctx, &mut rng);
         assert_eq!(ups.len(), 2);
         for (ig, tg) in &ups {
             assert!(ig.nnz_rows() <= 12);
             assert!(ig.max_row_norm() <= 0.8 + 1e-4);
-            assert_eq!(tg.norm(), 0.0, "V-only attack must not touch Θ");
+            assert_eq!(tg.len(), theta.as_slice().len());
+            assert!(
+                tg.iter().all(|&x| x == 0.0),
+                "V-only attack must not touch Θ"
+            );
         }
+        // Without a shared block there is nothing to attack through.
+        let bare = attack.poison(&items, &ctx, &mut rng);
+        assert_eq!(bare.len(), 2);
+        assert!(bare.iter().all(SparseGrad::is_empty));
     }
 
     /// Mean 0-based rank of the target across users (lower = better for
     /// the attacker).
-    fn mean_target_rank(sim: &NcfSimulation, train: &Dataset, target: u32) -> f64 {
-        let model = sim.model();
+    fn mean_target_rank(sim: &Simulation, train: &Dataset, target: u32) -> f64 {
+        let theta = Theta::from_shared(sim.config().k, sim.shared());
+        let users = sim.user_factors();
         let mut scores = vec![0.0f32; train.num_items()];
         let mut total = 0.0f64;
         for u in 0..train.num_users() {
-            crate::model::NcfModel::scores_for_vector(
-                &model.theta,
-                &model.item_factors,
-                model.user_factors.row(u),
-                &mut scores,
-            );
+            NcfModel::scores_for_vector(&theta, sim.items(), users.row(u), &mut scores);
             if let Some(r) = topk::rank_of(&scores, train.user_items(u), target) {
                 total += r as f64;
             }
@@ -432,14 +457,14 @@ mod tests {
         let (train, _test, targets) = fixture();
         let malicious = train.num_users() / 10;
         let attack = ThetaBoostAttack::new(targets.clone(), malicious, 20.0, 9);
-        let cfg = NcfConfig {
+        let cfg = FedConfig {
             epochs: 50,
-            ..NcfConfig::smoke()
+            ..smoke_cfg()
         };
-        let mut sim = NcfSimulation::new(&train, cfg, Box::new(attack), malicious);
-        sim.run();
-        let mut clean = NcfSimulation::new(&train, cfg, Box::new(NcfNoAttack), 0);
-        clean.run();
+        let mut sim = ncf_sim(&train, cfg, Box::new(attack), malicious);
+        sim.run(None);
+        let mut clean = ncf_sim(&train, cfg, Box::new(NoAttack), 0);
+        clean.run(None);
         let attacked_rank = mean_target_rank(&sim, &train, targets[0]);
         let clean_rank = mean_target_rank(&clean, &train, targets[0]);
         assert!(
@@ -448,24 +473,63 @@ mod tests {
         );
     }
 
-    #[test]
-    fn no_attack_uploads_are_empty() {
-        let mut adv = NcfNoAttack;
-        let items = Matrix::zeros(4, 2);
-        let theta = Theta::zeros(3, 2);
-        let mut rng = SeededRng::new(1);
-        let selected = [0usize, 1, 2];
-        let ctx = NcfRoundCtx {
-            round: 0,
-            lr: 0.01,
-            clip_norm: 1.0,
-            selected_malicious: &selected,
+    /// Kill-and-resume of a 6-round run at round 3, without a fault
+    /// plan: the resumed simulation must end in the straight run's `V`
+    /// and `Θ` bits.
+    fn assert_resumes_byte_identically(
+        build: impl Fn(&Dataset, Vec<u32>, usize) -> Box<dyn Adversary>,
+    ) {
+        let (train, _, targets) = fixture();
+        let malicious = train.num_users() / 10;
+        let cfg = FedConfig {
+            epochs: 6,
+            ..smoke_cfg()
         };
-        let ups = adv.poison(&items, &theta, &ctx, &mut rng);
-        assert_eq!(ups.len(), 3);
-        for (ig, tg) in ups {
-            assert!(ig.is_empty());
-            assert_eq!(tg.norm(), 0.0);
-        }
+        let sim = || {
+            ncf_sim(
+                &train,
+                cfg,
+                build(&train, targets.clone(), malicious),
+                malicious,
+            )
+        };
+        let mut straight = sim();
+        straight.run(None);
+
+        let mut first = sim();
+        let mut history = TrainingHistory::new();
+        first.run_segment(None, &mut history, 3);
+        let blob = first.checkpoint(&history);
+        drop(first);
+        let mut resumed = sim();
+        let mut history = resumed.restore(&blob);
+        resumed.run_segment(None, &mut history, cfg.epochs);
+
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(straight.items().as_slice()),
+            bits(resumed.items().as_slice()),
+            "resumed V diverged"
+        );
+        assert_eq!(
+            bits(straight.shared()),
+            bits(resumed.shared()),
+            "resumed Θ diverged"
+        );
+    }
+
+    #[test]
+    fn ncf_attacks_resume_byte_identically() {
+        // NcfFedRecAttack carries Û, its item sets and its own RNG through
+        // its checkpoint bytes.
+        assert_resumes_byte_identically(|train, targets, malicious| {
+            let public = PublicView::sample(train, 0.05, 2);
+            Box::new(NcfFedRecAttack::new(targets, public, malicious, 7))
+        });
+        // ThetaBoostAttack writes none: its fake users are re-derived from
+        // (seed, client).
+        assert_resumes_byte_identically(|_, targets, malicious| {
+            Box::new(ThetaBoostAttack::new(targets, malicious, 20.0, 9))
+        });
     }
 }

@@ -14,10 +14,8 @@
 //! byte-identity gate (dense-vs-sharded, thread-count, kill-and-resume,
 //! faulted-round) extends to NCF by construction.
 
-use crate::attack::{NcfAdversary, NcfRoundCtx};
 use crate::model::NcfModel;
 use crate::theta::Theta;
-use fedrec_federated::adversary::{Adversary, RoundCtx};
 use fedrec_federated::client::{BenignClient, RoundScratch};
 use fedrec_federated::model::ClientModel;
 use fedrec_federated::FedConfig;
@@ -53,8 +51,7 @@ impl ClientModel for NcfClientModel {
     }
 
     fn init_shared(&self, rng: &mut SeededRng) -> Vec<f32> {
-        // Same draw order as the pre-seam NcfSimulation: Θ is drawn
-        // right after V, before any client forks.
+        // Θ is drawn right after V, before any client forks.
         Theta::init(self.hidden, self.k, rng).as_slice().to_vec()
     }
 
@@ -91,83 +88,13 @@ impl ClientModel for NcfClientModel {
     }
 }
 
-/// Adapts a [`NcfAdversary`] to the model-generic [`Adversary`] seam, so
-/// NCF-specific attacks (Θ-poisoning and the MLP-aware FedRecAttack
-/// variant) run inside the generic round loop.
-///
-/// The adapter carries no checkpointable state of its own and forwards
-/// none from the wrapped adversary — it is meant for straight-through
-/// runs (the `NcfSimulation` wrapper and its tests). Scenario-matrix NCF
-/// cells use the MF adversary registry directly (V-only poisoning, the
-/// paper's §IV generic choice), which keeps their checkpoint/resume
-/// support.
-pub struct NcfAdversaryBridge {
-    inner: Box<dyn NcfAdversary>,
-    hidden: usize,
-    k: usize,
-}
-
-impl NcfAdversaryBridge {
-    /// Wrap `inner` for the given MLP shape.
-    pub fn new(inner: Box<dyn NcfAdversary>, hidden: usize, k: usize) -> Self {
-        Self { inner, hidden, k }
-    }
-}
-
-impl Adversary for NcfAdversaryBridge {
-    fn poison(
-        &mut self,
-        items: &Matrix,
-        ctx: &RoundCtx<'_>,
-        rng: &mut SeededRng,
-    ) -> Vec<SparseGrad> {
-        // V-only fallback for callers without a shared block: hand the
-        // wrapped adversary a zero Θ and drop its Θ uploads. The round
-        // loop itself always calls `poison_with_shared`.
-        let theta = Theta::zeros(self.hidden, self.k);
-        let nctx = NcfRoundCtx {
-            round: ctx.round,
-            lr: ctx.lr,
-            clip_norm: ctx.clip_norm,
-            selected_malicious: ctx.selected_malicious,
-        };
-        self.inner
-            .poison(items, &theta, &nctx, rng)
-            .into_iter()
-            .map(|(g, _)| g)
-            .collect()
-    }
-
-    fn poison_with_shared(
-        &mut self,
-        items: &Matrix,
-        shared: &[f32],
-        ctx: &RoundCtx<'_>,
-        rng: &mut SeededRng,
-    ) -> Vec<(SparseGrad, Vec<f32>)> {
-        let theta = Theta::from_flat(self.hidden, self.k, shared);
-        let nctx = NcfRoundCtx {
-            round: ctx.round,
-            lr: ctx.lr,
-            clip_norm: ctx.clip_norm,
-            selected_malicious: ctx.selected_malicious,
-        };
-        self.inner
-            .poison(items, &theta, &nctx, rng)
-            .into_iter()
-            .map(|(g, tg)| (g, tg.as_slice().to_vec()))
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::NcfNoAttack;
+    use crate::testkit::{evaluate, ncf_sim, smoke_cfg};
+    use fedrec_data::split::leave_one_out;
+    use fedrec_data::synthetic::SyntheticConfig;
+    use fedrec_federated::NoAttack;
 
     #[test]
     fn shape_and_shared_length_agree_with_theta() {
@@ -244,21 +171,52 @@ mod tests {
     }
 
     #[test]
-    fn bridge_forwards_one_upload_pair_per_selected_client() {
-        let mut bridge = NcfAdversaryBridge::new(Box::new(NcfNoAttack), 4, 4);
-        let items = Matrix::zeros(6, 4);
-        let shared = Theta::zeros(4, 4);
-        let selected = [0usize, 2];
-        let ctx = RoundCtx {
-            round: 0,
-            lr: 0.01,
-            clip_norm: 1.0,
-            selected_malicious: &selected,
+    fn clean_ncf_training_descends_and_learns() {
+        let data = SyntheticConfig::smoke().generate(1);
+        let (train, test) = leave_one_out(&data, 2);
+        let mut sim = ncf_sim(&train, smoke_cfg(), Box::new(NoAttack), 0);
+        let losses = sim.run(None).losses;
+        assert!(losses.last().unwrap() < &(losses[0] * 0.95), "{losses:?}");
+        let targets = train.coldest_items(1);
+        let rep = evaluate(&sim, &train, &test, &targets, 3);
+        assert!(rep.hr_at_10 > 0.15, "NCF failed to learn: {rep:?}");
+        assert!(rep.attack.er_at_10 < 0.2, "cold target exposed: {rep:?}");
+    }
+
+    #[test]
+    fn run_is_deterministic() {
+        let data = SyntheticConfig::smoke().generate(2);
+        let go = || {
+            let mut sim = ncf_sim(&data, smoke_cfg(), Box::new(NoAttack), 3);
+            let losses = sim.run(None).losses;
+            (losses, sim.shared().to_vec())
         };
-        let mut rng = SeededRng::new(0);
-        let got = bridge.poison_with_shared(&items, shared.as_slice(), &ctx, &mut rng);
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|(g, s)| g.is_empty() && !s.is_empty()));
-        assert_eq!(bridge.name(), "none");
+        let (l1, t1) = go();
+        let (l2, t2) = go();
+        assert_eq!(l1, l2);
+        assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn theta_moves_during_training() {
+        let data = SyntheticConfig::smoke().generate(3);
+        let mut sim = ncf_sim(&data, smoke_cfg(), Box::new(NoAttack), 0);
+        let before = sim.shared().to_vec();
+        sim.step(0);
+        assert_ne!(before, sim.shared(), "Θ must be updated by Eq. 7");
+    }
+
+    #[test]
+    fn dp_noise_changes_the_trajectory() {
+        let data = SyntheticConfig::smoke().generate(4);
+        let mut clean = ncf_sim(&data, smoke_cfg(), Box::new(NoAttack), 0);
+        let noisy_cfg = FedConfig {
+            noise_scale: 0.1,
+            ..smoke_cfg()
+        };
+        let mut noisy = ncf_sim(&data, noisy_cfg, Box::new(NoAttack), 0);
+        clean.step(0);
+        noisy.step(0);
+        assert_ne!(clean.shared(), noisy.shared());
     }
 }

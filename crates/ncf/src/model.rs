@@ -25,7 +25,13 @@
 //! the per-score jacobians differ.
 
 use crate::theta::Theta;
-use fedrec_linalg::{kernel, vector, Matrix, SeededRng, SparseGrad};
+use fedrec_data::split::TestSet;
+use fedrec_data::InteractionSource;
+use fedrec_linalg::{kernel, vector, Matrix, SparseGrad};
+use fedrec_recsys::eval::{EvalReport, Evaluator};
+use fedrec_recsys::metrics::MetricsAccumulator;
+use fedrec_recsys::scorer::DenseScores;
+use fedrec_recsys::UserRowSource;
 
 /// Cached forward-pass state for one `(u, v)` scoring.
 #[derive(Debug, Clone)]
@@ -51,39 +57,12 @@ pub struct Backward {
     pub dtheta: Theta,
 }
 
-/// The full NCF model: embeddings plus the shared MLP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NcfModel {
-    /// User embeddings `U: n × k` (private, sharded across clients in
-    /// the federated setting; dense here for surrogates/evaluation).
-    pub user_factors: Matrix,
-    /// Item embeddings `V: m × k` (shared).
-    pub item_factors: Matrix,
-    /// The MLP parameters `Θ` (shared).
-    pub theta: Theta,
-}
+/// The NCF scorer. Its parameters live where the federated protocol
+/// keeps them — `Θ` in the round loop's shared block, `V` on the server,
+/// each `u_i` on its client — so every function takes them explicitly.
+pub struct NcfModel;
 
 impl NcfModel {
-    /// Initialize embeddings `N(0, 0.1²)` and He-initialized Θ.
-    pub fn init(
-        num_users: usize,
-        num_items: usize,
-        k: usize,
-        hidden: usize,
-        rng: &mut SeededRng,
-    ) -> Self {
-        Self {
-            user_factors: Matrix::random_normal(num_users, k, 0.0, 0.1, rng),
-            item_factors: Matrix::random_normal(num_items, k, 0.0, 0.1, rng),
-            theta: Theta::init(hidden, k, rng),
-        }
-    }
-
-    /// Latent dimension `k`.
-    pub fn k(&self) -> usize {
-        self.user_factors.cols()
-    }
-
     /// Forward pass for explicit vectors (the federated clients score
     /// with their private `u`).
     pub fn forward_vec(theta: &Theta, u: &[f32], v: &[f32]) -> Forward {
@@ -100,20 +79,6 @@ impl NcfModel {
         let h: Vec<f32> = pre.iter().map(|&p| p.max(0.0)).collect();
         let score = vector::dot(theta.w2(), &h) + theta.b2();
         Forward { z, pre, h, score }
-    }
-
-    /// Forward pass by user/item index.
-    pub fn forward(&self, user: usize, item: usize) -> Forward {
-        Self::forward_vec(
-            &self.theta,
-            self.user_factors.row(user),
-            self.item_factors.row(item),
-        )
-    }
-
-    /// Predicted score `x̂_uv`.
-    pub fn predict(&self, user: usize, item: usize) -> f32 {
-        self.forward(user, item).score
     }
 
     /// Scores of every item for an explicit user vector.
@@ -230,11 +195,56 @@ impl NcfModel {
         }
         (loss, grad_u, grad_items, grad_theta)
     }
+
+    /// The NCF evaluation sweep: score every item for each of the first
+    /// `eval_users` users through the MLP and feed the same accumulator as
+    /// the MF paths, ranking HR@10 against `evaluator`'s fixed negatives.
+    /// Users are processed in fixed `shard_rows` shards with per-shard
+    /// accumulators merged in order — the summation order of the streamed
+    /// MF sweep at the same shard size, so the report is independent of
+    /// backend and thread count by construction.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate<D: InteractionSource + ?Sized>(
+        evaluator: &Evaluator,
+        theta: &Theta,
+        items: &Matrix,
+        users: &dyn UserRowSource,
+        train: &D,
+        test: &TestSet,
+        eval_users: usize,
+        shard_rows: usize,
+    ) -> EvalReport {
+        let m = items.rows();
+        let mut total = MetricsAccumulator::new();
+        let mut row = vec![0.0f32; items.cols()];
+        let mut scores = vec![0.0f32; m];
+        let mut lo = 0usize;
+        while lo < eval_users {
+            let hi = (lo + shard_rows).min(eval_users);
+            let mut acc = MetricsAccumulator::new();
+            for u in lo..hi {
+                users.write_user_row(u, &mut row);
+                Self::scores_for_vector(theta, items, &row, &mut scores);
+                let mut src = DenseScores::new(&scores);
+                acc.push_user_attack(&mut src, train.user_items(u), evaluator.targets());
+                if let Some(test_item) = test.get(u).copied().flatten() {
+                    acc.push_user_hr(&mut src, test_item, evaluator.hr_negatives(u));
+                }
+            }
+            total.merge(&acc);
+            lo = hi;
+        }
+        EvalReport {
+            attack: total.attack_metrics(),
+            hr_at_10: total.hr_at_10(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedrec_linalg::SeededRng;
 
     const EPS: f32 = 1e-3;
 
@@ -349,24 +359,16 @@ mod tests {
     }
 
     #[test]
-    fn model_init_shapes() {
-        let mut rng = SeededRng::new(13);
-        let m = NcfModel::init(5, 7, 4, 6, &mut rng);
-        assert_eq!(m.user_factors.rows(), 5);
-        assert_eq!(m.item_factors.rows(), 7);
-        assert_eq!(m.theta.hidden, 6);
-        assert_eq!(m.k(), 4);
-        let _ = m.predict(0, 0);
-    }
-
-    #[test]
     fn scores_for_vector_matches_pointwise_forward() {
         let mut rng = SeededRng::new(17);
-        let m = NcfModel::init(2, 5, 3, 4, &mut rng);
+        let items = Matrix::random_normal(5, 3, 0.0, 0.1, &mut rng);
+        let theta = Theta::init(4, 3, &mut rng);
+        let u: Vec<f32> = (0..3).map(|_| rng.normal(0.0, 0.1)).collect();
         let mut out = vec![0.0f32; 5];
-        NcfModel::scores_for_vector(&m.theta, &m.item_factors, m.user_factors.row(1), &mut out);
+        NcfModel::scores_for_vector(&theta, &items, &u, &mut out);
         for (item, &score) in out.iter().enumerate() {
-            assert!((score - m.predict(1, item)).abs() < 1e-6);
+            let pointwise = NcfModel::forward_vec(&theta, &u, items.row(item)).score;
+            assert!((score - pointwise).abs() < 1e-6);
         }
     }
 }

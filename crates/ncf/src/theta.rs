@@ -50,6 +50,14 @@ impl Theta {
         }
     }
 
+    /// [`Theta::from_flat`] for a block whose hidden width is not known
+    /// to the caller: [`Theta::len_for`] is `H·(2k+2) + 1`, so `H`
+    /// follows from the block's length and `k` (the item matrix's width).
+    pub fn from_shared(k: usize, data: &[f32]) -> Self {
+        let hidden = data.len().saturating_sub(1) / (2 * k + 2);
+        Self::from_flat(hidden, k, data)
+    }
+
     /// He-style random init for the weights, zero biases, except `w₂`
     /// which starts small-positive so initial scores are near zero but
     /// gradients flow.
@@ -225,6 +233,17 @@ mod tests {
     #[should_panic(expected = "flat theta length mismatch")]
     fn from_flat_rejects_wrong_length() {
         let _ = Theta::from_flat(4, 3, &[0.0; 7]);
+    }
+
+    #[test]
+    fn from_shared_infers_the_hidden_width() {
+        for (hidden, k) in [(1, 1), (4, 3), (16, 8)] {
+            let t = Theta::init(hidden, k, &mut SeededRng::new(6));
+            assert_eq!(Theta::from_shared(k, t.as_slice()), t);
+        }
+        let truncated = Theta::zeros(4, 3).as_slice()[1..].to_vec();
+        let caught = std::panic::catch_unwind(|| Theta::from_shared(3, &truncated));
+        assert!(caught.is_err(), "a length no hidden width fits is rejected");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod bpr;
 pub mod eval;
 pub mod metrics;
 pub mod model;
-pub mod persist;
 pub mod ranking;
 pub mod scorer;
 pub mod stream_eval;

@@ -14,55 +14,86 @@
 use fedrecattack::data::split::leave_one_out;
 use fedrecattack::data::synthetic::SyntheticConfig;
 use fedrecattack::data::PublicView;
-use fedrecattack::ncf::attack::{NcfFedRecAttack, NcfNoAttack, ThetaBoostAttack};
-use fedrecattack::ncf::sim::{NcfConfig, NcfSimulation};
+use fedrecattack::federated::server::SumAggregator;
+use fedrecattack::federated::{
+    Adversary, DefensePipeline, FedConfig, NoAttack, Simulation, StoreBackend,
+};
+use fedrecattack::ncf::attack::{NcfFedRecAttack, ThetaBoostAttack};
+use fedrecattack::ncf::{NcfClientModel, NcfModel, Theta};
+use fedrecattack::recsys::eval::{EvalReport, Evaluator};
+use std::sync::Arc;
+
+/// Hidden width of the interaction MLP.
+const HIDDEN: usize = 16;
 
 fn main() {
     let data = SyntheticConfig::smoke().generate(51);
     let (train, test) = leave_one_out(&data, 5);
+    let train = Arc::new(train);
     let targets = train.coldest_items(1);
     let malicious = train.num_users() / 10; // rho = 10%
-    let cfg = NcfConfig {
+    let cfg = FedConfig {
+        k: 8,
+        lr: 0.05,
         epochs: 100,
-        ..NcfConfig::smoke()
+        ..FedConfig::default()
     };
     println!(
-        "federated NCF: k={}, hidden={}, {} users, target item {:?}, rho=10%\n",
+        "federated NCF: k={}, hidden={HIDDEN}, {} users, target item {:?}, rho=10%\n",
         cfg.k,
-        cfg.hidden,
         train.num_users(),
         targets
     );
 
-    let mut clean = NcfSimulation::new(&train, cfg, Box::new(NcfNoAttack), 0);
-    clean.run();
-    let clean_rep = clean.evaluate(&train, &test, &targets, 3);
+    let evaluator = Evaluator::new(&*train, &test, &targets, 3);
+    let run = |adversary: Box<dyn Adversary>, num_malicious: usize| -> EvalReport {
+        let mut sim = Simulation::with_model(
+            train.clone(),
+            cfg,
+            Box::new(NcfClientModel::new(HIDDEN, cfg.k)),
+            adversary,
+            num_malicious,
+            DefensePipeline::plain(Box::new(SumAggregator)),
+            StoreBackend::Dense,
+        );
+        sim.run(None);
+        // Every user, in a single shard.
+        let n = train.num_users();
+        NcfModel::evaluate(
+            &evaluator,
+            &Theta::from_shared(cfg.k, sim.shared()),
+            sim.items(),
+            sim.user_rows(),
+            &*train,
+            &test,
+            n,
+            n,
+        )
+    };
 
-    let public = PublicView::sample(&train, 0.05, 2);
-    let v_attack = NcfFedRecAttack::new(targets.clone(), public, malicious, 7);
-    let mut sim_v = NcfSimulation::new(&train, cfg, Box::new(v_attack), malicious);
-    sim_v.run();
-    let v_rep = sim_v.evaluate(&train, &test, &targets, 3);
-
-    let t_attack = ThetaBoostAttack::new(targets.clone(), malicious, 20.0, 9);
-    let mut sim_t = NcfSimulation::new(&train, cfg, Box::new(t_attack), malicious);
-    sim_t.run();
-    let t_rep = sim_t.evaluate(&train, &test, &targets, 3);
+    let clean_rep = run(Box::new(NoAttack), 0);
+    let public = PublicView::sample(&*train, 0.05, 2);
+    let v_rep = run(
+        Box::new(NcfFedRecAttack::new(targets.clone(), public, malicious, 7)),
+        malicious,
+    );
+    let t_rep = run(
+        Box::new(ThetaBoostAttack::new(targets.clone(), malicious, 20.0, 9)),
+        malicious,
+    );
 
     println!("attack                     ER@10    NDCG@10   HR@10");
     println!("----------------------------------------------------");
-    println!(
-        "none                      {:>6.4}   {:>6.4}   {:>6.4}",
-        clean_rep.er_at_10, clean_rep.ndcg_at_10, clean_rep.hr_at_10
-    );
-    println!(
-        "FedRecAttack (poison V)   {:>6.4}   {:>6.4}   {:>6.4}",
-        v_rep.er_at_10, v_rep.ndcg_at_10, v_rep.hr_at_10
-    );
-    println!(
-        "Theta boost (poison MLP)  {:>6.4}   {:>6.4}   {:>6.4}",
-        t_rep.er_at_10, t_rep.ndcg_at_10, t_rep.hr_at_10
-    );
+    for (name, rep) in [
+        ("none                    ", clean_rep),
+        ("FedRecAttack (poison V) ", v_rep),
+        ("Theta boost (poison MLP)", t_rep),
+    ] {
+        println!(
+            "{name}  {:>6.4}   {:>6.4}   {:>6.4}",
+            rep.attack.er_at_10, rep.attack.ndcg_at_10, rep.hr_at_10
+        );
+    }
     println!(
         "\nReading: poisoning V transfers FedRecAttack to the deep model \
          (the paper's generality claim); poisoning the shared MLP shifts \
