@@ -18,7 +18,6 @@ use fedrec_bench::smoke_fixture;
 use fedrec_data::PublicView;
 use fedrec_federated::{FedConfig, Simulation};
 use fedrec_recsys::eval::Evaluator;
-use fedrec_recsys::MfModel;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -39,8 +38,7 @@ fn run_variant(surrogate: Surrogate, refresh: bool) -> (f64, f64) {
     let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
     sim.run(None);
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, &train, &test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     (rep.attack.er_at_10, rep.hr_at_10)
 }
 

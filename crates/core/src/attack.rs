@@ -198,7 +198,6 @@ mod tests {
     use fedrec_data::Dataset;
     use fedrec_federated::{FedConfig, Simulation};
     use fedrec_recsys::eval::Evaluator;
-    use fedrec_recsys::MfModel;
 
     fn run_attack(data: &Dataset, xi: f64, num_malicious: usize, epochs: usize) -> (f64, f64, f64) {
         let (train, test) = leave_one_out(data, 7);
@@ -213,8 +212,7 @@ mod tests {
         };
         let mut sim = Simulation::new(&train, fed, Box::new(attack), num_malicious);
         sim.run(None);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         (rep.attack.er_at_10, rep.attack.ndcg_at_10, rep.hr_at_10)
     }
 
@@ -253,15 +251,17 @@ mod tests {
 
         let mut clean = Simulation::new(&train, fed, Box::new(fedrec_federated::NoAttack), 0);
         clean.run(None);
-        let clean_model = MfModel::from_factors(clean.user_factors(), clean.items().clone());
-        let clean_hr = evaluator.evaluate(&clean_model, &train, &test).hr_at_10;
+        let clean_hr = evaluator
+            .evaluate(clean.items(), clean.user_rows(), &train, &test)
+            .hr_at_10;
 
         let public = PublicView::sample(&train, 0.05, 8);
         let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, 6);
         let mut sim = Simulation::new(&train, fed, Box::new(attack), 6);
         sim.run(None);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let attacked_hr = evaluator.evaluate(&model, &train, &test).hr_at_10;
+        let attacked_hr = evaluator
+            .evaluate(sim.items(), sim.user_rows(), &train, &test)
+            .hr_at_10;
 
         assert!(
             attacked_hr > clean_hr - 0.15,

@@ -65,47 +65,6 @@ impl Aggregator for Krum {
     }
 }
 
-/// Multi-Krum: average the `m` best Krum-scored updates, rescaled by `n`.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiKrum {
-    /// Assumed number of byzantine clients (`f`).
-    pub assumed_byzantine: usize,
-    /// How many top-scored updates to average (`m`).
-    pub keep: usize,
-}
-
-impl Aggregator for MultiKrum {
-    fn aggregate(&self, updates: &[SparseGrad], _num_items: usize, k: usize) -> SparseGrad {
-        if updates.is_empty() {
-            return SparseGrad::new(k);
-        }
-        let n = updates.len();
-        let neighbors = n.saturating_sub(self.assumed_byzantine + 2).max(1);
-        let mut scored: Vec<(f32, usize)> = (0..n)
-            .map(|i| {
-                let mut dists: Vec<f32> = (0..n)
-                    .filter(|&j| j != i)
-                    .map(|j| updates[i].dist_sq(&updates[j]))
-                    .collect();
-                dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-                (dists.iter().take(neighbors).sum(), i)
-            })
-            .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
-        let keep = self.keep.clamp(1, n);
-        let mut out = SparseGrad::new(k);
-        for &(_, i) in scored.iter().take(keep) {
-            out.add_assign(&updates[i]);
-        }
-        out.scale(n as f32 / keep as f32);
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "multi-krum"
-    }
-}
-
 /// Coordinate-wise trimmed mean over the clients touching each item,
 /// rescaled by the toucher count.
 #[derive(Debug, Clone, Copy)]
@@ -279,8 +238,7 @@ mod tests {
 
     /// All-identical updates score identically everywhere; selection must
     /// break the tie to the first index every time (no ordering
-    /// nondeterminism), and Multi-Krum's stable sort must preserve index
-    /// order so its average equals the plain sum.
+    /// nondeterminism).
     #[test]
     fn krum_identical_updates_tie_break_is_first_index() {
         let updates = vec![grad(2, &[(3, 1.5)]); 5];
@@ -293,12 +251,6 @@ mod tests {
         let agg = krum.aggregate(&updates, 4, 2);
         // One identical update scaled by n = 5 == the sum of all five.
         assert!((agg.get(3).unwrap()[0] - 7.5).abs() < 1e-5);
-        let mk = MultiKrum {
-            assumed_byzantine: 1,
-            keep: 3,
-        };
-        let agg = mk.aggregate(&updates, 4, 2);
-        assert!((agg.get(3).unwrap()[0] - 7.5).abs() < 1e-5);
     }
 
     #[test]
@@ -309,18 +261,6 @@ mod tests {
         assert!(krum.select(&[]).is_none());
         let one = vec![grad(2, &[(0, 3.0)])];
         assert_eq!(krum.select(&one), Some(0));
-    }
-
-    #[test]
-    fn multi_krum_averages_honest_majority() {
-        let updates = honest_plus_outlier();
-        let mk = MultiKrum {
-            assumed_byzantine: 1,
-            keep: 3,
-        };
-        let agg = mk.aggregate(&updates, 4, 2);
-        let got = agg.get(0).unwrap()[0];
-        assert!((5.8..6.4).contains(&got), "got {got}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! against them (the `repro matrix` scenario grid, the
 //! `ablation_defenses` bench and the `defense_evaluation` example):
 //!
-//! * [`aggregation`] — [`aggregation::Krum`], [`aggregation::MultiKrum`],
+//! * [`aggregation`] — [`aggregation::Krum`],
 //!   [`aggregation::TrimmedMean`], [`aggregation::CoordinateMedian`] and
 //!   [`aggregation::NormBound`], all implementing the federated server's
 //!   [`fedrec_federated::server::Aggregator`] trait.
@@ -50,6 +50,6 @@
 pub mod aggregation;
 pub mod detection;
 
-pub use aggregation::{CoordinateMedian, Krum, MultiKrum, NormBound, TrimmedMean};
+pub use aggregation::{CoordinateMedian, Krum, NormBound, TrimmedMean};
 pub use detection::{DetectionReport, Detector, NormDetector, SimilarityDetector};
 pub use fedrec_federated::defense::DefensePipeline;

@@ -42,8 +42,8 @@
 //! fast paths reproduce the full sweep's records byte-identically
 //! (modulo the mode bookkeeping fields) — the CI determinism gate.
 //!
-//! `--eval-mode` selects the streamed-evaluation strategy for scale-free
-//! populations: `full` (blocked exact sweep, default), `pruned`
+//! `--eval-mode` selects the streamed-evaluation strategy for MF cells:
+//! `full` (blocked exact sweep, default), `pruned`
 //! (norm-bound top-K pruning) or `incremental` (cross-epoch candidate
 //! caching with drift bounds). All three produce byte-identical metrics;
 //! only `eval_mode`/`items_scored`/`items_skipped` differ in the records.
@@ -197,7 +197,7 @@ fn parse_args() -> Args {
             "--defense" => {
                 args.defense = Some(DefenseKind::parse(&next()).unwrap_or_else(|| usage()))
             }
-            "--rho" => args.rho = Some(next().parse().unwrap_or_else(|_| usage())),
+            "--rho" => args.rho = Some(parse_rho(&next())),
             "--model" => args.model = Some(ModelKind::parse(&next()).unwrap_or_else(|| usage())),
             "--epochs" => args.epochs = Some(next().parse().unwrap_or_else(|_| usage())),
             "--workers" => args.workers = Some(next().parse().unwrap_or_else(|_| usage())),
@@ -272,10 +272,17 @@ fn parse_defenses(s: &str) -> Vec<DefenseKind> {
         .collect()
 }
 
+/// A malicious ratio ρ: a finite number in [0, 1] (`-0` reads as `0`);
+/// anything else is a usage error.
+fn parse_rho(s: &str) -> f64 {
+    match s.trim().parse::<f64>() {
+        Ok(r) if (0.0..=1.0).contains(&r) => r.abs(),
+        _ => usage(),
+    }
+}
+
 fn parse_rhos(s: &str) -> Vec<f64> {
-    s.split(',')
-        .map(|r| r.trim().parse().unwrap_or_else(|_| usage()))
-        .collect()
+    s.split(',').map(parse_rho).collect()
 }
 
 fn matrix_config(args: &Args) -> MatrixConfig {

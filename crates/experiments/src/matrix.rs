@@ -22,9 +22,11 @@
 //! million-user cell materializes only the clients the protocol selects
 //! (`rows_materialized ≤ participants_touched`, recorded per record) and
 //! the malicious users exist as lazily materialized rows of the
-//! adversary's own shard store. Scale-free cells evaluate by streaming
-//! user shards ([`Evaluator::evaluate_user_range`]) over an `eval_users`
-//! prefix instead of assembling the dense `n × k` model.
+//! adversary's own shard store. Every cell evaluates through the one
+//! streamed sweep ([`Evaluator::evaluate_user_range_mode`], or
+//! [`Evaluator::evaluate_user_range_scored`] for NCF), which pulls user
+//! rows from the store and never assembles the dense `n × k` model;
+//! scale-free cells cover an `eval_users` prefix, dense cells every user.
 //!
 //! # Model axis
 //!
@@ -35,9 +37,9 @@
 //! [`model_invariant`] — their records are byte-identical to before the
 //! model axis existed modulo the new `model` key. NCF cells (`ncf_`-
 //! prefixed ids) run the same attacks (poisoning `V` only — the paper's
-//! §IV generic choice) and defenses, evaluate through the MLP in `full`
-//! mode only (the pruned/incremental norm bounds are dot-product math),
-//! and skip the MF-specific live-serving probe.
+//! §IV generic choice) and defenses, evaluate through the MLP scorer in
+//! `full` mode only (the pruned/incremental norm bounds are dot-product
+//! math), and skip the MF-specific live-serving probe.
 //!
 //! # Determinism contract
 //!
@@ -54,16 +56,15 @@
 //!
 //! # Evaluation fast path
 //!
-//! Scale-free cells evaluate through the streamed
-//! [`EvalMode`] machinery: `full` (blocked kernel sweep), `pruned`
-//! (norm-bound exact top-K) or `incremental` (cross-epoch candidate
-//! caching, with per-cell [`IncrementalEvalState`] living for the cell's
-//! lifetime). All three produce byte-identical metric fields; only
+//! MF cells evaluate through the streamed [`EvalMode`] machinery: `full`
+//! (blocked kernel sweep), `pruned` (norm-bound exact top-K) or
+//! `incremental` (cross-epoch candidate caching, with per-cell
+//! [`IncrementalEvalState`] living for the cell's lifetime). All three
+//! produce byte-identical metric fields; only
 //! `eval_mode`/`items_scored`/`items_skipped` (and the volatile
-//! `eval_ms`) differ, normalized by [`mode_invariant`]. Dense populations
-//! always use the dense full-model sweep and record `eval_mode:"full"` —
-//! streamed and dense sweeps differ in float association, so modes only
-//! apply where the streamed path is already the baseline.
+//! `eval_ms`) differ, normalized by [`mode_invariant`]. Scale-free cells
+//! sweep fixed 1,024-user shards; dense cells sweep the population as one
+//! shard, which sums the metrics in the historical one-pass order.
 
 use crate::report::Table;
 use crate::runner::{default_targets, malicious_count};
@@ -81,7 +82,7 @@ use fedrec_federated::{FaultPlan, Simulation, StoreBackend};
 use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
 use fedrec_recsys::eval::{EvalReport, Evaluator};
 use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
-use fedrec_recsys::{EvalCounters, EvalMode, IncrementalEvalState};
+use fedrec_recsys::{EvalMode, IncrementalEvalState};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -164,8 +165,8 @@ impl ScalePreset {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Population {
     /// A dense synthetic stand-in for a Table II dataset, split
-    /// leave-one-out and evaluated with the dense full-model sweep — the
-    /// historical path, byte-identical to pre-population grids.
+    /// leave-one-out and evaluated over every user — the historical path,
+    /// byte-identical to pre-population grids.
     Dense(DatasetId),
     /// A lazily generated scale-free population: a read-time holdout
     /// ([`HoldoutView`]) masks one item per eligible user so HR@10 is
@@ -412,16 +413,16 @@ pub struct MatrixConfig {
     /// Row budget κ.
     pub kappa: usize,
     /// Users covered by the streamed evaluation on scale-free populations
-    /// (dense populations always evaluate the full model).
+    /// (dense populations always evaluate every user).
     pub eval_users: usize,
     /// Deterministic fault plan injected into every cell's round loop
     /// (`None` = perfect network). Each cell derives its own fault seed
     /// from the cell seed, so faulted grids keep the standalone-rerun
     /// byte-identity promise.
     pub faults: Option<FaultPlan>,
-    /// How scale-free cells compute their streamed evaluation (dense
-    /// populations always use the dense sweep and record `full`). All
-    /// modes produce byte-identical metric fields; see [`mode_invariant`].
+    /// How MF cells compute their streamed evaluation (NCF cells always
+    /// run the full scored sweep and record `full`). All modes produce
+    /// byte-identical metric fields; see [`mode_invariant`].
     pub eval_mode: EvalMode,
     /// Worker threads inside each streamed evaluation (results are
     /// thread-invariant; >1 only pays off when the grid itself is not
@@ -902,22 +903,24 @@ pub fn run_cell_into<W: Write>(
 /// reports.
 const EVAL_SHARD_ROWS: usize = 1_024;
 
-/// One cell's evaluation strategy: the dense full-model sweep for dense
-/// populations (the historical, byte-stable path), the streamed
-/// partial-population pass — in the configured [`EvalMode`] — for
-/// scale-free ones.
+/// One cell's evaluation: the streamed sweep over the eval span — in the
+/// configured [`EvalMode`] for MF cells, through the MLP scorer for NCF
+/// cells.
 struct CellEval<'w> {
-    dense: Option<&'w Dataset>,
     source: &'w (dyn InteractionSource + Send + Sync),
     test: &'w TestSet,
     evaluator: Evaluator,
     eval_users: usize,
+    /// Users per eval shard: the whole population for dense MF cells
+    /// (one pass over the users, the historical summation order),
+    /// [`EVAL_SHARD_ROWS`] for NCF and scale-free cells.
+    shard_rows: usize,
     mode: EvalMode,
     threads: usize,
     /// NCF cells score through the MLP instead of dot products, which
     /// rules out the pruned/incremental fast paths (their norm bounds are
-    /// dot-product math) — they always run [`NcfModel::evaluate`]'s full
-    /// sweep and record `eval_mode:"full"`.
+    /// dot-product math) — they always run the full scored sweep and
+    /// record `eval_mode:"full"`.
     ncf: bool,
     /// Cross-epoch candidate caches for [`EvalMode::Incremental`]; lives
     /// for the cell's lifetime (one eval per epoch snapshot warms the
@@ -938,59 +941,37 @@ impl CellEval<'_> {
     ) -> (EvalReport, EvalStats) {
         // fedrec-lint: allow(wall-clock) — times the eval pass for the volatile `eval_ms` record field; every identity gate strips it (volatile_invariant)
         let started = std::time::Instant::now();
+        let span = 0..self.eval_users;
         let (rep, counters, mode) = if self.ncf {
-            let rep = NcfModel::evaluate(
-                &self.evaluator,
-                &Theta::from_shared(items.cols(), shared),
+            let theta = Theta::from_shared(items.cols(), shared);
+            let score =
+                |row: &[f32], out: &mut [f32]| NcfModel::scores_for_vector(&theta, items, row, out);
+            let (rep, counters) = self.evaluator.evaluate_user_range_scored(
+                items.rows(),
+                users,
+                self.source,
+                self.test,
+                span,
+                self.threads,
+                self.shard_rows,
+                score,
+            );
+            (rep, counters, EvalMode::Full)
+        } else {
+            let mut inc = self.inc.lock().expect("eval state poisoned");
+            let state = (self.mode == EvalMode::Incremental).then_some(&mut *inc);
+            let (rep, counters) = self.evaluator.evaluate_user_range_mode(
                 items,
                 users,
                 self.source,
                 self.test,
-                self.eval_users,
-                EVAL_SHARD_ROWS,
+                span,
+                self.threads,
+                self.shard_rows,
+                self.mode,
+                state,
             );
-            // The MLP sweep scores every (user, item) pair of the span.
-            let counters = EvalCounters {
-                items_scored: (self.eval_users as u64) * (items.rows() as u64),
-                items_skipped: 0,
-            };
-            (rep, counters, EvalMode::Full)
-        } else {
-            match self.dense {
-                Some(train) => {
-                    let model = crate::runner::assemble_model(items, users);
-                    let rep = self.evaluator.evaluate(&model, train, self.test);
-                    // The dense sweep scores every (user, item) pair.
-                    let scored = (model.num_users() as u64) * (model.num_items() as u64);
-                    (
-                        rep,
-                        EvalCounters {
-                            items_scored: scored,
-                            items_skipped: 0,
-                        },
-                        EvalMode::Full,
-                    )
-                }
-                None => {
-                    let mut inc = self.inc.lock().expect("eval state poisoned");
-                    let state = match self.mode {
-                        EvalMode::Incremental => Some(&mut *inc),
-                        _ => None,
-                    };
-                    let (rep, counters) = self.evaluator.evaluate_user_range_mode(
-                        items,
-                        users,
-                        self.source,
-                        self.test,
-                        0..self.eval_users,
-                        self.threads,
-                        EVAL_SHARD_ROWS,
-                        self.mode,
-                        state,
-                    );
-                    (rep, counters, self.mode)
-                }
-            }
+            (rep, counters, self.mode)
         };
         let stats = EvalStats {
             ms: started.elapsed().as_millis() as u64,
@@ -1267,13 +1248,17 @@ fn prepare_cell<'w>(
         StoreBackend::Dense => "dense",
         StoreBackend::Sharded { .. } => "sharded",
     };
+    let shard_rows = match (dense, cell.model) {
+        (Some(_), ModelKind::Mf) => source.num_users().max(1),
+        _ => EVAL_SHARD_ROWS,
+    };
     let harness = CellHarness {
         eval: CellEval {
-            dense: dense.as_deref(),
             source: &**source,
             test,
             evaluator,
             eval_users,
+            shard_rows,
             mode: cfg.eval_mode,
             threads: cfg.eval_threads.max(1),
             ncf: cell.model == ModelKind::Ncf,
@@ -1601,9 +1586,9 @@ pub fn matrix_report(dir: &Path) -> io::Result<Table> {
 }
 
 /// Render the defended paper table from specific cell files (one row per
-/// file, from its final record).
+/// file, from its final record), sorted by (model, attack, defense, ρ).
 pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
-    let mut rows: Vec<(String, String, f64, Vec<String>)> = Vec::new();
+    let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(path)?;
         let finals: Vec<Vec<(String, String)>> = text
@@ -1626,10 +1611,9 @@ pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
                 .unwrap_or_else(|_| "?".to_string())
         };
         rows.push((
-            get("attack"),
-            get("defense"),
             get("rho").parse().unwrap_or(f64::NAN),
             vec![
+                get("model"),
                 get("attack"),
                 get("defense"),
                 get("rho"),
@@ -1641,14 +1625,12 @@ pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
             ],
         ));
     }
-    rows.sort_by(|a, b| {
-        (a.0.as_str(), a.1.as_str())
-            .cmp(&(b.0.as_str(), b.1.as_str()))
-            .then(a.2.total_cmp(&b.2))
-    });
+    // (model, attack, defense) are the first three columns.
+    rows.sort_by(|a, b| a.1[..3].cmp(&b.1[..3]).then(a.0.total_cmp(&b.0)));
     let mut t = Table::new(
-        "Scenario matrix: attack x defense x rho (final epoch)",
+        "Scenario matrix: model x attack x defense x rho (final epoch)",
         vec![
+            "Model",
             "Attack",
             "Defense",
             "rho",
@@ -1659,7 +1641,7 @@ pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
             "excluded",
         ],
     );
-    for (_, _, _, row) in rows {
+    for (_, row) in rows {
         t.push_row(row);
     }
     Ok(t)
@@ -1804,9 +1786,11 @@ mod tests {
         let mut cfg = tiny_cfg(17);
         cfg.attacks = vec![AttackMethod::None, AttackMethod::Random];
         cfg.defenses = vec![DefenseKind::None];
+        cfg.ncf_attacks = vec![AttackMethod::Random];
+        cfg.ncf_defenses = vec![DefenseKind::None];
         cfg.rhos = vec![0.05];
         let outcomes = run_matrix(&cfg, &dir).unwrap();
-        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             assert!(o.path.is_file());
             assert_eq!(o.records, 2);
@@ -1820,9 +1804,16 @@ mod tests {
             );
         }
         let table = matrix_report(&dir).unwrap();
-        assert_eq!(table.rows.len(), 2);
-        assert_eq!(table.header.len(), 8);
-        assert!(table.to_markdown().contains("Random"));
+        assert_eq!(table.rows.len(), 3);
+        assert_eq!(table.header.len(), 9);
+        // The MF and NCF Random cells are told apart by the Model column.
+        let random: Vec<&str> = table
+            .rows
+            .iter()
+            .filter(|r| r[1] == "Random")
+            .map(|r| r[0].as_str())
+            .collect();
+        assert_eq!(random, ["mf", "ncf"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2180,23 +2171,28 @@ mod tests {
         assert!(skipped > 0, "pruned mode never skipped an item");
     }
 
-    /// Dense populations always evaluate through the exact dense path:
-    /// the mode knob applies only to scale-free streamed cells.
+    /// Dense MF cells evaluate through the same streamed sweep (as one
+    /// population-wide shard), so the mode knob reaches them too: the
+    /// dense grid's pruned and incremental records equal the full
+    /// sweep's modulo the mode-dependent fields.
     #[test]
-    fn dense_populations_always_record_full_mode() {
-        let cfg = MatrixConfig {
-            eval_mode: EvalMode::Pruned,
-            ..tiny_cfg(47)
-        };
-        let cell = CellSpec {
-            model: ModelKind::Mf,
-            attack: AttackMethod::None,
-            defense: DefenseKind::None,
-            rho: 0.0,
-        };
-        for line in &run_cell(&cfg, &cell) {
-            assert_eq!(record_field(line, "eval_mode"), "full");
-            validate_record(line).unwrap();
+    fn dense_grid_eval_modes_are_byte_identical_to_full() {
+        let full = run_matrix_collect(&tiny_cfg(47));
+        for mode in [EvalMode::Pruned, EvalMode::Incremental] {
+            let got = run_matrix_collect(&MatrixConfig {
+                eval_mode: mode,
+                ..tiny_cfg(47)
+            });
+            assert_eq!(got.len(), full.len());
+            for ((cell, g_lines), (_, f_lines)) in got.iter().zip(&full) {
+                assert_eq!(g_lines.len(), f_lines.len(), "cell {}", cell.id());
+                for (g, f) in g_lines.iter().zip(f_lines) {
+                    let id = cell.id();
+                    assert_eq!(mode_invariant(g), mode_invariant(f), "{id} under {mode:?}");
+                    assert_eq!(record_field(g, "eval_mode"), mode.label());
+                    validate_record(g).unwrap();
+                }
+            }
         }
     }
 

@@ -7,9 +7,7 @@ use fedrec_data::Dataset;
 use fedrec_federated::history::TrainingHistory;
 use fedrec_federated::simulation::Snapshot;
 use fedrec_federated::{FedConfig, Simulation};
-use fedrec_linalg::Matrix;
 use fedrec_recsys::eval::Evaluator;
-use fedrec_recsys::MfModel;
 
 /// Specification of one run.
 #[derive(Debug, Clone)]
@@ -63,22 +61,6 @@ pub fn default_targets(train: &Dataset, count: usize) -> Vec<u32> {
     train.coldest_items(count)
 }
 
-/// Assemble a dense [`MfModel`] snapshot from the current server items
-/// and a streaming row source — the `O(n·k)` measurement path shared by
-/// the table runners and the matrix's dense-population cells.
-pub(crate) fn assemble_model(items: &Matrix, users: &dyn fedrec_recsys::UserRowSource) -> MfModel {
-    let n = users.num_users();
-    let mut mat = Matrix::zeros(n, items.cols());
-    for u in 0..n {
-        users.write_user_row(u, mat.row_mut(u));
-    }
-    MfModel::from_factors(mat, items.clone())
-}
-
-pub(crate) fn snapshot_model(snap: &Snapshot<'_>) -> MfModel {
-    assemble_model(snap.items, snap.users)
-}
-
 /// Run one experiment end to end.
 pub fn run_experiment(spec: &ExperimentSpec<'_>) -> Outcome {
     let n = spec.train.num_users();
@@ -100,8 +82,7 @@ pub fn run_experiment(spec: &ExperimentSpec<'_>) -> Outcome {
             let eval = &evaluator;
             let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
                 if (snap.epoch + 1).is_multiple_of(every) {
-                    let model = snapshot_model(snap);
-                    let rep = eval.evaluate(&model, train, test);
+                    let rep = eval.evaluate(snap.items, snap.users, train, test);
                     hist.hr_at_10.push(snap.epoch + 1, rep.hr_at_10);
                     hist.er_at_10.push(snap.epoch + 1, rep.attack.er_at_10);
                 }
@@ -111,8 +92,7 @@ pub fn run_experiment(spec: &ExperimentSpec<'_>) -> Outcome {
         _ => sim.run(None),
     };
 
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, spec.train, spec.test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), spec.train, spec.test);
     Outcome {
         er5: rep.attack.er_at_5,
         er10: rep.attack.er_at_10,

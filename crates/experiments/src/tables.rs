@@ -305,7 +305,6 @@ pub fn extension_defenses(scale: Scale, seed: u64) -> Table {
     use fedrec_federated::server::{Aggregator, SumAggregator};
     use fedrec_federated::Simulation;
     use fedrec_recsys::eval::Evaluator;
-    use fedrec_recsys::MfModel;
 
     let (train, test, targets) = prepare(scale, DatasetId::Ml100k, seed);
     let fed = scale.fed_config(seed);
@@ -341,8 +340,7 @@ pub fn extension_defenses(scale: Scale, seed: u64) -> Table {
         let mut sim = Simulation::with_aggregator(&train, fed, adversary, num_malicious, agg);
         sim.run(None);
         let evaluator = Evaluator::new(&train, &test, &targets, seed ^ 0xE7);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         t.push_row(vec![
             name.to_string(),
             fmt4(rep.attack.er_at_10),

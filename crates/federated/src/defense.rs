@@ -169,40 +169,27 @@ impl DefensePipeline {
         self.exclude_flagged
     }
 
-    /// Run one round's uploads through the pipeline.
+    /// Run one round's uploads through the pipeline, for model families
+    /// with a flat shared-parameter block: `shared[i]` is upload `i`'s
+    /// `∇Θ` (empty = none; MF rounds pass all-empty slots and get back an
+    /// empty shared aggregate, making this path byte-invisible to them).
     ///
     /// `uploads[malicious_from..]` are the adversary's uploads (ground
     /// truth known to the *simulation*, used only to score the detector —
     /// never by the defense logic itself). May reorder `uploads` when
     /// excluding; the round engine rewrites its pool every round, so the
-    /// caller does not care. Returns the aggregate to apply and, when a
-    /// detector is attached, the round's defense record.
-    pub fn process(
-        &self,
-        uploads: &mut [SparseGrad],
-        malicious_from: usize,
-        epoch: usize,
-        num_items: usize,
-        k: usize,
-    ) -> (SparseGrad, Option<RoundDefense>) {
-        let (agg, _, rec) = self.process_impl(uploads, None, malicious_from, epoch, num_items, k);
-        (agg, rec)
-    }
-
-    /// Like [`DefensePipeline::process`], for model families with a flat
-    /// shared-parameter block: `shared[i]` is upload `i`'s `∇Θ` (empty =
-    /// none). Exclusion swaps are mirrored onto `shared` so survivor
-    /// pairing is preserved, and the survivors' shared gradients are
-    /// summed **in upload order** (the plain Eq. 7 rule).
+    /// caller does not care. Exclusion swaps are mirrored onto `shared` so
+    /// survivor pairing is preserved, and the survivors' shared gradients
+    /// are summed **in upload order** (the plain Eq. 7 rule). Returns the
+    /// `∇V` aggregate, the shared aggregate and, when a detector is
+    /// attached, the round's defense record.
     ///
     /// Design note: the robust aggregation rules (Krum, trimmed mean, …)
     /// apply to `∇V` only. They reduce the upload set internally without
     /// exposing which uploads survived, so their selection cannot be
     /// mirrored onto `Θ`; the shared block instead gets the plain sum
     /// over the *detector-admitted* set — the same set every aggregator
-    /// sees. MF cells pass all-empty shared vectors and get back an empty
-    /// aggregate, making this path byte-invisible to them.
-    #[allow(clippy::too_many_arguments)]
+    /// sees.
     pub fn process_paired(
         &self,
         uploads: &mut [SparseGrad],
@@ -213,44 +200,11 @@ impl DefensePipeline {
         k: usize,
     ) -> (SparseGrad, Vec<f32>, Option<RoundDefense>) {
         assert_eq!(uploads.len(), shared.len(), "upload/shared slot mismatch");
-        self.process_impl(uploads, Some(shared), malicious_from, epoch, num_items, k)
-    }
-
-    /// Sum shared-gradient vectors in slot order, skipping empty ones.
-    /// Returns an empty vec when nothing contributed.
-    fn sum_shared(shared: &[Vec<f32>]) -> Vec<f32> {
-        let mut agg: Vec<f32> = Vec::new();
-        for s in shared {
-            if s.is_empty() {
-                continue;
-            }
-            if agg.is_empty() {
-                agg = s.clone();
-            } else {
-                assert_eq!(agg.len(), s.len(), "shared gradient length mismatch");
-                for (a, &x) in agg.iter_mut().zip(s) {
-                    *a += x;
-                }
-            }
-        }
-        agg
-    }
-
-    fn process_impl(
-        &self,
-        uploads: &mut [SparseGrad],
-        mut shared: Option<&mut [Vec<f32>]>,
-        malicious_from: usize,
-        epoch: usize,
-        num_items: usize,
-        k: usize,
-    ) -> (SparseGrad, Vec<f32>, Option<RoundDefense>) {
         let total = uploads.len();
         let Some(detector) = self.detector.as_deref() else {
-            let shared_agg = shared.as_deref().map(Self::sum_shared).unwrap_or_default();
             return (
                 self.aggregator.aggregate(uploads, num_items, k),
-                shared_agg,
+                Self::sum_shared(shared),
                 None,
             );
         };
@@ -299,26 +253,41 @@ impl DefensePipeline {
             for (i, flag) in is_flagged.iter().enumerate() {
                 if !flag {
                     uploads.swap(kept, i);
-                    if let Some(s) = shared.as_deref_mut() {
-                        s.swap(kept, i);
-                    }
+                    shared.swap(kept, i);
                     kept += 1;
                 }
             }
             (
                 self.aggregator.aggregate(&uploads[..kept], num_items, k),
-                shared
-                    .as_deref()
-                    .map(|s| Self::sum_shared(&s[..kept]))
-                    .unwrap_or_default(),
+                Self::sum_shared(&shared[..kept]),
             )
         } else {
             (
                 self.aggregator.aggregate(uploads, num_items, k),
-                shared.as_deref().map(Self::sum_shared).unwrap_or_default(),
+                Self::sum_shared(shared),
             )
         };
         (aggregate, shared_agg, Some(record))
+    }
+
+    /// Sum shared-gradient vectors in slot order, skipping empty ones.
+    /// Returns an empty vec when nothing contributed.
+    fn sum_shared(shared: &[Vec<f32>]) -> Vec<f32> {
+        let mut agg: Vec<f32> = Vec::new();
+        for s in shared {
+            if s.is_empty() {
+                continue;
+            }
+            if agg.is_empty() {
+                agg = s.clone();
+            } else {
+                assert_eq!(agg.len(), s.len(), "shared gradient length mismatch");
+                for (a, &x) in agg.iter_mut().zip(s) {
+                    *a += x;
+                }
+            }
+        }
+        agg
     }
 }
 
@@ -360,11 +329,24 @@ mod tests {
         ]
     }
 
+    /// [`round`] through `p` as an MF round: every shared slot empty.
+    fn process_mf(
+        p: &DefensePipeline,
+        malicious_from: usize,
+        epoch: usize,
+    ) -> (SparseGrad, Option<RoundDefense>) {
+        let mut uploads = round();
+        let mut shared = vec![Vec::new(); uploads.len()];
+        let (agg, sagg, rec) =
+            p.process_paired(&mut uploads, &mut shared, malicious_from, epoch, 4, 2);
+        assert!(sagg.is_empty(), "MF rounds must see no shared aggregate");
+        (agg, rec)
+    }
+
     #[test]
     fn plain_pipeline_records_nothing() {
         let p = DefensePipeline::plain(Box::new(SumAggregator));
-        let mut uploads = round();
-        let (agg, rec) = p.process(&mut uploads, 3, 0, 4, 2);
+        let (agg, rec) = process_mf(&p, 3, 0);
         assert!(rec.is_none());
         assert_eq!(agg.get(0).unwrap()[0], 15.0);
         assert_eq!(p.detector_name(), None);
@@ -375,8 +357,7 @@ mod tests {
     fn monitored_pipeline_records_but_keeps_everything() {
         let p =
             DefensePipeline::monitored(Box::new(StubDetector(vec![3])), Box::new(SumAggregator));
-        let mut uploads = round();
-        let (agg, rec) = p.process(&mut uploads, 3, 5, 4, 2);
+        let (agg, rec) = process_mf(&p, 3, 5);
         let rec = rec.expect("detector attached");
         assert_eq!(agg.get(0).unwrap()[0], 15.0, "monitoring must not exclude");
         assert_eq!(rec.epoch, 5);
@@ -393,8 +374,7 @@ mod tests {
     #[test]
     fn gated_pipeline_excludes_flagged_uploads() {
         let p = DefensePipeline::gated(Box::new(StubDetector(vec![1, 3])), Box::new(SumAggregator));
-        let mut uploads = round();
-        let (agg, rec) = p.process(&mut uploads, 3, 0, 4, 2);
+        let (agg, rec) = process_mf(&p, 3, 0);
         let rec = rec.unwrap();
         // Uploads 1 (benign, false positive) and 3 (malicious) dropped.
         assert_eq!(agg.get(0).unwrap()[0], 5.0);
@@ -408,8 +388,7 @@ mod tests {
     #[test]
     fn gated_pipeline_with_clean_report_is_plain_sum() {
         let p = DefensePipeline::gated(Box::new(StubDetector(vec![])), Box::new(SumAggregator));
-        let mut uploads = round();
-        let (agg, rec) = p.process(&mut uploads, 4, 0, 4, 2);
+        let (agg, rec) = process_mf(&p, 4, 0);
         assert_eq!(agg.get(0).unwrap()[0], 15.0);
         let rec = rec.unwrap();
         // No malicious uploads this round: recall is vacuously perfect.
@@ -427,8 +406,7 @@ mod tests {
             Box::new(StubDetector(vec![1, 1, 99, 3, usize::MAX])),
             Box::new(SumAggregator),
         );
-        let mut uploads = round();
-        let (agg, rec) = p.process(&mut uploads, 3, 0, 4, 2);
+        let (agg, rec) = process_mf(&p, 3, 0);
         let rec = rec.unwrap();
         // Only in-range indices 1 and 3 count, each once — and the rates
         // must agree with those sanitized counts, not the raw flag list.

@@ -493,14 +493,7 @@ impl Simulation {
 
     /// Execute one round (epoch); returns the total benign loss.
     pub fn step(&mut self, epoch: usize) -> f32 {
-        self.step_recorded(epoch).0
-    }
-
-    /// Execute one round; returns the total benign loss plus the round's
-    /// defense record when the pipeline carries a detector.
-    pub fn step_recorded(&mut self, epoch: usize) -> (f32, Option<RoundDefense>) {
-        let (loss, defense, _) = self.step_faulted(epoch);
-        (loss, defense)
+        self.step_faulted(epoch).0
     }
 
     /// Execute one round with full fault bookkeeping: the benign-loss

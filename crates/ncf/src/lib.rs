@@ -10,7 +10,9 @@
 //! * [`model::NcfModel`] — an NCF-style scorer
 //!   `x̂ = w₂ · relu(W₁·[u; v] + b₁) + b₂` with hand-derived backprop
 //!   (finite-difference-checked, like every other gradient in this
-//!   repository), and the NCF evaluation sweep;
+//!   repository); its `scores_for_vector` is the per-user scorer the
+//!   workspace's one evaluation sweep
+//!   (`Evaluator::evaluate_user_range_scored`) ranks;
 //! * [`theta::Theta`] — the shared MLP parameters with the flat-vector
 //!   algebra the federated update needs (clip, noise, aggregate);
 //! * [`client_model::NcfClientModel`] — NCF plugged into the
@@ -102,7 +104,7 @@ mod testkit {
     }
 
     /// Target exposure and HR@10 of the simulation's current model,
-    /// through the NCF sweep over the whole population.
+    /// through the scored sweep over the whole population.
     pub(crate) fn evaluate(
         sim: &Simulation,
         train: &Dataset,
@@ -112,17 +114,22 @@ mod testkit {
     ) -> EvalReport {
         let evaluator = Evaluator::new(train, test, targets, seed);
         let theta = Theta::from_shared(sim.config().k, sim.shared());
+        let items = sim.items();
         // Every user, in a single shard.
         let n = train.num_users();
-        NcfModel::evaluate(
-            &evaluator,
-            &theta,
-            sim.items(),
-            sim.user_rows(),
-            train,
-            test,
-            n,
-            n,
-        )
+        let score =
+            |row: &[f32], out: &mut [f32]| NcfModel::scores_for_vector(&theta, items, row, out);
+        evaluator
+            .evaluate_user_range_scored(
+                items.rows(),
+                sim.user_rows(),
+                train,
+                test,
+                0..n,
+                1,
+                n,
+                score,
+            )
+            .0
     }
 }

@@ -25,13 +25,7 @@
 //! the per-score jacobians differ.
 
 use crate::theta::Theta;
-use fedrec_data::split::TestSet;
-use fedrec_data::InteractionSource;
 use fedrec_linalg::{kernel, vector, Matrix, SparseGrad};
-use fedrec_recsys::eval::{EvalReport, Evaluator};
-use fedrec_recsys::metrics::MetricsAccumulator;
-use fedrec_recsys::scorer::DenseScores;
-use fedrec_recsys::UserRowSource;
 
 /// Cached forward-pass state for one `(u, v)` scoring.
 #[derive(Debug, Clone)]
@@ -194,50 +188,6 @@ impl NcfModel {
             grad_theta.axpy(1.0, &bn.dtheta);
         }
         (loss, grad_u, grad_items, grad_theta)
-    }
-
-    /// The NCF evaluation sweep: score every item for each of the first
-    /// `eval_users` users through the MLP and feed the same accumulator as
-    /// the MF paths, ranking HR@10 against `evaluator`'s fixed negatives.
-    /// Users are processed in fixed `shard_rows` shards with per-shard
-    /// accumulators merged in order — the summation order of the streamed
-    /// MF sweep at the same shard size, so the report is independent of
-    /// backend and thread count by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate<D: InteractionSource + ?Sized>(
-        evaluator: &Evaluator,
-        theta: &Theta,
-        items: &Matrix,
-        users: &dyn UserRowSource,
-        train: &D,
-        test: &TestSet,
-        eval_users: usize,
-        shard_rows: usize,
-    ) -> EvalReport {
-        let m = items.rows();
-        let mut total = MetricsAccumulator::new();
-        let mut row = vec![0.0f32; items.cols()];
-        let mut scores = vec![0.0f32; m];
-        let mut lo = 0usize;
-        while lo < eval_users {
-            let hi = (lo + shard_rows).min(eval_users);
-            let mut acc = MetricsAccumulator::new();
-            for u in lo..hi {
-                users.write_user_row(u, &mut row);
-                Self::scores_for_vector(theta, items, &row, &mut scores);
-                let mut src = DenseScores::new(&scores);
-                acc.push_user_attack(&mut src, train.user_items(u), evaluator.targets());
-                if let Some(test_item) = test.get(u).copied().flatten() {
-                    acc.push_user_hr(&mut src, test_item, evaluator.hr_negatives(u));
-                }
-            }
-            total.merge(&acc);
-            lo = hi;
-        }
-        EvalReport {
-            attack: total.attack_metrics(),
-            hr_at_10: total.hr_at_10(),
-        }
     }
 }
 

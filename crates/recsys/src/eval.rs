@@ -1,17 +1,16 @@
-//! Full-model evaluation pass.
+//! The evaluator: fixed HR@10 negatives plus the whole-population pass.
 //!
 //! Combines the metrics of [`crate::metrics`] into one sweep over users:
-//! for each user we compute the full score vector once and feed it to the
-//! attack metrics (ER@5 / ER@10 / NDCG@10 against the target items) and to
-//! HR@10 (against the held-out test item and 99 fixed sampled negatives,
-//! the protocol of NCF which the paper follows).
+//! each user's ranking feeds the attack metrics (ER@5 / ER@10 / NDCG@10
+//! against the target items) and HR@10 (against the held-out test item
+//! and 99 fixed sampled negatives, the protocol of NCF which the paper
+//! follows). The sweep itself is [`crate::stream_eval`]'s shard loop.
 
-use crate::metrics::{AttackMetrics, MetricsAccumulator};
-use crate::model::MfModel;
-use crate::scorer::DenseScores;
+use crate::metrics::AttackMetrics;
+use crate::stream_eval::{EvalMode, UserRowSource};
 use fedrec_data::split::TestSet;
 use fedrec_data::InteractionSource;
-use fedrec_linalg::SeededRng;
+use fedrec_linalg::{Matrix, SeededRng};
 
 /// Evaluation output for one model state.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -96,57 +95,47 @@ impl Evaluator {
     /// The fixed HR@10 negatives prepared for user `u`.
     ///
     /// Empty when no item is held out for `u` or `u` lies beyond the
-    /// prepared test prefix. Exposed so model families whose scores the
-    /// streamed MF evaluator cannot produce (e.g. NCF) can still rank the
-    /// *same* negative sample per user.
+    /// prepared test prefix. Exposed so sweeps outside this crate can rank
+    /// the *same* negative sample per user.
     pub fn hr_negatives(&self, u: usize) -> &[u32] {
         self.hr_negatives.get(u).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Evaluate a model snapshot.
+    /// Evaluate the model with item rows `items` and user rows `users`
+    /// over the whole population: the full-mode streamed sweep
+    /// ([`Self::evaluate_user_range_mode`]) as one population-wide shard
+    /// on the calling thread.
     ///
     /// Attack metrics cover every user of the population; HR@10 covers the
     /// users the (possibly partial) test set holds an item out for.
-    pub fn evaluate<D: InteractionSource + ?Sized>(
+    pub fn evaluate<D: InteractionSource + Sync + ?Sized>(
         &self,
-        model: &MfModel,
+        items: &Matrix,
+        users: &dyn UserRowSource,
         train: &D,
         test: &TestSet,
     ) -> EvalReport {
-        assert_eq!(model.num_users(), train.num_users());
-        assert!(
-            test.len() <= train.num_users(),
-            "test set larger than population: {} > {}",
-            test.len(),
-            train.num_users()
-        );
-        assert!(
-            test.len() <= self.hr_negatives.len(),
-            "test set has {} entries but the evaluator prepared negatives for {}: \
-             construct the evaluator with a test set at least this long",
-            test.len(),
-            self.hr_negatives.len()
-        );
-        let mut acc = MetricsAccumulator::new();
-        let mut scores = vec![0.0f32; model.num_items()];
-        for u in 0..train.num_users() {
-            model.scores_for_user(u, &mut scores);
-            let mut src = DenseScores::new(&scores);
-            acc.push_user_attack(&mut src, train.user_items(u), &self.targets);
-            if let Some(test_item) = test.get(u).copied().flatten() {
-                acc.push_user_hr(&mut src, test_item, &self.hr_negatives[u]);
-            }
-        }
-        EvalReport {
-            attack: acc.attack_metrics(),
-            hr_at_10: acc.hr_at_10(),
-        }
+        let n = train.num_users();
+        let shard = n.max(1);
+        self.evaluate_user_range_mode(
+            items,
+            users,
+            train,
+            test,
+            0..n,
+            1,
+            shard,
+            EvalMode::Full,
+            None,
+        )
+        .0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::MfModel;
     use crate::trainer::{CentralizedTrainer, TrainConfig};
     use fedrec_data::split::leave_one_out;
     use fedrec_data::synthetic::SyntheticConfig;
@@ -183,7 +172,7 @@ mod tests {
         let (train, test, eval) = setup();
         let mut rng = SeededRng::new(4);
         let model = MfModel::init(train.num_users(), train.num_items(), 8, &mut rng);
-        let rep = eval.evaluate(&model, &train, &test);
+        let rep = eval.evaluate(&model.item_factors, &model.user_factors, &train, &test);
         // Two cold targets among 200 items: random chance is ~5% at K=10.
         assert!(rep.attack.er_at_10 < 0.2, "{:?}", rep.attack);
     }
@@ -193,14 +182,18 @@ mod tests {
         let (train, test, eval) = setup();
         let mut rng = SeededRng::new(5);
         let mut model = MfModel::init(train.num_users(), train.num_items(), 16, &mut rng);
-        let before = eval.evaluate(&model, &train, &test).hr_at_10;
+        let before = eval
+            .evaluate(&model.item_factors, &model.user_factors, &train, &test)
+            .hr_at_10;
         let cfg = TrainConfig {
             epochs: 30,
             lr: 0.05,
             l2_reg: 0.0,
         };
         CentralizedTrainer::new(cfg).fit(&mut model, &train, &mut rng);
-        let after = eval.evaluate(&model, &train, &test).hr_at_10;
+        let after = eval
+            .evaluate(&model.item_factors, &model.user_factors, &train, &test)
+            .hr_at_10;
         assert!(
             after > before + 0.1,
             "HR did not improve: {before} -> {after}"
@@ -232,7 +225,7 @@ mod tests {
         for &t in eval.targets() {
             model.item_factors.row_mut(t as usize)[0] = 100.0;
         }
-        let rep = eval.evaluate(&model, &train, &test);
+        let rep = eval.evaluate(&model.item_factors, &model.user_factors, &train, &test);
         assert!(rep.attack.er_at_10 > 0.99, "{:?}", rep.attack);
         assert!(rep.attack.ndcg_at_10 > 0.99);
     }
@@ -269,13 +262,13 @@ mod tests {
         let model = MfModel::init(train.num_users(), train.num_items(), 8, &mut rng);
         let ep = Evaluator::new(&train, &partial, &targets, 13);
         let ef = Evaluator::new(&train, &padded, &targets, 13);
-        let rp = ep.evaluate(&model, &train, &partial);
-        let rf = ef.evaluate(&model, &train, &padded);
+        let rp = ep.evaluate(&model.item_factors, &model.user_factors, &train, &partial);
+        let rf = ef.evaluate(&model.item_factors, &model.user_factors, &train, &padded);
         assert_eq!(rp, rf);
         // Attack metrics still cover the full population: identical to a
         // full-test-set evaluator on the same model.
         let efull = Evaluator::new(&train, &test, &targets, 13);
-        let rfull = efull.evaluate(&model, &train, &test);
+        let rfull = efull.evaluate(&model.item_factors, &model.user_factors, &train, &test);
         assert_eq!(rp.attack, rfull.attack);
     }
 
@@ -299,6 +292,6 @@ mod tests {
         let e = Evaluator::new(&train, &partial, &[1], 9);
         let mut rng = SeededRng::new(3);
         let model = MfModel::init(train.num_users(), train.num_items(), 4, &mut rng);
-        let _ = e.evaluate(&model, &train, &test);
+        let _ = e.evaluate(&model.item_factors, &model.user_factors, &train, &test);
     }
 }

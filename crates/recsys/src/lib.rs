@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod bpr;
+pub mod candidates;
 pub mod eval;
 pub mod metrics;
 pub mod model;
@@ -38,6 +39,7 @@ pub mod stream_eval;
 pub mod topk;
 pub mod trainer;
 
+pub use candidates::{Candidates, DriftTracker};
 pub use model::MfModel;
 pub use scorer::{top_ranked_block, PrunedItems, PrunedScores, ScoreSource};
 pub use stream_eval::{EvalCounters, EvalMode, IncrementalEvalState, UserRowSource};

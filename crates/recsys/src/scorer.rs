@@ -12,8 +12,9 @@
 //! metrics:
 //!
 //! * [`DenseScores`] — wraps a precomputed dense score vector; the
-//!   original behavior, kept for the dense [`crate::eval::Evaluator`]
-//!   path and for tests.
+//!   ranking of the dense-scorer sweep
+//!   ([`crate::eval::Evaluator::evaluate_user_range_scored`], which NCF
+//!   uses) and of tests.
 //! * [`PrunedScores`] — computes dots on demand over [`PrunedItems`]
 //!   (the item matrix re-ordered by descending row norm) and skips whole
 //!   norm blocks once the Cauchy–Schwarz bound `u·v ≤ ‖u‖·‖v‖` proves no

@@ -1,21 +1,26 @@
-//! Streaming sharded evaluation — metrics without the dense model.
+//! Streaming sharded evaluation — the one evaluation sweep.
 //!
-//! [`Evaluator::evaluate`] needs an [`MfModel`](crate::model::MfModel),
-//! i.e. a dense `n × k` user
-//! matrix assembled from wherever the user vectors actually live. At
-//! million-user scale that assembly alone costs more memory than the
-//! whole training run. The streaming path instead pulls user rows through
-//! the [`UserRowSource`] abstraction, scores them against the server's
-//! `V`, and folds the result into per-shard [`MetricsAccumulator`]s; peak
-//! memory is `O(threads · (B·T + B·k))` regardless of the population
-//! size.
+//! Every metric in the workspace runs through one shard loop: the users
+//! of a range are split into fixed `shard_rows` shards, scoped worker
+//! threads claim shards through an atomic cursor, and the per-shard
+//! [`MetricsAccumulator`]s are merged in shard-index order. The result is
+//! deterministic for a fixed `shard_rows` no matter the thread count, and
+//! [`Evaluator::evaluate`] is the same loop over one population-wide shard
+//! (one shard merged into an empty accumulator adds to `0.0`, so it equals
+//! a plain single pass over the users).
 //!
-//! Shards are distributed over scoped worker threads through an atomic
-//! cursor and their accumulators merged in shard-index order, so the
-//! result is deterministic for a fixed `shard_rows` no matter the thread
-//! count. (The merged floating-point sums may differ from the single-pass
-//! [`Evaluator::evaluate`] in the last bits — summation association
-//! differs — but never across thread counts.)
+//! User rows come through the [`UserRowSource`] abstraction, scored
+//! against the server's `V`, so the dense `n × k` user matrix never has to
+//! exist: peak memory is `O(threads · (B·T + B·k))` regardless of the
+//! population size.
+//!
+//! Two entry points feed the loop:
+//!
+//! * [`Evaluator::evaluate_user_range_mode`] ranks dot-product (MF) scores
+//!   in one of three [`EvalMode`]s;
+//! * [`Evaluator::evaluate_user_range_scored`] takes a caller's per-user
+//!   dense scorer (the NCF MLP, for one) and ranks through
+//!   [`DenseScores`].
 //!
 //! # Evaluation modes
 //!
@@ -33,18 +38,19 @@
 //!   are never scored (see the soundness notes in [`crate::scorer`]).
 //! * [`EvalMode::Incremental`] — reuses an [`IncrementalEvalState`]
 //!   across eval epochs: only `V` changes between evals, so each user's
-//!   cached candidate list (top-10 plus a margin band) is rescored and
-//!   accepted when the accumulated item-drift bound proves no outside
-//!   item can have entered the top-10; otherwise that user falls back to
-//!   the pruned sweep and refreshes their cache.
+//!   cached [`Candidates`] (top-10 plus a margin band) are rescored and
+//!   accepted when the drift bound of [`crate::candidates`] proves no
+//!   outside item can have entered the top-10; otherwise that user falls
+//!   back to the pruned sweep and refreshes their cache.
 
+use crate::candidates::{Candidates, DriftTracker, CAND_K};
 use crate::eval::{EvalReport, Evaluator};
 use crate::metrics::MetricsAccumulator;
-use crate::scorer::{self, ListScores, PrunedItems, PrunedScores};
+use crate::scorer::{DenseScores, ListScores, PrunedItems, PrunedScores, ScoreSource};
 use crate::topk::TopKHeap;
 use fedrec_data::split::TestSet;
 use fedrec_data::InteractionSource;
-use fedrec_linalg::{kernel, vector, Matrix, ShardedMatrix};
+use fedrec_linalg::{kernel, Matrix, ShardedMatrix};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -56,25 +62,6 @@ pub const USER_BLOCK: usize = 64;
 /// Item rows per cache tile in [`EvalMode::Full`]; at `k = 32` a tile is
 /// 32 KiB — comfortably L1/L2-resident while a user block consumes it.
 pub const ITEM_TILE: usize = 256;
-
-/// Margin band: candidates cached beyond the top-10 by the incremental
-/// evaluator. A wider band survives more drift before the exact fallback
-/// fires, at the cost of rescoring more candidates per eval epoch.
-const CAND_EXTRA: usize = 54;
-
-/// Cached candidates per user (top-10 plus the margin band). Public so
-/// the serving layer's per-user candidate caches use the identical band —
-/// its drift-bound validity argument is the same one documented on
-/// [`IncrementalEvalState`].
-pub const CAND_K: usize = 10 + CAND_EXTRA;
-
-/// Relative slack absorbing f32 dot rounding in the incremental validity
-/// bound, applied as `DOT_SLACK · ‖u‖ · max‖V_i‖`. Same reasoning as
-/// [`scorer::BOUND_SLACK`]: the f32 kernel's error is `O(k·ε)` of
-/// `‖u‖‖v‖`, and `1e-4` dominates it for any realistic latent dimension.
-/// Public for the serving layer, whose cache-validity check must apply
-/// the identical slack to stay byte-identical to this evaluator.
-pub const DOT_SLACK: f64 = 1e-4;
 
 /// Users probed per shard before [`EvalMode::Pruned`] commits to a
 /// strategy for the shard's remainder (see the adaptive fallback note on
@@ -145,52 +132,17 @@ pub struct EvalCounters {
     pub items_skipped: u64,
 }
 
-/// One user's cached ranking context in the incremental evaluator.
-#[derive(Debug, Clone)]
-struct UserCache {
-    /// The user row the cache was built for; any bitwise change (the
-    /// user trained since) invalidates the cache.
-    row: Vec<f32>,
-    /// `‖row‖` in f64, for the drift bound.
-    unorm: f64,
-    /// Exact ranked top-[`CAND_K`] item ids at cache time (exclusion set
-    /// already applied). Targets need no special casing: the metrics
-    /// only test membership of the exact top-10 this cache reproduces.
-    cands: Vec<u32>,
-    /// Sanitized score of the worst cached candidate — every item
-    /// outside `cands` scored at or below this at cache time. `-∞` when
-    /// `cands` holds *all* non-excluded items (tiny catalogs), making
-    /// the cache unconditionally valid.
-    floor: f64,
-    /// Value of the cumulative drift when the cache was built.
-    drift_at: f64,
-}
-
 /// Cross-epoch state for [`EvalMode::Incremental`]; create once per cell
-/// with [`IncrementalEvalState::new`] and pass to every eval call.
-///
-/// Validity argument: between evals only `V` moves. For a user cached at
-/// drift `D_s` with floor `f`, any item outside the candidate set scored
-/// `≤ f` then, and its score can have grown by at most
-/// `‖u‖ · Σ max_i ‖ΔV_i‖ = ‖u‖ · (D_t − D_s)` since (triangle inequality
-/// over the per-epoch maximum row movements). If the rescored 10th
-/// candidate sits *strictly above* `f + ‖u‖(D_t − D_s)` plus the f32
-/// rounding slack, no outside item can enter the top-10 — not even via
-/// the index tie rule, which needs score equality. Otherwise the user is
-/// reswept exactly. NaN anywhere in the drift accounting poisons the
-/// bound, so degenerate models permanently fall back to exact sweeps.
+/// with [`IncrementalEvalState::new`] and pass to every eval call. It
+/// holds the item drift across eval epochs and one [`Candidates`] entry
+/// per evaluated user; the exactness argument lives in
+/// [`crate::candidates`].
 #[derive(Debug, Default)]
 pub struct IncrementalEvalState {
-    /// `V` as of the previous eval epoch (drift is measured step-wise).
-    base: Option<Matrix>,
-    /// Cumulative `Σ max_i ‖ΔV_i‖` across eval epochs (inflated per
-    /// step to absorb its own rounding).
-    drift: f64,
-    /// Largest item-row norm seen at any eval epoch; scales the dot
-    /// rounding slack.
-    vmax_seen: f64,
+    /// Item drift across eval epochs.
+    tracker: DriftTracker,
     /// Per-user caches, indexed by absolute user id.
-    users: Vec<Option<UserCache>>,
+    users: Vec<Option<Candidates>>,
 }
 
 impl IncrementalEvalState {
@@ -202,13 +154,7 @@ impl IncrementalEvalState {
 
     /// Number of users currently holding a valid-as-of-last-eval cache.
     pub fn cached_users(&self) -> usize {
-        let mut n = 0usize;
-        for c in &self.users {
-            if c.is_some() {
-                n += 1;
-            }
-        }
-        n
+        self.users.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -260,10 +206,12 @@ impl UserRowSource for ShardedMatrix {
     }
 }
 
-/// Reusable per-worker buffers for the blocked full sweep — allocated
-/// once per worker and reused across every shard it claims (the round
-/// loop's `RoundScratch` pattern applied to evaluation).
+/// Reusable per-worker buffers for [`Evaluator::evaluate_user_range_mode`]
+/// — allocated once per worker and reused across every shard it claims
+/// (the round loop's `RoundScratch` pattern applied to evaluation).
 struct EvalScratch {
+    /// One user row (the rowwise pruned and incremental paths).
+    row: Vec<f32>,
     /// User block rows, `USER_BLOCK × k` row-major.
     rows: Vec<f32>,
     /// Kernel output tile, `USER_BLOCK × ITEM_TILE`.
@@ -281,27 +229,13 @@ impl EvalScratch {
             heaps.push(TopKHeap::new(10));
         }
         Self {
+            row: vec![0.0f32; k],
             rows: vec![0.0f32; USER_BLOCK * k],
             tile: vec![0.0f32; USER_BLOCK * ITEM_TILE],
             heaps,
             ranked: Vec::with_capacity(16),
         }
     }
-}
-
-/// Bitwise row equality — exact cache-invalidation test (`==` on f32
-/// would treat NaN rows as always-changed *and* 0.0 == -0.0 as equal;
-/// bit equality is the conservative choice on both).
-fn rows_bits_equal(a: &[f32], b: &[f32]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    for i in 0..a.len() {
-        if a[i].to_bits() != b[i].to_bits() {
-            return false;
-        }
-    }
-    true
 }
 
 /// Feed one user's tile of scores (`tile[i]` scores item `tile_lo + i`)
@@ -365,72 +299,20 @@ fn feed_heap_tile(heap: &mut TopKHeap, tile: &[f32], tile_lo: usize, exclude: &[
 }
 
 /// Per-shard worker output: shard index, its metrics, dots spent, and
-/// (incremental mode only) user caches to install after the join.
-type ShardOut = (usize, MetricsAccumulator, u64, Vec<(usize, UserCache)>);
+/// (incremental mode only) candidate entries to install after the join.
+type ShardOut = (usize, MetricsAccumulator, u64, Vec<(usize, Candidates)>);
 
 impl Evaluator {
-    /// Streaming sharded evaluation over the full population: equivalent
-    /// in coverage to [`Evaluator::evaluate`], never building an
-    /// [`MfModel`](crate::model::MfModel).
-    pub fn evaluate_streamed<D>(
-        &self,
-        items: &Matrix,
-        users: &dyn UserRowSource,
-        train: &D,
-        test: &TestSet,
-        threads: usize,
-        shard_rows: usize,
-    ) -> EvalReport
-    where
-        D: InteractionSource + Sync + ?Sized,
-    {
-        self.evaluate_user_range(
-            items,
-            users,
-            train,
-            test,
-            0..users.num_users(),
-            threads,
-            shard_rows,
-        )
-    }
-
-    /// Streaming sharded evaluation restricted to `range` — the
-    /// partial-population protocol: a scale run can score a user sample at
-    /// `O(|range|)` cost instead of sweeping a million users per epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_user_range<D>(
-        &self,
-        items: &Matrix,
-        users: &dyn UserRowSource,
-        train: &D,
-        test: &TestSet,
-        range: Range<usize>,
-        threads: usize,
-        shard_rows: usize,
-    ) -> EvalReport
-    where
-        D: InteractionSource + Sync + ?Sized,
-    {
-        self.evaluate_user_range_mode(
-            items,
-            users,
-            train,
-            test,
-            range,
-            threads,
-            shard_rows,
-            EvalMode::Full,
-            None,
-        )
-        .0
-    }
-
-    /// [`Self::evaluate_user_range`] with an explicit [`EvalMode`].
+    /// Evaluate users `range` against the item matrix `items` in the
+    /// given [`EvalMode`], in `shard_rows`-user shards over up to
+    /// `threads` workers.
     ///
     /// All modes return byte-identical [`EvalReport`]s (a property the
     /// proptests and `repro matrix --smoke` gate on); the [`EvalCounters`]
-    /// expose how much work the chosen mode avoided.
+    /// expose how much work the chosen mode avoided. A strict `range`
+    /// prefix is the partial-population protocol: a scale run scores a
+    /// user sample at `O(|range|)` cost instead of sweeping a million
+    /// users per epoch.
     ///
     /// [`EvalMode::Pruned`] is adaptive per shard: up to
     /// [`PRUNE_PROBE_USERS`] users run through the norm-bound scorer, and
@@ -458,9 +340,132 @@ impl Evaluator {
     where
         D: InteractionSource + Sync + ?Sized,
     {
+        assert_eq!(users.k(), items.cols(), "latent dimension mismatch");
+        let k = items.cols();
+        // The pruned re-order is also the incremental fallback path.
+        let pruned = (mode != EvalMode::Full).then(|| PrunedItems::build(items));
+        let inc = match mode {
+            EvalMode::Incremental => {
+                let st = state.expect("EvalMode::Incremental requires an IncrementalEvalState");
+                st.tracker.observe(items);
+                if st.users.len() < range.end {
+                    st.users.resize_with(range.end, || None);
+                }
+                Some(st)
+            }
+            _ => None,
+        };
+        // Validity decisions read this pre-epoch snapshot, so claiming
+        // order cannot leak into the result.
+        let snapshot = inc.as_deref();
+        let (report, counters, refreshes) = self.sweep(
+            users,
+            train,
+            test,
+            range,
+            items.rows(),
+            threads,
+            shard_rows,
+            || EvalScratch::new(k),
+            |scratch, lo, hi, acc, refreshes| match (mode, &pruned, snapshot) {
+                (EvalMode::Full, _, _) => {
+                    self.eval_shard_full(items, users, train, test, lo, hi, scratch, acc)
+                }
+                (EvalMode::Pruned, Some(pi), _) => {
+                    self.eval_shard_pruned(items, pi, users, train, test, lo, hi, scratch, acc)
+                }
+                (EvalMode::Incremental, Some(pi), Some(st)) => {
+                    let mut scored = 0u64;
+                    for u in lo..hi {
+                        scored += self.eval_user_incremental(
+                            items, train, test, u, users, st, pi, scratch, acc, refreshes,
+                        );
+                    }
+                    scored
+                }
+                _ => unreachable!("mode-specific state prepared above"),
+            },
+        );
+        if let Some(st) = inc {
+            // Installed after the join; each refresh targets a distinct
+            // user.
+            for (u, cache) in refreshes {
+                st.users[u] = Some(cache);
+            }
+        }
+        (report, counters)
+    }
+
+    /// The shard loop of [`Self::evaluate_user_range_mode`] with a
+    /// caller's per-user dense scorer in place of the dot-product modes:
+    /// `score(row, out)` writes the score of each of the `num_items` items
+    /// for the user row `row` into `out`. Ranking goes through
+    /// [`DenseScores`], so the report is that of a one-user-at-a-time
+    /// dense sweep summed in shard order, and the counters charge every
+    /// `(user, item)` pair as scored. Model families whose scores are not
+    /// dot products (NCF) evaluate here and get `threads` for free.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_user_range_scored<D, F>(
+        &self,
+        num_items: usize,
+        users: &dyn UserRowSource,
+        train: &D,
+        test: &TestSet,
+        range: Range<usize>,
+        threads: usize,
+        shard_rows: usize,
+        score: F,
+    ) -> (EvalReport, EvalCounters)
+    where
+        D: InteractionSource + Sync + ?Sized,
+        F: Fn(&[f32], &mut [f32]) + Sync,
+    {
+        let k = users.k();
+        let (report, counters, _) = self.sweep(
+            users,
+            train,
+            test,
+            range,
+            num_items,
+            threads,
+            shard_rows,
+            || (vec![0.0f32; k], vec![0.0f32; num_items]),
+            |(row, scores), lo, hi, acc, _| {
+                for u in lo..hi {
+                    users.write_user_row(u, row);
+                    score(row, scores);
+                    self.push_user(&mut DenseScores::new(scores), u, train, test, acc);
+                }
+                ((hi - lo) * num_items) as u64
+            },
+        );
+        (report, counters)
+    }
+
+    /// The one shard loop: split `range` into `shard_rows`-user shards,
+    /// let up to `threads` workers (each with its own `new_scratch()`)
+    /// claim them through an atomic cursor, run `shard(scratch, lo, hi,
+    /// acc, refreshes)` on each — it returns the top-K dots it spent —
+    /// and merge the accumulators in shard-index order.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep<D, S>(
+        &self,
+        users: &dyn UserRowSource,
+        train: &D,
+        test: &TestSet,
+        range: Range<usize>,
+        num_items: usize,
+        threads: usize,
+        shard_rows: usize,
+        new_scratch: impl Fn() -> S + Sync,
+        shard: impl Fn(&mut S, usize, usize, &mut MetricsAccumulator, &mut Vec<(usize, Candidates)>) -> u64
+            + Sync,
+    ) -> (EvalReport, EvalCounters, Vec<(usize, Candidates)>)
+    where
+        D: InteractionSource + Sync + ?Sized,
+    {
         assert!(shard_rows > 0, "shard_rows must be positive");
         assert_eq!(users.num_users(), train.num_users(), "population mismatch");
-        assert_eq!(users.k(), items.cols(), "latent dimension mismatch");
         assert!(
             range.end <= train.num_users(),
             "user range {}..{} exceeds population {}",
@@ -470,7 +475,9 @@ impl Evaluator {
         );
         assert!(
             test.len() <= train.num_users(),
-            "test set larger than population"
+            "test set larger than population: {} > {}",
+            test.len(),
+            train.num_users()
         );
         assert!(
             test.len() <= self.hr_negatives.len(),
@@ -482,192 +489,29 @@ impl Evaluator {
         let span = range.end.saturating_sub(range.start);
         let num_shards = span.div_ceil(shard_rows);
         let workers = threads.max(1).min(num_shards.max(1));
-        let m = items.rows();
-        let k = items.cols();
-
-        // Mode-specific shared setup (before workers spawn).
-        let pruned = match mode {
-            EvalMode::Full => None,
-            // The pruned re-order is also the incremental fallback path.
-            EvalMode::Pruned | EvalMode::Incremental => Some(PrunedItems::build(items)),
-        };
-        let inc_state = match mode {
-            EvalMode::Incremental => {
-                let st = state.expect("EvalMode::Incremental requires an IncrementalEvalState");
-                match &mut st.base {
-                    None => {
-                        let (_, vmax) = scorer::drift_step(items, items);
-                        st.vmax_seen = vmax;
-                        st.drift = 0.0;
-                        st.base = Some(items.clone());
-                    }
-                    Some(base) => {
-                        let (step, vmax) = scorer::drift_step(base, items);
-                        st.drift += step;
-                        // max() hides NaN; propagate it so every validity
-                        // check fails and users fall back to exact sweeps.
-                        st.vmax_seen = if vmax.is_nan() || st.vmax_seen.is_nan() {
-                            f64::NAN
-                        } else {
-                            st.vmax_seen.max(vmax)
-                        };
-                        base.as_mut_slice().copy_from_slice(items.as_slice());
-                    }
-                }
-                if st.users.len() < range.end {
-                    st.users.resize_with(range.end, || None);
-                }
-                Some(st)
-            }
-            _ => None,
-        };
 
         let cursor = AtomicUsize::new(0);
-        let claim_shard = |si: usize| -> Option<(usize, usize)> {
-            if si >= num_shards {
-                return None;
-            }
-            let lo = range.start + si * shard_rows;
-            let hi = (lo + shard_rows).min(range.end);
-            Some((lo, hi))
-        };
-
-        // One accumulator per shard, computed by whichever worker claims
-        // the shard; merged below in shard-index order for determinism.
-        let run_worker = |snapshot: Option<&IncrementalEvalState>| -> Vec<ShardOut> {
-            let mut scratch = EvalScratch::new(k);
-            let mut row = vec![0.0f32; k];
+        let run_worker = || -> Vec<ShardOut> {
+            let mut scratch = new_scratch();
             let mut done: Vec<ShardOut> = Vec::new();
             loop {
                 let si = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((lo, hi)) = claim_shard(si) else {
+                if si >= num_shards {
                     return done;
-                };
-                let mut acc = MetricsAccumulator::new();
-                let mut scored = 0u64;
-                let mut refreshes: Vec<(usize, UserCache)> = Vec::new();
-                match mode {
-                    EvalMode::Full => {
-                        self.eval_shard_full(
-                            items,
-                            users,
-                            train,
-                            test,
-                            lo,
-                            hi,
-                            &mut scratch,
-                            &mut acc,
-                            &mut scored,
-                        );
-                    }
-                    EvalMode::Pruned => {
-                        let pi = pruned.as_ref().expect("pruned items prepared");
-                        // Adaptive probe: sweep the first few users through
-                        // the norm-bound scorer and watch the realized skip
-                        // rate. On adversarially uniform norms the bound
-                        // never fires, and the rowwise pruned sweep then
-                        // pays full price without the blocked kernel's
-                        // 64-user item-tile reuse — slower than just
-                        // sweeping everything. If the probe skipped
-                        // (almost) nothing, finish the shard blocked-full;
-                        // both paths produce byte-identical reports, so
-                        // the switch can never change a metric byte. The
-                        // decision reads only this shard's own probe
-                        // users, so counters stay deterministic and
-                        // thread-invariant. (Counter semantics differ
-                        // slightly by design: the fallback, like
-                        // `EvalMode::Full`, counts every kernel dot
-                        // including excluded items, while the pruned path
-                        // counts non-excluded offers only.)
-                        // The probe itself pays the rowwise worst case, so
-                        // it checks its skip rate at an early checkpoint
-                        // first: an adversarially uniform catalog shows
-                        // zero skips immediately and the shard bails to
-                        // blocked-full after PRUNE_PROBE_EARLY users; only
-                        // ambiguous shards fund the full probe.
-                        let early_hi = (lo + PRUNE_PROBE_EARLY).min(hi);
-                        let probe_hi = (lo + PRUNE_PROBE_USERS).min(hi);
-                        let mut probe_scored = 0u64;
-                        let mut probe_budget = 0u64;
-                        let mut done = lo;
-                        let mut fallback_from = None;
-                        for checkpoint in [early_hi, probe_hi] {
-                            for u in done..checkpoint {
-                                users.write_user_row(u, &mut row);
-                                let mut src = PrunedScores::new(pi, items, &row);
-                                acc.push_user_attack(&mut src, train.user_items(u), self.targets());
-                                if let Some(test_item) = test.get(u).copied().flatten() {
-                                    acc.push_user_hr(&mut src, test_item, &self.hr_negatives[u]);
-                                }
-                                probe_scored += src.items_scored();
-                                probe_budget += (m - train.user_items(u).len()) as u64;
-                            }
-                            done = checkpoint;
-                            let probe_skipped = probe_budget - probe_scored;
-                            if checkpoint < hi
-                                && probe_skipped * PRUNE_PROBE_MIN_SKIP < probe_budget
-                            {
-                                fallback_from = Some(checkpoint);
-                                break;
-                            }
-                        }
-                        scored += probe_scored;
-                        if let Some(from) = fallback_from {
-                            self.eval_shard_full(
-                                items,
-                                users,
-                                train,
-                                test,
-                                from,
-                                hi,
-                                &mut scratch,
-                                &mut acc,
-                                &mut scored,
-                            );
-                        } else {
-                            for u in done..hi {
-                                users.write_user_row(u, &mut row);
-                                let mut src = PrunedScores::new(pi, items, &row);
-                                acc.push_user_attack(&mut src, train.user_items(u), self.targets());
-                                if let Some(test_item) = test.get(u).copied().flatten() {
-                                    acc.push_user_hr(&mut src, test_item, &self.hr_negatives[u]);
-                                }
-                                scored += src.items_scored();
-                            }
-                        }
-                    }
-                    EvalMode::Incremental => {
-                        let st = snapshot.expect("incremental state prepared");
-                        let pi = pruned.as_ref().expect("pruned items prepared");
-                        for u in lo..hi {
-                            users.write_user_row(u, &mut row);
-                            scored += self.eval_user_incremental(
-                                items,
-                                train,
-                                test,
-                                u,
-                                &row,
-                                st,
-                                pi,
-                                &mut scratch,
-                                &mut acc,
-                                &mut refreshes,
-                            );
-                        }
-                    }
                 }
+                let lo = range.start + si * shard_rows;
+                let hi = (lo + shard_rows).min(range.end);
+                let mut acc = MetricsAccumulator::new();
+                let mut refreshes = Vec::new();
+                let scored = shard(&mut scratch, lo, hi, &mut acc, &mut refreshes);
                 done.push((si, acc, scored, refreshes));
             }
         };
-
-        let snapshot = inc_state.as_deref();
         let mut per_shard: Vec<ShardOut> = if workers <= 1 {
-            run_worker(snapshot)
+            run_worker()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| run_worker(snapshot)))
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
                 handles
                     .into_iter()
                     .flat_map(|h| h.join().expect("eval worker panicked"))
@@ -677,35 +521,46 @@ impl Evaluator {
         per_shard.sort_unstable_by_key(|(si, _, _, _)| *si);
         let mut total = MetricsAccumulator::new();
         let mut items_scored = 0u64;
-        let mut all_refreshes: Vec<(usize, UserCache)> = Vec::new();
+        let mut all_refreshes = Vec::new();
         for (_, acc, scored, refreshes) in per_shard {
             total.merge(&acc);
             items_scored += scored;
             all_refreshes.extend(refreshes);
         }
-        if let Some(st) = inc_state {
-            // Installed after the join: validity decisions above read the
-            // pre-epoch snapshot, so claiming order cannot leak into the
-            // result. Each refresh targets a distinct user.
-            for (u, cache) in all_refreshes {
-                st.users[u] = Some(cache);
-            }
-        }
         let report = EvalReport {
             attack: total.attack_metrics(),
             hr_at_10: total.hr_at_10(),
         };
-        let budget = (span as u64) * (m as u64);
         let counters = EvalCounters {
             items_scored,
-            items_skipped: budget - items_scored,
+            items_skipped: (span as u64) * (num_items as u64) - items_scored,
         };
-        (report, counters)
+        (report, counters, all_refreshes)
+    }
+
+    /// Push user `u`'s attack metrics and, when an item is held out for
+    /// them, their HR@10 outcome.
+    fn push_user<S, D>(
+        &self,
+        src: &mut S,
+        u: usize,
+        train: &D,
+        test: &TestSet,
+        acc: &mut MetricsAccumulator,
+    ) where
+        S: ScoreSource + ?Sized,
+        D: InteractionSource + ?Sized,
+    {
+        acc.push_user_attack(src, train.user_items(u), self.targets());
+        if let Some(test_item) = test.get(u).copied().flatten() {
+            acc.push_user_hr(src, test_item, &self.hr_negatives[u]);
+        }
     }
 
     /// Blocked full sweep of users `lo..hi`: score [`USER_BLOCK`]-row
     /// user blocks against [`ITEM_TILE`]-row item tiles through the
-    /// linalg kernel, feeding per-user top-10 heaps tile by tile.
+    /// linalg kernel, feeding per-user top-10 heaps tile by tile. Returns
+    /// the dots spent.
     #[allow(clippy::too_many_arguments)]
     fn eval_shard_full<D>(
         &self,
@@ -717,8 +572,8 @@ impl Evaluator {
         hi: usize,
         scratch: &mut EvalScratch,
         acc: &mut MetricsAccumulator,
-        scored: &mut u64,
-    ) where
+    ) -> u64
+    where
         D: InteractionSource + Sync + ?Sized,
     {
         let m = items.rows();
@@ -749,19 +604,72 @@ impl Evaluator {
                 }
                 tile_lo = tile_hi;
             }
-            *scored += (b as u64) * (m as u64);
             for j in 0..b {
-                let u = block_lo + j;
                 scratch.heaps[j].drain_sorted_into(&mut scratch.ranked);
                 let urow = &scratch.rows[j * k..(j + 1) * k];
                 let mut src = ListScores::new(&scratch.ranked, items, urow);
-                acc.push_user_attack(&mut src, train.user_items(u), self.targets());
-                if let Some(test_item) = test.get(u).copied().flatten() {
-                    acc.push_user_hr(&mut src, test_item, &self.hr_negatives[u]);
-                }
+                self.push_user(&mut src, block_lo + j, train, test, acc);
             }
             block_lo = block_hi;
         }
+        ((hi - lo) * m) as u64
+    }
+
+    /// Pruned sweep of users `lo..hi` with the adaptive probe (see
+    /// [`Self::evaluate_user_range_mode`]). Returns the dots spent.
+    ///
+    /// The probe sweeps the first few users through the norm-bound scorer
+    /// and watches the realized skip rate. On adversarially uniform norms
+    /// the bound never fires, and the rowwise pruned sweep then pays full
+    /// price without the blocked kernel's 64-user item-tile reuse —
+    /// slower than just sweeping everything. If the probe skipped (almost)
+    /// nothing, the shard finishes blocked-full; both paths produce
+    /// byte-identical reports, so the switch can never change a metric
+    /// byte. (Counter semantics differ slightly by design: the fallback,
+    /// like [`EvalMode::Full`], counts every kernel dot including excluded
+    /// items, while the pruned path counts non-excluded offers only.) The
+    /// probe itself pays the rowwise worst case, so it checks its skip
+    /// rate at an early checkpoint first: an adversarially uniform catalog
+    /// shows zero skips immediately and the shard bails to blocked-full
+    /// after [`PRUNE_PROBE_EARLY`] users; only ambiguous shards fund the
+    /// full probe.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_shard_pruned<D>(
+        &self,
+        items: &Matrix,
+        pi: &PrunedItems,
+        users: &dyn UserRowSource,
+        train: &D,
+        test: &TestSet,
+        lo: usize,
+        hi: usize,
+        scratch: &mut EvalScratch,
+        acc: &mut MetricsAccumulator,
+    ) -> u64
+    where
+        D: InteractionSource + Sync + ?Sized,
+    {
+        let m = items.rows();
+        let early_hi = (lo + PRUNE_PROBE_EARLY).min(hi);
+        let probe_hi = (lo + PRUNE_PROBE_USERS).min(hi);
+        let (mut scored, mut budget) = (0u64, 0u64);
+        for u in lo..hi {
+            users.write_user_row(u, &mut scratch.row);
+            let mut src = PrunedScores::new(pi, items, &scratch.row);
+            self.push_user(&mut src, u, train, test, acc);
+            scored += src.items_scored();
+            if u >= probe_hi {
+                continue;
+            }
+            budget += (m - train.user_items(u).len()) as u64;
+            let done = u + 1;
+            let checkpoint = done == early_hi || done == probe_hi;
+            if checkpoint && done < hi && (budget - scored) * PRUNE_PROBE_MIN_SKIP < budget {
+                return scored
+                    + self.eval_shard_full(items, users, train, test, done, hi, scratch, acc);
+            }
+        }
+        scored
     }
 
     /// Evaluate one user incrementally; returns the dots spent and, on
@@ -773,75 +681,41 @@ impl Evaluator {
         train: &D,
         test: &TestSet,
         u: usize,
-        row: &[f32],
+        users: &dyn UserRowSource,
         st: &IncrementalEvalState,
         pi: &PrunedItems,
         scratch: &mut EvalScratch,
         acc: &mut MetricsAccumulator,
-        refreshes: &mut Vec<(usize, UserCache)>,
+        refreshes: &mut Vec<(usize, Candidates)>,
     ) -> u64
     where
         D: InteractionSource + Sync + ?Sized,
     {
-        let exclude = train.user_items(u);
+        users.write_user_row(u, &mut scratch.row);
+        let row = &scratch.row;
         let mut scored = 0u64;
         let mut valid = false;
-        if let Some(c) = st.users[u].as_ref() {
-            if rows_bits_equal(&c.row, row) {
-                // Rescore the cached candidates exactly; accept if the
-                // drift bound proves no outside item can have caught up.
-                let heap = &mut scratch.heaps[0];
-                heap.reset(10);
-                for &cand in &c.cands {
-                    heap.push(cand, vector::dot(row, items.row(cand as usize)));
-                }
-                scored += c.cands.len() as u64;
-                if c.floor == f64::NEG_INFINITY {
-                    // The cache holds every non-excluded item.
-                    valid = true;
-                } else if heap.is_full() {
-                    let kth = f64::from(heap.min_score().expect("full heap has a min"));
-                    let slack = DOT_SLACK * c.unorm * st.vmax_seen;
-                    let bound = c.floor + c.unorm * (st.drift - c.drift_at) + slack;
-                    // Strict: an outside item tying the 10th score could
-                    // still win on a smaller index.
-                    valid = kth > bound;
-                }
-                if valid {
-                    heap.drain_sorted_into(&mut scratch.ranked);
-                }
+        if let Some(c) = st.users[u].as_ref().filter(|c| c.same_row(row)) {
+            let heap = &mut scratch.heaps[0];
+            heap.reset(10);
+            valid = c.revalidate(row, items, st.tracker.drift(), st.tracker.vmax_seen(), heap);
+            scored += c.ids().len() as u64;
+            if valid {
+                heap.drain_sorted_into(&mut scratch.ranked);
             }
         }
         if !valid {
             // Exact fallback sweep (pruned), caching the margin band.
             let mut ps = PrunedScores::new(pi, items, row);
-            ps.top_ranked_excluding(exclude, CAND_K, &mut scratch.ranked);
+            ps.top_ranked_excluding(train.user_items(u), CAND_K, &mut scratch.ranked);
             scored = ps.items_scored();
-            let floor = if scratch.ranked.len() == CAND_K {
-                f64::from(scratch.ranked[CAND_K - 1].1)
-            } else {
-                f64::NEG_INFINITY
-            };
-            let mut cands = Vec::with_capacity(scratch.ranked.len());
-            for &(item, _) in &scratch.ranked {
-                cands.push(item);
-            }
             refreshes.push((
                 u,
-                UserCache {
-                    row: row.to_vec(),
-                    unorm: scorer::row_norm_f64(row),
-                    cands,
-                    floor,
-                    drift_at: st.drift,
-                },
+                Candidates::new(row, &scratch.ranked, CAND_K, st.tracker.drift()),
             ));
         }
         let mut src = ListScores::new(&scratch.ranked, items, row);
-        acc.push_user_attack(&mut src, exclude, self.targets());
-        if let Some(test_item) = test.get(u).copied().flatten() {
-            acc.push_user_hr(&mut src, test_item, &self.hr_negatives[u]);
-        }
+        self.push_user(&mut src, u, train, test, acc);
         scored
     }
 }
@@ -869,88 +743,154 @@ mod tests {
         (a - b).abs() < 1e-9
     }
 
+    /// [`Evaluator::evaluate_user_range_mode`] over `model`'s whole
+    /// population.
+    fn run_mode(
+        eval: &Evaluator,
+        model: &MfModel,
+        (train, test): (&Dataset, &TestSet),
+        threads: usize,
+        shard_rows: usize,
+        mode: EvalMode,
+        state: Option<&mut IncrementalEvalState>,
+    ) -> (EvalReport, EvalCounters) {
+        let (items, users, n) = (&model.item_factors, &model.user_factors, train.num_users());
+        eval.evaluate_user_range_mode(
+            items,
+            users,
+            train,
+            test,
+            0..n,
+            threads,
+            shard_rows,
+            mode,
+            state,
+        )
+    }
+
+    /// Full-mode streamed report over users `range`.
+    fn streamed(
+        eval: &Evaluator,
+        items: &Matrix,
+        users: &dyn UserRowSource,
+        (train, test): (&Dataset, &TestSet),
+        range: Range<usize>,
+        threads: usize,
+        shard_rows: usize,
+    ) -> EvalReport {
+        let mode = EvalMode::Full;
+        eval.evaluate_user_range_mode(
+            items, users, train, test, range, threads, shard_rows, mode, None,
+        )
+        .0
+    }
+
+    /// The one-user-at-a-time reference sweep: dense scores per user,
+    /// one accumulator per `shard_rows` shard merged in order — or, with
+    /// `None`, a single pass into one accumulator with no merge at all.
+    fn rowwise_reference(
+        eval: &Evaluator,
+        model: &MfModel,
+        train: &Dataset,
+        test: &TestSet,
+        shard_rows: Option<usize>,
+    ) -> EvalReport {
+        let n = train.num_users();
+        let mut total = MetricsAccumulator::new();
+        let mut acc = MetricsAccumulator::new();
+        let mut scores = vec![0.0f32; model.num_items()];
+        for u in 0..n {
+            model.scores_for_user(u, &mut scores);
+            let mut src = crate::scorer::DenseScores::new(&scores);
+            acc.push_user_attack(&mut src, train.user_items(u), eval.targets());
+            if let Some(test_item) = test.get(u).copied().flatten() {
+                acc.push_user_hr(&mut src, test_item, &eval.hr_negatives[u]);
+            }
+            if shard_rows.is_some_and(|s| (u + 1) % s == 0 || u + 1 == n) {
+                total.merge(&std::mem::take(&mut acc));
+            }
+        }
+        let done = if shard_rows.is_some() { total } else { acc };
+        EvalReport {
+            attack: done.attack_metrics(),
+            hr_at_10: done.hr_at_10(),
+        }
+    }
+
     #[test]
     fn streamed_matches_dense_evaluation() {
         let (train, test, eval, model) = setup();
-        let dense = eval.evaluate(&model, &train, &test);
-        let streamed = eval.evaluate_streamed(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            1,
-            16,
-        );
-        assert!(close(dense.attack.er_at_5, streamed.attack.er_at_5));
-        assert!(close(dense.attack.er_at_10, streamed.attack.er_at_10));
-        assert!(close(dense.attack.ndcg_at_10, streamed.attack.ndcg_at_10));
+        let (items, users) = (&model.item_factors, &model.user_factors);
+        let dense = eval.evaluate(items, users, &train, &test);
+        let n = train.num_users();
+        let sharded = streamed(&eval, items, users, (&train, &test), 0..n, 1, 16);
+        assert!(close(dense.attack.er_at_5, sharded.attack.er_at_5));
+        assert!(close(dense.attack.er_at_10, sharded.attack.er_at_10));
+        assert!(close(dense.attack.ndcg_at_10, sharded.attack.ndcg_at_10));
         // HR is a counted fraction: exactly equal.
-        assert_eq!(dense.hr_at_10, streamed.hr_at_10);
+        assert_eq!(dense.hr_at_10, sharded.hr_at_10);
     }
 
     /// The blocked kernel path must reproduce the original one-user-at-a-
     /// time sweep bit for bit: same dots, same heap feeding order, same
-    /// accumulator pushes.
+    /// accumulator pushes. `Evaluator::evaluate`, one population-wide
+    /// shard, must equal a single pass with no merge: dense callers'
+    /// records depend on that summation order.
     #[test]
     fn blocked_full_matches_rowwise_reference() {
         let (train, test, eval, model) = setup();
-        let shard_rows = 16usize;
+        let (items, users) = (&model.item_factors, &model.user_factors);
         let n = train.num_users();
-        // Reference: the pre-kernel implementation, single worker.
-        let mut per_shard: Vec<MetricsAccumulator> = Vec::new();
-        let mut row = vec![0.0f32; model.k()];
-        let mut scores = vec![0.0f32; model.num_items()];
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + shard_rows).min(n);
-            let mut acc = MetricsAccumulator::new();
-            for u in lo..hi {
-                model.user_factors.write_user_row(u, &mut row);
-                MfModel::scores_for_vector(&model.item_factors, &row, &mut scores);
-                let mut src = crate::scorer::DenseScores::new(&scores);
-                acc.push_user_attack(&mut src, train.user_items(u), eval.targets());
-                if let Some(test_item) = test.get(u).copied().flatten() {
-                    acc.push_user_hr(&mut src, test_item, &eval.hr_negatives[u]);
-                }
-            }
-            per_shard.push(acc);
-            lo = hi;
-        }
-        let mut total = MetricsAccumulator::new();
-        for acc in &per_shard {
-            total.merge(acc);
-        }
-        let reference = EvalReport {
-            attack: total.attack_metrics(),
-            hr_at_10: total.hr_at_10(),
-        };
-        let blocked = eval.evaluate_streamed(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            1,
-            shard_rows,
+        let blocked = streamed(&eval, items, users, (&train, &test), 0..n, 1, 16);
+        assert_eq!(
+            rowwise_reference(&eval, &model, &train, &test, Some(16)),
+            blocked
         );
-        assert_eq!(reference, blocked);
+        let single_pass = rowwise_reference(&eval, &model, &train, &test, None);
+        assert_eq!(single_pass, eval.evaluate(items, users, &train, &test));
+    }
+
+    /// A dot-product closure through the dense-scorer sweep is the full
+    /// mode in reports and counters, at every thread count.
+    #[test]
+    fn scored_sweep_matches_full_mode() {
+        let (train, test, eval, model) = setup();
+        let (items, users) = (&model.item_factors, &model.user_factors);
+        let n = train.num_users();
+        for threads in [1usize, 2, 8] {
+            let full = eval.evaluate_user_range_mode(
+                items,
+                users,
+                &train,
+                &test,
+                0..n,
+                threads,
+                16,
+                EvalMode::Full,
+                None,
+            );
+            let scored = eval.evaluate_user_range_scored(
+                items.rows(),
+                users,
+                &train,
+                &test,
+                0..n,
+                threads,
+                16,
+                |row, out| MfModel::scores_for_vector(items, row, out),
+            );
+            assert_eq!(full, scored, "scored sweep diverged at {threads} threads");
+        }
     }
 
     #[test]
     fn streamed_is_thread_count_invariant() {
         let (train, test, eval, model) = setup();
-        let run = |threads: usize| {
-            eval.evaluate_streamed(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                threads,
-                16,
-            )
-        };
-        let r1 = run(1);
+        let (items, users) = (&model.item_factors, &model.user_factors);
+        let n = train.num_users();
+        let r1 = streamed(&eval, items, users, (&train, &test), 0..n, 1, 16);
         for t in [2usize, 4, 8] {
-            let rt = run(t);
+            let rt = streamed(&eval, items, users, (&train, &test), 0..n, t, 16);
             assert_eq!(r1, rt, "streamed eval diverged at {t} threads");
         }
     }
@@ -960,23 +900,19 @@ mod tests {
         let (train, test, eval, model) = setup();
         let n = train.num_users();
         for (threads, shard_rows) in [(1usize, 16usize), (2, 7), (8, 16), (2, 64)] {
-            let (full, fc) = eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            let (full, fc) = run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 threads,
                 shard_rows,
                 EvalMode::Full,
                 None,
             );
-            let (pruned, pc) = eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            let (pruned, pc) = run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 threads,
                 shard_rows,
                 EvalMode::Pruned,
@@ -997,14 +933,11 @@ mod tests {
     #[test]
     fn pruned_counters_are_thread_invariant() {
         let (train, test, eval, model) = setup();
-        let n = train.num_users();
         let run = |threads: usize| {
-            eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 threads,
                 16,
                 EvalMode::Pruned,
@@ -1045,12 +978,10 @@ mod tests {
         // remainder for the fallback to cover.
         let shard_rows = PRUNE_PROBE_USERS * 2;
         let run = |threads: usize, mode: EvalMode| {
-            eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 threads,
                 shard_rows,
                 mode,
@@ -1112,23 +1043,19 @@ mod tests {
         }
         let n = train.num_users();
         let shard_rows = PRUNE_PROBE_USERS * 2;
-        let (full, _) = eval.evaluate_user_range_mode(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..n,
+        let (full, _) = run_mode(
+            &eval,
+            &model,
+            (&train, &test),
             1,
             shard_rows,
             EvalMode::Full,
             None,
         );
-        let (pruned, pc) = eval.evaluate_user_range_mode(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..n,
+        let (pruned, pc) = run_mode(
+            &eval,
+            &model,
+            (&train, &test),
             1,
             shard_rows,
             EvalMode::Pruned,
@@ -1157,34 +1084,20 @@ mod tests {
         let mut drift_rng = SeededRng::new(99);
         let mut saved_some = false;
         for epoch in 0..6 {
-            let (full, _) = eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
-                2,
-                16,
-                EvalMode::Full,
-                None,
-            );
-            let (pruned, pc) = eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            let (full, _) = run_mode(&eval, &model, (&train, &test), 2, 16, EvalMode::Full, None);
+            let (pruned, pc) = run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 2,
                 16,
                 EvalMode::Pruned,
                 None,
             );
-            let (inc, ic) = eval.evaluate_user_range_mode(
-                &model.item_factors,
-                &model.user_factors,
-                &train,
-                &test,
-                0..n,
+            let (inc, ic) = run_mode(
+                &eval,
+                &model,
+                (&train, &test),
                 2,
                 16,
                 EvalMode::Incremental,
@@ -1221,12 +1134,10 @@ mod tests {
         let (train, test, eval, mut model) = setup();
         let n = train.num_users();
         let mut state = IncrementalEvalState::new();
-        let _ = eval.evaluate_user_range_mode(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..n,
+        let _ = run_mode(
+            &eval,
+            &model,
+            (&train, &test),
             1,
             16,
             EvalMode::Incremental,
@@ -1244,23 +1155,11 @@ mod tests {
                 *x = rng.normal(0.0, 0.5);
             }
         }
-        let (full, _) = eval.evaluate_user_range_mode(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..n,
-            2,
-            16,
-            EvalMode::Full,
-            None,
-        );
-        let (inc, _) = eval.evaluate_user_range_mode(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..n,
+        let (full, _) = run_mode(&eval, &model, (&train, &test), 2, 16, EvalMode::Full, None);
+        let (inc, _) = run_mode(
+            &eval,
+            &model,
+            (&train, &test),
             2,
             16,
             EvalMode::Incremental,
@@ -1272,18 +1171,15 @@ mod tests {
     #[test]
     fn incremental_is_thread_count_invariant() {
         let (train, test, eval, mut model) = setup();
-        let n = train.num_users();
         let run_epochs = |threads: usize, model: &mut MfModel| {
             let mut state = IncrementalEvalState::new();
             let mut rng = SeededRng::new(7);
             let mut reports = Vec::new();
             for _ in 0..3 {
-                let (rep, counters) = eval.evaluate_user_range_mode(
-                    &model.item_factors,
-                    &model.user_factors,
-                    &train,
-                    &test,
-                    0..n,
+                let (rep, counters) = run_mode(
+                    &eval,
+                    model,
+                    (&train, &test),
                     threads,
                     16,
                     EvalMode::Incremental,
@@ -1337,16 +1233,9 @@ mod tests {
     #[test]
     fn user_range_restricts_coverage() {
         let (train, test, eval, model) = setup();
+        let (items, users) = (&model.item_factors, &model.user_factors);
         let half = train.num_users() / 2;
-        let ranged = eval.evaluate_user_range(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..half,
-            2,
-            8,
-        );
+        let ranged = streamed(&eval, items, users, (&train, &test), 0..half, 2, 8);
         // Equivalent: evaluate a truncated population the slow way.
         let mut acc = MetricsAccumulator::new();
         let mut scores = vec![0.0f32; model.num_items()];
@@ -1357,15 +1246,7 @@ mod tests {
         }
         assert!(close(ranged.attack.er_at_10, acc.attack_metrics().er_at_10));
         // Empty range is a no-op report.
-        let empty = eval.evaluate_user_range(
-            &model.item_factors,
-            &model.user_factors,
-            &train,
-            &test,
-            0..0,
-            2,
-            8,
-        );
+        let empty = streamed(&eval, items, users, (&train, &test), 0..0, 2, 8);
         assert_eq!(empty, EvalReport::default());
     }
 
@@ -1386,8 +1267,9 @@ mod tests {
         let mut parent = SeededRng::new(33);
         let init = SeededGaussianInit::record(&mut parent, n, 32, 0.0, 0.1);
         let lazy_users = ShardedMatrix::new(n, k, 32, Box::new(init));
-        let a = eval.evaluate_streamed(&model.item_factors, &dense_users, &train, &test, 2, 16);
-        let b = eval.evaluate_streamed(&model.item_factors, &lazy_users, &train, &test, 2, 16);
+        let items = &model.item_factors;
+        let a = streamed(&eval, items, &dense_users, (&train, &test), 0..n, 2, 16);
+        let b = streamed(&eval, items, &lazy_users, (&train, &test), 0..n, 2, 16);
         assert_eq!(a, b, "lazy user rows must evaluate identically");
         assert_eq!(
             lazy_users.materialized_rows(),

@@ -2,23 +2,17 @@
 //! twin of the offline incremental evaluator.
 //!
 //! A cache miss ranks the user's top-[`CAND_K`] candidates exactly (via
-//! the batched pruned scorer) and remembers the candidate ids plus the
-//! score *floor* — the sanitized score of the worst cached candidate —
-//! and the cumulative drift at cache time. A later request against a
-//! newer snapshot rescores just those `CAND_K` candidates (a few dozen
-//! dots instead of a full catalog sweep) and serves them iff the drift
-//! bound proves no outside item can have caught up:
-//!
-//! `kth_rescored > floor + ‖u‖·(drift_now − drift_then) + DOT_SLACK·‖u‖·vmax`
-//!
-//! This is byte-for-byte the validity test of
-//! [`IncrementalEvalState`](fedrec_recsys::IncrementalEvalState) (same
-//! [`CAND_K`] band, same [`DOT_SLACK`] slack, same strict inequality so a
-//! tying outside item that would win on a smaller id forces a miss), so
+//! the batched pruned scorer) and stores them as a
+//! [`Candidates`] entry built at the snapshot's cumulative drift. A later
+//! request against a newer snapshot rescores just those candidates (a
+//! few dozen dots instead of a full catalog sweep) and serves them iff
+//! [`Candidates::revalidate`] proves no outside item can have caught up
+//! — the same type, band and bound the offline
+//! [`IncrementalEvalState`](fedrec_recsys::IncrementalEvalState) uses, so
 //! the hit path inherits the offline evaluator's exactness proof: a hit
 //! serves the identical bytes a full sweep of the pinned snapshot would.
-//! NaN drift (degenerate training) fails the comparison and degrades
-//! every lookup to a miss — wrong-but-fast is never an outcome.
+//! NaN drift (degenerate training) fails the bound and degrades every
+//! lookup to a miss — wrong-but-fast is never an outcome.
 //!
 //! Entries are sharded `user id % 64` across mutexes; each shard is an
 //! id-sorted vec probed by binary search, so lookups take no allocation
@@ -27,12 +21,9 @@
 //! the newer snapshot and get replaced on the next miss.
 
 use crate::snapshot::ItemSnapshot;
-use fedrec_linalg::vector;
-use fedrec_recsys::scorer::row_norm_f64;
-use fedrec_recsys::stream_eval::DOT_SLACK;
-
+use fedrec_recsys::candidates::Candidates;
 #[cfg(doc)]
-use fedrec_recsys::stream_eval::CAND_K;
+use fedrec_recsys::candidates::CAND_K;
 use fedrec_recsys::topk::TopKHeap;
 use std::sync::Mutex;
 
@@ -43,23 +34,11 @@ const SHARDS: usize = 64;
 /// One user's cached ranking context.
 #[derive(Debug, Clone)]
 pub struct CachedUser {
-    /// User row the candidates were ranked for; any bitwise change (the
-    /// user trained since) invalidates the entry.
-    row: Vec<f32>,
+    /// The exact ranking and what it was built against.
+    cands: Candidates,
     /// Exclusion list the ranking was computed under; a request with a
     /// different list cannot reuse it.
     exclude: Vec<u32>,
-    /// `‖row‖` in f64, for the drift bound.
-    unorm: f64,
-    /// Exact ranked top-[`CAND_K`] candidate ids at cache time
-    /// (exclusions already applied).
-    cands: Vec<u32>,
-    /// Sanitized score of the worst cached candidate at cache time;
-    /// `-∞` when `cands` holds every non-excluded item (tiny catalogs),
-    /// making the entry unconditionally valid.
-    floor: f64,
-    /// Cumulative drift at cache time.
-    drift_at: f64,
     /// Publish sequence the entry was built against: a request pinned to
     /// an *older* snapshot must not consult a future cache (drift only
     /// bounds forward movement), and installs never clobber newer
@@ -77,13 +56,6 @@ impl Default for CandidateCache {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Bitwise row equality — the serving twin of the incremental
-/// evaluator's check: any retrained user row (even a sign-of-zero
-/// change) misses.
-fn rows_bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl CandidateCache {
@@ -134,33 +106,14 @@ impl CandidateCache {
         };
         // A cache built against a newer publish can't serve an older
         // pinned snapshot: drift only bounds forward movement.
-        if entry.seq_at > snap.seq || !rows_bits_equal(&entry.row, row) || entry.exclude != exclude
-        {
+        if entry.seq_at > snap.seq || !entry.cands.same_row(row) || entry.exclude != exclude {
             return false;
         }
-        // Rescore the cached candidates exactly against the pinned
-        // snapshot; accept iff the drift bound proves no outside item
-        // can have caught up (mirrors `eval_user_incremental`).
         let mut heap = TopKHeap::new(k);
-        for &cand in &entry.cands {
-            heap.push(cand, vector::dot(row, snap.items().row(cand as usize)));
-        }
-        let valid = if entry.floor == f64::NEG_INFINITY {
-            // The cache holds every non-excluded item: the rescore *is*
-            // the exact full ranking, whatever the drift.
-            true
-        } else if heap.is_full() {
-            let kth = f64::from(heap.min_score().expect("full heap has a min"));
-            let slack = DOT_SLACK * entry.unorm * snap.vmax_seen;
-            let bound = entry.floor + entry.unorm * (snap.drift - entry.drift_at) + slack;
-            // Strict: an outside item tying the kth score could still
-            // win on a smaller index.
-            kth > bound
-        } else {
-            // Fewer candidates than k and the band isn't the whole
-            // catalog: the cache can't answer this k.
-            false
-        };
+        let valid =
+            entry
+                .cands
+                .revalidate(row, snap.items(), snap.drift, snap.vmax_seen, &mut heap);
         if valid {
             heap.drain_sorted_into(out);
         }
@@ -169,8 +122,8 @@ impl CandidateCache {
 
     /// Install (or refresh) `user`'s entry from a miss resolved against
     /// `snap`: `ranked` is the exact ranked top-`cand_k` list
-    /// (exclusions applied) and `full_catalog` says whether it covers
-    /// every non-excluded item. Never replaces an entry built against a
+    /// (exclusions applied; shorter only when it covers every
+    /// non-excluded item). Never replaces an entry built against a
     /// newer publish (two workers pinning different snapshots race
     /// benignly: the newer snapshot's entry wins).
     pub fn install(
@@ -182,24 +135,9 @@ impl CandidateCache {
         ranked: &[(u32, f32)],
         cand_k: usize,
     ) {
-        let floor = if ranked.len() == cand_k {
-            f64::from(ranked[cand_k - 1].1)
-        } else {
-            // Short list ⇒ the exclusion-filtered catalog fits entirely
-            // in the band: unconditionally valid.
-            f64::NEG_INFINITY
-        };
-        let mut cands = Vec::with_capacity(ranked.len());
-        for &(item, _) in ranked {
-            cands.push(item);
-        }
         let entry = CachedUser {
-            row: row.to_vec(),
+            cands: Candidates::new(row, ranked, cand_k, snap.drift),
             exclude: exclude.to_vec(),
-            unorm: row_norm_f64(row),
-            cands,
-            floor,
-            drift_at: snap.drift,
             seq_at: snap.seq,
         };
         let mut shard = self.shards[user as usize % SHARDS]

@@ -20,7 +20,7 @@
 //!   memory traffic across the batch exactly as the offline evaluator
 //!   does.
 //! * **Drift-bound candidate caches** ([`cache`]) — a hit rescores the
-//!   user's cached [`CAND_K`](fedrec_recsys::stream_eval::CAND_K)-item
+//!   user's cached [`CAND_K`](fedrec_recsys::candidates::CAND_K)-item
 //!   band (dozens of dots) instead of sweeping the catalog, and is
 //!   served only when the incremental evaluator's drift bound proves the
 //!   ranking unchanged. Invalidation is lazy — publishing never touches

@@ -20,8 +20,8 @@ use crate::cache::CandidateCache;
 use crate::snapshot::{ItemSnapshot, SnapshotStore};
 use crate::telemetry::{ServeStats, Stamp};
 use fedrec_linalg::Matrix;
+use fedrec_recsys::candidates::CAND_K;
 use fedrec_recsys::scorer::top_ranked_block;
-use fedrec_recsys::stream_eval::CAND_K;
 use fedrec_recsys::UserRowSource;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;

@@ -12,15 +12,15 @@
 //! serving never blocks on the expensive parts of publishing (matrix
 //! clone, norm sort, drift pass), which all happen outside any slot lock.
 //!
-//! Each snapshot carries the cumulative drift accounting of
-//! [`IncrementalEvalState`](fedrec_recsys::IncrementalEvalState) —
+//! Each snapshot carries the publisher's [`DriftTracker`] readings —
 //! `drift` (Σ max item-row movement across publishes) and `vmax_seen`
 //! (largest row norm ever published) — which is what lets the per-user
 //! candidate caches prove, per request, that a ranking cached at an
 //! earlier epoch is still exact (see [`crate::cache`]).
 
 use fedrec_linalg::Matrix;
-use fedrec_recsys::scorer::{drift_step, PrunedItems};
+use fedrec_recsys::candidates::DriftTracker;
+use fedrec_recsys::scorer::PrunedItems;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,10 +57,7 @@ impl ItemSnapshot {
 /// is one logical publisher: the training loop between rounds).
 #[derive(Debug, Default)]
 struct PublishState {
-    /// Previous published matrix; drift is measured step-wise against it.
-    prev: Option<Matrix>,
-    drift: f64,
-    vmax_seen: f64,
+    tracker: DriftTracker,
     seq: u64,
 }
 
@@ -90,42 +87,20 @@ impl SnapshotStore {
     /// Clones the matrix, rebuilds the pruning order, and advances the
     /// cumulative drift — all outside any reader-visible lock — then
     /// installs the result into the inactive slot and flips. NaNs in the
-    /// drift pass poison `drift`/`vmax_seen` exactly as in the offline
-    /// incremental evaluator, which silently degrades every cache check
-    /// to a miss rather than serving an unprovable ranking.
+    /// drift pass poison `drift`/`vmax_seen` for good (the offline
+    /// incremental evaluator's [`DriftTracker`]), which silently degrades
+    /// every cache check to a miss rather than serving an unprovable
+    /// ranking.
     pub fn publish(&self, epoch: u64, items: &Matrix) {
         let snap = {
             let mut st = self.publish.lock().expect("publish state poisoned");
-            let (drift, vmax_seen) = match st.prev.as_mut() {
-                None => {
-                    let (_, vmax) = drift_step(items, items);
-                    (0.0, vmax)
-                }
-                Some(prev) => {
-                    let (step, vmax) = drift_step(prev, items);
-                    let drift = st.drift + step;
-                    // max() hides NaN; propagate it so every cache
-                    // validity check fails closed.
-                    let vmax_seen = if vmax.is_nan() || st.vmax_seen.is_nan() {
-                        f64::NAN
-                    } else {
-                        st.vmax_seen.max(vmax)
-                    };
-                    (drift, vmax_seen)
-                }
-            };
-            st.drift = drift;
-            st.vmax_seen = vmax_seen;
+            st.tracker.observe(items);
             st.seq += 1;
-            match st.prev.as_mut() {
-                Some(prev) => prev.as_mut_slice().copy_from_slice(items.as_slice()),
-                None => st.prev = Some(items.clone()),
-            }
             Arc::new(ItemSnapshot {
                 epoch,
                 seq: st.seq,
-                drift,
-                vmax_seen,
+                drift: st.tracker.drift(),
+                vmax_seen: st.tracker.vmax_seen(),
                 items: items.clone(),
                 pruned: PrunedItems::build(items),
             })

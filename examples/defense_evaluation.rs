@@ -63,8 +63,7 @@ fn main() {
         let mut sim =
             Simulation::with_aggregator(&train, fed, Box::new(attack), num_malicious, agg);
         sim.run(None);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         println!(
             "{name:<18} {:>6.4}   {:>6.4}",
             rep.attack.er_at_10, rep.hr_at_10
@@ -139,8 +138,7 @@ fn main() {
     );
     let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), num_malicious, pipeline);
     let history = sim.run(None);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, &train, &test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     println!(
         "detector-gated sum: ER@10 {:.4}  HR@10 {:.4}  ({} uploads excluded \
          over {} rounds, mean per-round recall {:.2})",

@@ -30,8 +30,10 @@ fn er10_for(train: &Dataset, test: &fedrecattack::data::split::TestSet, xi: f64,
     let mut sim = Simulation::new(train, fed, adversary, num_malicious);
     sim.run(None);
     let evaluator = Evaluator::new(train, test, &targets, 17);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    evaluator.evaluate(&model, train, test).attack.er_at_10
+    evaluator
+        .evaluate(sim.items(), sim.user_rows(), train, test)
+        .attack
+        .er_at_10
 }
 
 fn main() {

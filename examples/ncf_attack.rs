@@ -59,16 +59,22 @@ fn main() {
         sim.run(None);
         // Every user, in a single shard.
         let n = train.num_users();
-        NcfModel::evaluate(
-            &evaluator,
-            &Theta::from_shared(cfg.k, sim.shared()),
-            sim.items(),
-            sim.user_rows(),
-            &*train,
-            &test,
-            n,
-            n,
-        )
+        let theta = Theta::from_shared(cfg.k, sim.shared());
+        let items = sim.items();
+        let score =
+            |row: &[f32], out: &mut [f32]| NcfModel::scores_for_vector(&theta, items, row, out);
+        evaluator
+            .evaluate_user_range_scored(
+                items.rows(),
+                sim.user_rows(),
+                &*train,
+                &test,
+                0..n,
+                1,
+                n,
+                score,
+            )
+            .0
     };
 
     let clean_rep = run(Box::new(NoAttack), 0);

@@ -34,8 +34,7 @@ fn main() {
     // Clean run.
     let mut clean = Simulation::new(&train, fed, Box::new(NoAttack), 0);
     clean.run(None);
-    let clean_model = MfModel::from_factors(clean.user_factors(), clean.items().clone());
-    let clean_rep = evaluator.evaluate(&clean_model, &train, &test);
+    let clean_rep = evaluator.evaluate(clean.items(), clean.user_rows(), &train, &test);
 
     // Attacked run: the attacker sees 5 % of interactions (likes,
     // follows, comments...) and controls 5 % of the clients.
@@ -44,8 +43,7 @@ fn main() {
     let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, malicious);
     let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
     sim.run(None);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, &train, &test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
 
     println!("\n               clean      attacked");
     println!(

@@ -51,8 +51,7 @@ fn main() {
         let adversary = build_adversary(method, &env);
         let mut sim = Simulation::new(&train, fed, adversary, num_malicious);
         sim.run(None);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         results.push((method.label(), rep.attack.er_at_10, rep.hr_at_10));
     }
 

@@ -46,8 +46,7 @@
 //!
 //! // 4. Measure the damage.
 //! let eval = Evaluator::new(&train, &test, &targets, 3);
-//! let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-//! let report = eval.evaluate(&model, &train, &test);
+//! let report = eval.evaluate(sim.items(), sim.user_rows(), &train, &test);
 //! println!("ER@10 after attack: {:.4}", report.attack.er_at_10);
 //! ```
 

@@ -17,8 +17,7 @@ fn er10_under(aggregator: Box<dyn Aggregator>) -> (f64, f64) {
     let mut sim = Simulation::with_aggregator(&train, fed, Box::new(attack), malicious, aggregator);
     sim.run(None);
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, &train, &test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     (rep.attack.er_at_10, rep.hr_at_10)
 }
 
@@ -79,8 +78,7 @@ fn defended_clean_training_still_learns() {
         let mut sim = Simulation::with_aggregator(&train, fed, Box::new(NoAttack), 0, agg);
         sim.run(None);
         let evaluator = Evaluator::new(&train, &test, &targets, 3);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         assert!(
             rep.hr_at_10 > 0.2,
             "{name}: clean training failed under defense: HR {}",

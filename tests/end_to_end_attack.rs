@@ -19,8 +19,7 @@ fn run(
     let mut sim = Simulation::new(train, fed, adversary, num_malicious);
     let history = sim.run(None);
     let evaluator = Evaluator::new(train, test, targets, 3);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, train, test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), train, test);
     (rep.attack.er_at_10, rep.hr_at_10, history.losses)
 }
 

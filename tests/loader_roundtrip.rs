@@ -53,8 +53,7 @@ fn loaded_file_supports_full_attack_pipeline() {
     let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
     sim.run(None);
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
-    let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-    let rep = evaluator.evaluate(&model, &train, &test);
+    let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     assert!(
         rep.attack.er_at_10 > 0.3,
         "attack on file-loaded data ineffective: {}",

@@ -113,8 +113,7 @@ proptest! {
             prop_assert!(loss.is_finite() && *loss >= 0.0);
         }
         let evaluator = Evaluator::new(&train, &test, &targets, seed ^ 5);
-        let model = MfModel::from_factors(sim.user_factors(), sim.items().clone());
-        let rep = evaluator.evaluate(&model, &train, &test);
+        let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         for v in [rep.attack.er_at_5, rep.attack.er_at_10, rep.attack.ndcg_at_10, rep.hr_at_10] {
             prop_assert!((0.0..=1.0).contains(&v), "metric out of range: {v}");
         }
