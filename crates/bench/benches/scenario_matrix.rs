@@ -1,13 +1,14 @@
 //! Throughput of the scenario-matrix fan-out: a fixed attack×defense×ρ
 //! grid run through `run_matrix_collect` (the IO-free path, so the bench
 //! measures simulation + defense + evaluation, not disk) at increasing
-//! worker counts, plus the single-cell baselines that bound it. Measured
-//! numbers are recorded in BENCH_scenario_matrix.json at the repository
-//! root.
+//! worker counts. Measured numbers are recorded in
+//! BENCH_scenario_matrix.json at the repository root. Single-cell cost,
+//! including the detector-gated pipeline, is measured by the repository
+//! benchmark (`perfbench`, workload `ncf-random-gated`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedrec_baselines::registry::AttackMethod;
-use fedrec_experiments::matrix::{run_cell, run_matrix_collect, CellSpec, DefenseKind, ModelKind};
+use fedrec_experiments::matrix::{run_matrix_collect, DefenseKind};
 use fedrec_experiments::{MatrixConfig, Scale};
 use std::hint::black_box;
 use std::time::Duration;
@@ -56,29 +57,5 @@ fn bench_matrix_fanout(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-cell cost of the two extreme arms: the undefended baseline and the
-/// detector-gated pipeline (detection is O(n²) cosine in the similarity
-/// case, so this bounds what the gate adds per round).
-fn bench_single_cells(c: &mut Criterion) {
-    let cfg = grid(1);
-    let mut g = c.benchmark_group("scenario_cell");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(5));
-    for (name, defense) in [
-        ("undefended", DefenseKind::None),
-        ("detector_gated", DefenseKind::DetectorGated),
-    ] {
-        let cell = CellSpec {
-            model: ModelKind::Mf,
-            attack: AttackMethod::FedRecAttack,
-            defense,
-            rho: 0.05,
-        };
-        g.bench_function(name, |b| b.iter(|| black_box(run_cell(&cfg, &cell))));
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_matrix_fanout, bench_single_cells);
+criterion_group!(benches, bench_matrix_fanout);
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! §VI).
 
 use fedrec_federated::server::Aggregator;
-use fedrec_linalg::{stats, SparseGrad};
+use fedrec_linalg::{stats, PairDots, SparseGrad};
 
 /// Krum (Blanchard et al.): pick the single update closest (in summed
 /// squared distance) to its `n − f − 2` nearest neighbors and use it as
@@ -26,26 +26,52 @@ pub struct Krum {
 
 impl Krum {
     /// Index of the Krum-selected update (exposed for tests/detection).
+    ///
+    /// Each upload's squared norm is computed once, and the pair products
+    /// come one Gram row at a time from a [`PairDots`] index, so a round
+    /// costs one pass over its shared-item row pairs and `O(n + rows)`
+    /// memory.
     pub fn select(&self, updates: &[SparseGrad]) -> Option<usize> {
         if updates.is_empty() {
             return None;
         }
         let n = updates.len();
         let keep = n.saturating_sub(self.assumed_byzantine + 2).max(1);
+        let norms: Vec<f32> = updates.iter().map(SparseGrad::frobenius_norm_sq).collect();
+        let index = PairDots::new(updates);
+        let mut dots = vec![0.0f32; n];
+        let mut dists: Vec<f32> = Vec::with_capacity(n);
+        let by_value = |a: &f32, b: &f32| a.partial_cmp(b).expect("finite distances");
         let mut best: Option<(f32, usize)> = None;
         for i in 0..n {
-            let mut dists: Vec<f32> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| updates[i].dist_sq(&updates[j]))
-                .collect();
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-            let score: f32 = dists.iter().take(keep).sum();
+            index.row_into(i, 0, &mut dots);
+            dists.clear();
+            dists.extend(
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| dist_sq(norms[i], norms[j], dots[j])),
+            );
+            // Only the `keep` smallest distances are summed, in ascending
+            // order; equal distances are bitwise equal up to ±0, which
+            // cannot change the strict `<` below.
+            let kept = keep.min(dists.len());
+            if kept < dists.len() {
+                dists.select_nth_unstable_by(kept, by_value);
+            }
+            dists[..kept].sort_unstable_by(by_value);
+            let score: f32 = dists[..kept].iter().sum();
             if best.is_none_or(|(s, _)| score < s) {
                 best = Some((score, i));
             }
         }
         best.map(|(_, i)| i)
     }
+}
+
+/// Squared Euclidean distance `‖a‖² + ‖b‖² − 2⟨a,b⟩` from the two squared
+/// norms and the inner product, clamped at zero against floating error.
+fn dist_sq(norm_sq_a: f32, norm_sq_b: f32, dot: f32) -> f32 {
+    (norm_sq_a + norm_sq_b - 2.0 * dot).max(0.0)
 }
 
 impl Aggregator for Krum {
@@ -188,6 +214,107 @@ mod tests {
             .collect();
         v.push(grad(2, &[(0, 100.0)]));
         v
+    }
+
+    /// The pre-index Krum loop: `n(n−1)` merge walks with both norms
+    /// recomputed per pair, then a full sort of every row.
+    fn select_reference(krum: &Krum, updates: &[SparseGrad]) -> Option<usize> {
+        if updates.is_empty() {
+            return None;
+        }
+        let n = updates.len();
+        let keep = n.saturating_sub(krum.assumed_byzantine + 2).max(1);
+        let mut best: Option<(f32, usize)> = None;
+        for i in 0..n {
+            let mut dists: Vec<f32> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| pair_dist_sq(&updates[i], &updates[j]))
+                .collect();
+            dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+            let score: f32 = dists.iter().take(keep).sum();
+            if best.is_none_or(|(s, _)| score < s) {
+                best = Some((score, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    fn pair_dist_sq(a: &SparseGrad, b: &SparseGrad) -> f32 {
+        dist_sq(a.frobenius_norm_sq(), b.frobenius_norm_sq(), a.dot(b))
+    }
+
+    #[test]
+    fn krum_distance_matches_dense_distance() {
+        let mut a = SparseGrad::new(2);
+        a.push_sorted(0, &[1.0, 0.0]);
+        a.push_sorted(2, &[0.0, 2.0]);
+        let mut b = SparseGrad::new(2);
+        b.push_sorted(0, &[0.0, 1.0]);
+        b.push_sorted(5, &[3.0, 0.0]);
+        let (da, db) = (a.to_dense(8), b.to_dense(8));
+        let dense: f32 = da.iter().zip(&db).map(|(x, y)| (x - y) * (x - y)).sum();
+        assert!((pair_dist_sq(&a, &b) - dense).abs() < 1e-5);
+        assert_eq!(pair_dist_sq(&a, &a), 0.0);
+    }
+
+    /// The index-backed selection equals the pairwise reference on seeded
+    /// rounds with shared items, duplicates and zero-norm uploads, at every
+    /// neighbor count: `keep = 1` (f ≥ n − 3), `1 < keep < n − 2`,
+    /// `keep = n − 2` (f = 0, the largest `n − f − 2` allows) and, at
+    /// `n = 2`, `keep = n − 1`.
+    #[test]
+    fn krum_select_matches_the_pairwise_reference() {
+        for seed in 0..40u64 {
+            for n in [1usize, 2, 3, 5, 12, 30] {
+                for k in [1usize, 3, 16] {
+                    let updates = crate::testkit::round(seed, n, k);
+                    for f in [0, 1, 2, n / 3, n] {
+                        let krum = Krum {
+                            assumed_byzantine: f,
+                        };
+                        assert_eq!(
+                            krum.select(&updates),
+                            select_reference(&krum, &updates),
+                            "seed {seed} n {n} k {k} f {f}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ties: identical uploads (all distances 0) keep the first index, and
+    /// zero-norm uploads are ordinary candidates.
+    #[test]
+    fn krum_select_matches_reference_on_ties_and_zero_norms() {
+        let a = grad(3, &[(1, 0.5), (4, -2.0)]);
+        let zero_row = grad(3, &[(2, 0.0)]);
+        let rounds = [
+            vec![a.clone(); 6],
+            vec![SparseGrad::new(3); 4],
+            vec![zero_row.clone(), SparseGrad::new(3), zero_row.clone()],
+            vec![
+                SparseGrad::new(3),
+                a.clone(),
+                zero_row,
+                a.clone(),
+                grad(3, &[(4, -2.0)]),
+                a,
+            ],
+        ];
+        for updates in &rounds {
+            for f in 0..updates.len() + 1 {
+                let krum = Krum {
+                    assumed_byzantine: f,
+                };
+                assert_eq!(krum.select(updates), select_reference(&krum, updates));
+            }
+        }
+        let identical = Krum {
+            assumed_byzantine: 1,
+        };
+        assert_eq!(identical.select(&rounds[0]), Some(0));
+        assert_eq!(identical.select(&rounds[1]), Some(0));
     }
 
     #[test]

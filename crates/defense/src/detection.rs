@@ -23,7 +23,7 @@
 //! loop records one per round) and is re-exported here.
 
 pub use fedrec_federated::defense::{DetectionReport, Detector};
-use fedrec_linalg::{stats, SparseGrad};
+use fedrec_linalg::{stats, PairDots, SparseGrad};
 
 /// Flags clients whose update Frobenius norm is an outlier for the round.
 ///
@@ -116,12 +116,18 @@ impl SimilarityDetector {
             .map(|u| u.frobenius_norm_sq().sqrt())
             .collect();
         let mut suspicious_pairs = vec![0usize; n];
+        let index = PairDots::new(updates);
+        let mut dots = vec![0.0f32; n];
         for i in 0..n {
+            if norms[i] == 0.0 {
+                continue;
+            }
+            index.row_into(i, i + 1, &mut dots);
             for j in (i + 1)..n {
-                if norms[i] == 0.0 || norms[j] == 0.0 {
+                if norms[j] == 0.0 {
                     continue;
                 }
-                let cos = updates[i].dot(&updates[j]) / (norms[i] * norms[j]);
+                let cos = dots[j] / (norms[i] * norms[j]);
                 if cos > self.cosine_threshold {
                     suspicious_pairs[i] += 1;
                     suspicious_pairs[j] += 1;
@@ -227,6 +233,63 @@ mod tests {
         let d = NormDetector::default();
         assert!(!d.two_sided);
         assert_eq!(d.z_threshold, 3.0);
+    }
+
+    /// The pre-index detector loop: one merge walk per upper-triangle pair.
+    fn inspect_reference(d: &SimilarityDetector, updates: &[SparseGrad]) -> DetectionReport {
+        let n = updates.len();
+        let norms: Vec<f32> = updates
+            .iter()
+            .map(|u| u.frobenius_norm_sq().sqrt())
+            .collect();
+        let mut suspicious_pairs = vec![0usize; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if norms[i] == 0.0 || norms[j] == 0.0 {
+                    continue;
+                }
+                let cos = updates[i].dot(&updates[j]) / (norms[i] * norms[j]);
+                if cos > d.cosine_threshold {
+                    suspicious_pairs[i] += 1;
+                    suspicious_pairs[j] += 1;
+                }
+            }
+        }
+        let scores: Vec<f32> = suspicious_pairs.iter().map(|&c| c as f32).collect();
+        let flagged = suspicious_pairs
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c >= d.min_pairs)
+            .map(|(i, _)| i)
+            .collect();
+        DetectionReport { scores, flagged }
+    }
+
+    /// The index-backed detector equals the pairwise reference on seeded
+    /// rounds with shared items, duplicates, scaled copies (cosine 1) and
+    /// zero-norm uploads, at thresholds from "every pair" to "near-copies".
+    #[test]
+    fn similarity_detector_matches_the_pairwise_reference() {
+        for seed in 0..40u64 {
+            for n in [0usize, 1, 2, 5, 12, 30] {
+                for k in [1usize, 3, 16] {
+                    let updates = crate::testkit::round(seed, n, k);
+                    for cosine_threshold in [-1.0f32, 0.0, 0.5, 0.9, 0.999] {
+                        for min_pairs in [1usize, 2, 3] {
+                            let d = SimilarityDetector {
+                                cosine_threshold,
+                                min_pairs,
+                            };
+                            assert_eq!(
+                                d.inspect(&updates),
+                                inspect_reference(&d, &updates),
+                                "seed {seed} n {n} k {k} threshold {cosine_threshold}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,8 @@
 
 pub mod aggregation;
 pub mod detection;
+#[cfg(test)]
+mod testkit;
 
 pub use aggregation::{CoordinateMedian, Krum, NormBound, TrimmedMean};
 pub use detection::{DetectionReport, Detector, NormDetector, SimilarityDetector};

@@ -248,6 +248,15 @@ impl DefenseKind {
     /// carry a one-sided norm detector in *monitor* mode so every cell
     /// records detection trajectories without perturbing training; only
     /// [`DefenseKind::DetectorGated`] actually excludes flagged uploads.
+    ///
+    /// Krum's `f` is `num_malicious.max(1)`: the whole malicious
+    /// population, not the malicious uploads expected in one round. On
+    /// the scale-free presets a round samples a small share of the users,
+    /// so `f` can exceed the round's upload count. At smoke50k, ρ = 1 %,
+    /// it is 500 against ~466 uploads per round, so Krum keeps a single
+    /// neighbour (`n − f − 2` clamps to 1) and becomes nearest-neighbour
+    /// selection. Passing the per-round expectation instead would change
+    /// every Krum cell's records.
     pub fn build(&self, num_malicious: usize) -> DefensePipeline {
         let monitor = || Box::new(NormDetector::new(3.0)) as Box<dyn Detector>;
         match self {
@@ -2297,6 +2306,61 @@ mod tests {
         assert_eq!(old.len(), new.len());
         for (o, n) in old.iter().zip(&new) {
             assert_eq!(o, n, "MF record drifted across the model-axis refactor");
+        }
+    }
+
+    /// The pairwise-defense gate: records byte-identical (volatile fields
+    /// aside) to the checked-in reference generated before Krum and the
+    /// similarity detector read their pair products from one inverted item
+    /// index. The tiny preset has ~31 uploads per round, so the Krum cells
+    /// cover one kept neighbor (f = 30 at ρ = 0.05) and a middle count
+    /// (f = 6 at ρ = 0.01). The NCF random cell gates nothing at this
+    /// scale; the NCF P4 cell at ρ = 0.1 excludes 10 flagged uploads, so
+    /// the detector's flags are pinned too.
+    #[test]
+    fn pairwise_defense_records_match_the_pre_index_reference() {
+        let reference = include_str!("../testdata/pairwise_tiny_reference.jsonl");
+        let cfg = MatrixConfig {
+            eval_every: 2,
+            epochs: Some(4),
+            ..MatrixConfig::at_scale(ScalePreset::Tiny, 42)
+        };
+        let cells = [
+            (
+                ModelKind::Mf,
+                AttackMethod::FedRecAttack,
+                DefenseKind::Krum,
+                0.05,
+            ),
+            (ModelKind::Mf, AttackMethod::Random, DefenseKind::Krum, 0.01),
+            (
+                ModelKind::Ncf,
+                AttackMethod::Random,
+                DefenseKind::DetectorGated,
+                0.05,
+            ),
+            (
+                ModelKind::Ncf,
+                AttackMethod::P4,
+                DefenseKind::DetectorGated,
+                0.1,
+            ),
+        ];
+        let mut produced = Vec::new();
+        for (model, attack, defense, rho) in cells {
+            let cell = CellSpec {
+                model,
+                attack,
+                defense,
+                rho,
+            };
+            produced.extend(run_cell(&cfg, &cell));
+        }
+        let old: Vec<String> = reference.lines().map(volatile_invariant).collect();
+        let new: Vec<String> = produced.iter().map(|l| volatile_invariant(l)).collect();
+        assert_eq!(old.len(), new.len());
+        for (o, n) in old.iter().zip(&new) {
+            assert_eq!(o, n, "record drifted from the pre-index reference");
         }
     }
 

@@ -38,4 +38,4 @@ pub mod vector;
 pub use matrix::Matrix;
 pub use rng::{SeededRng, StreamCheckpoints};
 pub use rowstore::{RowInit, RowShards, SeededGaussianInit, ShardedMatrix};
-pub use sparse::SparseGrad;
+pub use sparse::{PairDots, SparseGrad};

@@ -309,6 +309,9 @@ impl SparseGrad {
 
     /// Inner product `⟨self, other⟩` treating both as flat sparse vectors
     /// (rows for items absent from either side count as zero).
+    ///
+    /// This merge walk is the reference definition: [`PairDots`] computes
+    /// the same value for many pairs at once, bit for bit.
     pub fn dot(&self, other: &SparseGrad) -> f32 {
         assert_eq!(self.k, other.k, "dot: dimension mismatch");
         let mut acc = 0.0f32;
@@ -326,12 +329,90 @@ impl SparseGrad {
         }
         acc
     }
+}
 
-    /// Squared Euclidean distance between two sparse gradients (used by
-    /// Krum's neighbor scoring): `‖a‖² + ‖b‖² − 2⟨a,b⟩`, clamped at zero
-    /// against floating error.
-    pub fn dist_sq(&self, other: &SparseGrad) -> f32 {
-        (self.frobenius_norm_sq() + other.frobenius_norm_sq() - 2.0 * self.dot(other)).max(0.0)
+/// Pairwise inner products of one round of uploads, read one row of the
+/// Gram matrix at a time through an inverted item index (Gustavson's
+/// row-by-row sparse product, ACM TOMS 1978).
+///
+/// The index holds one `(upload, row)` posting per stored upload row,
+/// grouped by item and ordered by upload within an item. Row `i` from
+/// column `from` walks upload `i`'s rows in ascending item order and, for
+/// each, adds `vector::dot(row_i, row_j)` into `out[j]` for every upload
+/// `j >= from` in that item's posting list. Each `out[j]` thus receives
+/// exactly the additions [`SparseGrad::dot`]'s merge walk makes for
+/// `updates[i].dot(&updates[j])`, in the same order and with the same
+/// argument order, so the two agree bit for bit — no symmetry of the
+/// kernel is assumed.
+///
+/// The work per row is the number of shared-item row pairs, not `n`
+/// merge walks, and memory is `O(n + uploaded rows)`: no `n × n` matrix
+/// is ever held.
+#[derive(Debug)]
+pub struct PairDots<'a> {
+    updates: &'a [SparseGrad],
+    /// `(upload, row)` postings, sorted by item and then upload.
+    postings: Vec<(u32, u32)>,
+    /// Posting range of each upload row's item, uploads in order and each
+    /// upload's rows in ascending item order.
+    spans: Vec<(u32, u32)>,
+    /// Where each upload's rows start in `spans`; `n + 1` entries.
+    starts: Vec<usize>,
+}
+
+impl<'a> PairDots<'a> {
+    /// Index one round of uploads (all with the same `k`).
+    pub fn new(updates: &'a [SparseGrad]) -> Self {
+        let mut starts = Vec::with_capacity(updates.len() + 1);
+        let rows = updates.iter().map(SparseGrad::nnz_rows).sum();
+        let mut keyed: Vec<(u32, u32, u32)> = Vec::with_capacity(rows);
+        starts.push(0);
+        for (u, g) in updates.iter().enumerate() {
+            assert_eq!(g.k, updates[0].k, "PairDots: dimension mismatch");
+            let u = u32::try_from(u).expect("PairDots: too many uploads");
+            keyed.extend(g.items.iter().zip(0u32..).map(|(&item, r)| (item, u, r)));
+            starts.push(keyed.len());
+        }
+        assert!(
+            u32::try_from(keyed.len()).is_ok(),
+            "PairDots: too many upload rows"
+        );
+        keyed.sort_unstable();
+        let mut spans = vec![(0u32, 0u32); keyed.len()];
+        let mut lo = 0usize;
+        while lo < keyed.len() {
+            let item = keyed[lo].0;
+            let hi = lo + keyed[lo..].partition_point(|p| p.0 == item);
+            for &(_, u, r) in &keyed[lo..hi] {
+                spans[starts[u as usize] + r as usize] = (lo as u32, hi as u32);
+            }
+            lo = hi;
+        }
+        let postings = keyed.into_iter().map(|(_, u, r)| (u, r)).collect();
+        Self {
+            updates,
+            postings,
+            spans,
+            starts,
+        }
+    }
+
+    /// Fill `out` (length `n`) with row `i` of the Gram matrix from
+    /// column `from` on: `out[j] = updates[i].dot(&updates[j])` bit for
+    /// bit for every `j >= from`, and `out[j] = 0.0` below `from`.
+    pub fn row_into(&self, i: usize, from: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), self.updates.len(), "row_into: bad out length");
+        out.fill(0.0);
+        let a = &self.updates[i];
+        let spans = &self.spans[self.starts[i]..self.starts[i + 1]];
+        for (r, &(lo, hi)) in spans.iter().enumerate() {
+            let list = &self.postings[lo as usize..hi as usize];
+            let first = list.partition_point(|&(u, _)| (u as usize) < from);
+            let row_i = a.row(r);
+            for &(j, rj) in &list[first..] {
+                out[j as usize] += vector::dot(row_i, self.updates[j as usize].row(rj as usize));
+            }
+        }
     }
 }
 
@@ -495,20 +576,5 @@ mod tests {
         let b = grad_of(&[(3, [2.0, 5.0]), (7, [9.0, 9.0])]);
         assert!((a.dot(&b) - 2.0).abs() < 1e-6);
         assert!((a.dot(&a) - a.frobenius_norm_sq()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn dist_sq_matches_dense_distance() {
-        let a = grad_of(&[(0, [1.0, 0.0]), (2, [0.0, 2.0])]);
-        let b = grad_of(&[(0, [0.0, 1.0]), (5, [3.0, 0.0])]);
-        let da = a.to_dense(8);
-        let db = b.to_dense(8);
-        let dense: f32 = da
-            .iter()
-            .zip(db.iter())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum();
-        assert!((a.dist_sq(&b) - dense).abs() < 1e-5);
-        assert_eq!(a.dist_sq(&a), 0.0);
     }
 }

@@ -1,10 +1,42 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use fedrec_linalg::{vector, Matrix, SeededRng, SparseGrad};
+use fedrec_linalg::{vector, Matrix, PairDots, SeededRng, SparseGrad};
 use proptest::prelude::*;
 
 fn small_vec() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-100.0f32..100.0, 1..32)
+}
+
+/// One round of `n` uploads of dimension `k` whose item ids come from a
+/// small range skewed towards 0, so most pairs share items. Some uploads
+/// are empty, some repeat an earlier upload, and some entries are ±0.
+fn skewed_round(n: usize, k: usize, seed: u64) -> Vec<SparseGrad> {
+    let mut rng = SeededRng::new(seed);
+    let mut round: Vec<SparseGrad> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let g = match rng.below(6) {
+            0 => SparseGrad::new(k),
+            1 if !round.is_empty() => round[rng.below(round.len())].clone(),
+            _ => {
+                let mut g = SparseGrad::new(k);
+                for _ in 0..1 + rng.below(12) {
+                    let u = rng.uniform();
+                    let item = (u * u * 20.0) as u32;
+                    let row: Vec<f32> = (0..k)
+                        .map(|_| match rng.below(10) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.normal(0.0, 2.0),
+                        })
+                        .collect();
+                    g.accumulate(item, 1.0, &row);
+                }
+                g
+            }
+        };
+        round.push(g);
+    }
+    round
 }
 
 proptest! {
@@ -94,6 +126,39 @@ proptest! {
             let got = a.get(item).unwrap();
             for (x, y) in row.iter().zip(got.iter()) {
                 prop_assert!((x - y).abs() < 1e-4);
+            }
+        }
+    }
+
+    /// Every row of the inverted-index Gram matrix, from every starting
+    /// column, equals the `SparseGrad::dot` merge walk bit for bit, and is
+    /// `0.0` below the starting column.
+    #[test]
+    fn pair_dots_rows_equal_the_merge_walk(
+        n in 0usize..41,
+        k_pick in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1usize, 3, 8, 16, 17][k_pick];
+        let round = skewed_round(n, k, seed);
+        let index = PairDots::new(&round);
+        let mut out = vec![f32::NAN; n];
+        for i in 0..n {
+            let want: Vec<u32> = round.iter().map(|b| round[i].dot(b).to_bits()).collect();
+            for from in 0..=n {
+                index.row_into(i, from, &mut out);
+                for (j, got) in out.iter().enumerate() {
+                    let want = if j < from { 0.0f32.to_bits() } else { want[j] };
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want,
+                        "k {} row {} from {} col {}",
+                        k,
+                        i,
+                        from,
+                        j
+                    );
+                }
             }
         }
     }
