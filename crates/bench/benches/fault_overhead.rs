@@ -61,7 +61,7 @@ fn bench_round(c: &mut Criterion) {
     let mut epoch = 0usize;
     g.bench_function("round_clean", |b| {
         b.iter(|| {
-            let loss = clean.step(epoch);
+            let loss = clean.step_faulted(epoch).0;
             epoch += 1;
             black_box(loss)
         })
@@ -72,7 +72,7 @@ fn bench_round(c: &mut Criterion) {
     let mut epoch = 0usize;
     g.bench_function("round_faulted", |b| {
         b.iter(|| {
-            let loss = faulted.step(epoch);
+            let loss = faulted.step_faulted(epoch).0;
             epoch += 1;
             black_box(loss)
         })

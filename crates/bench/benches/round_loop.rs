@@ -62,7 +62,7 @@ fn bench_round_loop(c: &mut Criterion) {
         let mut epoch = 0usize;
         g.bench_function(format!("threads/{t}"), |b| {
             b.iter(|| {
-                let loss = sim.step(epoch);
+                let loss = sim.step_faulted(epoch).0;
                 epoch += 1;
                 black_box(loss)
             })

@@ -9,7 +9,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedrec_data::scalefree::ScaleFreeConfig;
 use fedrec_federated::server::SumAggregator;
-use fedrec_federated::{DefensePipeline, FedConfig, NoAttack, Simulation, StoreBackend};
+use fedrec_federated::{
+    DefensePipeline, FedConfig, MfClientModel, NoAttack, Simulation, StoreBackend,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,9 +27,10 @@ fn cfg(users_fraction: f64, k: usize) -> FedConfig {
 }
 
 fn sharded_sim(data: ScaleFreeConfig, fraction: f64, k: usize) -> Simulation {
-    Simulation::with_store(
+    Simulation::with_model(
         Arc::new(data.generate(7)),
         cfg(fraction, k),
+        Box::new(MfClientModel),
         Box::new(NoAttack),
         0,
         DefensePipeline::plain(Box::new(SumAggregator)),
@@ -47,12 +50,12 @@ fn bench_million_user_round(c: &mut Criterion) {
     let mut epoch = 0usize;
     // Prime: the first rounds pay one-time dataset shard generation.
     for _ in 0..3 {
-        sim.step(epoch);
+        sim.step_faulted(epoch);
         epoch += 1;
     }
     g.bench_function("sharded_1m_users/round", |b| {
         b.iter(|| {
-            let loss = sim.step(epoch);
+            let loss = sim.step_faulted(epoch).0;
             epoch += 1;
             black_box(loss)
         })
@@ -84,9 +87,10 @@ fn bench_store_construction(c: &mut Criterion) {
         let data = data.clone();
         g.bench_function(name, |b| {
             b.iter(|| {
-                let sim = Simulation::with_store(
+                let sim = Simulation::with_model(
                     Arc::new(data.generate(7)),
                     cfg(0.01, 16),
+                    Box::new(MfClientModel),
                     Box::new(NoAttack),
                     0,
                     DefensePipeline::plain(Box::new(SumAggregator)),

@@ -32,8 +32,8 @@
 //! participation; ~500 participants per round). `matrix --smoke` runs
 //! the {MF, NCF} × attack × defense grid on the 50k-user scale-free
 //! preset (the NCF half over a representative attack/defense subset),
-//! checks
-//! every record's schema, asserts the lazy-store invariant
+//! checks every record's schema and that the report has a row per cell,
+//! asserts the lazy-store invariant
 //! (`rows_materialized ≤ participants_touched`, and fewer rows than the
 //! population on the sharded backend), reruns the grid on the
 //! dense backend to assert dense-vs-sharded byte-identity, reruns one
@@ -67,6 +67,7 @@ use fedrec_experiments::matrix::{
     self, matrix_report, matrix_report_from, run_cell_into, run_matrix, CellSpec, DefenseKind,
     MatrixConfig, ModelKind, Population,
 };
+use fedrec_experiments::record::{project, Mask, Record};
 use fedrec_experiments::{
     fig3_side_effects, run_serve, serve_smoke, table2_datasets, table3_xi_sweep, table4_rho_sweep,
     table5_kappa_sweep, table6_data_poisoning, table7_effectiveness, table8_model_poisoning,
@@ -416,14 +417,16 @@ fn cmd_matrix(args: &Args) {
 /// preset through the sharded store, with the [`FaultPlan::smoke`]
 /// preset active on every cell:
 ///
-/// 1. every record parses against the schema;
+/// 1. every record parses against the schema ([`Record::parse`]), and
+///    the report rendered over the run's cell files has one row per cell
+///    and one `ncf` row per NCF cell;
 /// 2. every record satisfies the lazy-store invariant
 ///    `rows_materialized ≤ participants_touched`, and on the sharded
 ///    backend materialized fewer rows than the population (`users`);
 /// 3. rerunning the whole grid on the **dense** backend reproduces every
-///    record byte-identically after [`matrix::backend_invariant`]
-///    normalization (only the `backend`/`rows_materialized` fields and
-///    volatile `eval_ms` may differ);
+///    record byte-identically after the [`Mask::BACKEND`] projection
+///    (only the `backend`/`rows_materialized` fields and the volatile
+///    fields may differ);
 /// 4. one cell rerun standalone reproduces its file bytes (modulo
 ///    `eval_ms`, the wall-clock field);
 /// 5. the fedrecattack cell of **each model family** killed at a mid-run
@@ -433,8 +436,8 @@ fn cmd_matrix(args: &Args) {
 ///    shared `Θ` block through the checkpoint);
 /// 6. rerunning the MF probe cell under `--eval-mode pruned` and
 ///    `incremental` (at 1 and 2 eval threads) reproduces the full
-///    sweep's records byte-identically after [`matrix::mode_invariant`]
-///    normalization — and the pruned rerun actually skips items;
+///    sweep's records byte-identically after the [`Mask::MODE`]
+///    projection — and the pruned rerun actually skips items;
 /// 7. every MF cell served live mid-training top-K traffic
 ///    ([`MatrixConfig::serve`] is on for the smoke grid): publish counts
 ///    strictly increase across each cell's records, the final record
@@ -452,7 +455,8 @@ fn cmd_matrix(args: &Args) {
 fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
     let sharded_backend = cfg.backend != StoreBackend::Dense;
     let mut checked = 0usize;
-    // One read per cell file; the later identity checks reuse these lines.
+    // One read and one parse per cell file; the later identity checks
+    // reuse these lines.
     let sharded_cells: Vec<Vec<String>> = outcomes
         .iter()
         .map(|o| {
@@ -464,18 +468,12 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
         })
         .collect();
     for (o, lines) in outcomes.iter().zip(&sharded_cells) {
-        for line in lines {
-            matrix::validate_record(line).unwrap_or_else(|e| fail(&format!("schema: {e}")));
-            let pairs = matrix::parse_record(line)
-                .unwrap_or_else(|| fail(&format!("unparseable record: {line}")));
-            let get = |key: &str| -> usize {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| v.parse().ok())
-                    .unwrap_or_else(|| fail(&format!("record missing {key}: {line}")))
-            };
-            let (rows, touched) = (get("rows_materialized"), get("participants_touched"));
+        let records: Vec<Record> = lines
+            .iter()
+            .map(|l| Record::parse(l).unwrap_or_else(|e| fail(&format!("schema: {e}"))))
+            .collect();
+        for rec in &records {
+            let (rows, touched) = (rec.rows_materialized, rec.participants_touched);
             if rows > touched {
                 fail(&format!(
                     "lazy invariant violated in cell {}: {rows} rows materialized > \
@@ -483,7 +481,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
                     o.cell.id()
                 ));
             }
-            if sharded_backend && rows >= get("users") {
+            if sharded_backend && rows >= rec.users {
                 fail(&format!(
                     "lazy invariant violated in cell {}: the sharded store materialized the \
                      whole population ({rows} rows)",
@@ -499,15 +497,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
         // epoch are served at the next, one eval cadence behind training.
         // NCF cells are exempt by design (the probe's offline verifier is
         // MF dot-product math) and must report the zero serve fields.
-        let serve_counts: Vec<u64> = lines
-            .iter()
-            .map(|l| {
-                matrix::parse_record(l)
-                    .and_then(|p| p.into_iter().find(|(k, _)| k == "serve_publishes"))
-                    .and_then(|(_, v)| v.parse().ok())
-                    .unwrap_or_else(|| fail(&format!("record missing serve_publishes: {l}")))
-            })
-            .collect();
+        let serve_counts: Vec<u64> = records.iter().map(|r| r.serve_publishes).collect();
         if o.cell.model == ModelKind::Ncf {
             if serve_counts.iter().any(|&c| c != 0) {
                 fail(&format!(
@@ -523,18 +513,34 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
                 o.cell.id()
             ));
         }
-        let final_lag: u64 = lines
-            .last()
-            .and_then(|l| matrix::parse_record(l))
-            .and_then(|p| p.into_iter().find(|(k, _)| k == "served_epoch_lag"))
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or_else(|| fail("final record missing served_epoch_lag"));
-        if final_lag == 0 {
+        if records.last().map_or(0, |r| r.served_epoch_lag) == 0 {
             fail(&format!(
                 "serve gate: cell {} never observed serving staleness",
                 o.cell.id()
             ));
         }
+    }
+
+    // Report gate: the table rendered over this run's cell files has one
+    // row per cell, and one `ncf` row per NCF cell.
+    let paths: Vec<PathBuf> = outcomes.iter().map(|o| o.path.clone()).collect();
+    let report =
+        matrix_report_from(&paths).unwrap_or_else(|e| fail(&format!("report failed: {e}")));
+    let ncf_cells = outcomes
+        .iter()
+        .filter(|o| o.cell.model == ModelKind::Ncf)
+        .count();
+    let ncf_rows = report
+        .rows
+        .iter()
+        .filter(|r| r[0] == ModelKind::Ncf.label())
+        .count();
+    if report.rows.len() != outcomes.len() || ncf_rows != ncf_cells {
+        fail(&format!(
+            "report gate: {} rows ({ncf_rows} ncf) for {} cells ({ncf_cells} ncf)",
+            report.rows.len(),
+            outcomes.len()
+        ));
     }
 
     // Dense-vs-sharded byte-identity: the same grid on the eager backend
@@ -551,14 +557,8 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
         if o.cell != *cell {
             fail("dense rerun cell order diverged");
         }
-        let sharded: Vec<String> = s_lines
-            .iter()
-            .map(|l| matrix::backend_invariant(l))
-            .collect();
-        let dense_inv: Vec<String> = dense_lines
-            .iter()
-            .map(|l| matrix::backend_invariant(l))
-            .collect();
+        let sharded = projected(s_lines, Mask::BACKEND);
+        let dense_inv = projected(dense_lines, Mask::BACKEND);
         if sharded != dense_inv {
             fail(&format!(
                 "dense vs sharded records diverged for cell {}:\n  sharded: {:?}\n  dense:   {:?}",
@@ -569,12 +569,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
         }
     }
 
-    let vol = |lines: &[String]| -> Vec<String> {
-        lines
-            .iter()
-            .map(|l| matrix::volatile_invariant(l))
-            .collect()
-    };
+    let vol = |lines: &[String]| projected(lines, Mask::VOLATILE);
     // The eval-mode probe must be an MF cell: NCF cells pin `full` mode
     // (the pruned/incremental bounds are dot-product math), so rerunning
     // one under another mode would trivially pass without exercising the
@@ -596,7 +591,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
     // Eval-mode identity gate: the pruned and incremental fast paths must
     // reproduce the full blocked sweep's records byte-identically modulo
     // the mode bookkeeping fields, at both 1 and 2 eval threads.
-    let full_inv: Vec<String> = original.iter().map(|l| matrix::mode_invariant(l)).collect();
+    let full_inv = projected(original, Mask::MODE);
     let mut pruned_skipped = 0u64;
     for mode in [EvalMode::Pruned, EvalMode::Incremental] {
         for threads in [1usize, 2] {
@@ -606,8 +601,7 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
                 ..cfg.clone()
             };
             let lines = matrix::run_cell(&mode_cfg, &probe.cell);
-            let inv: Vec<String> = lines.iter().map(|l| matrix::mode_invariant(l)).collect();
-            if inv != full_inv {
+            if projected(&lines, Mask::MODE) != full_inv {
                 fail(&format!(
                     "eval-mode identity: cell {} under {} x{threads} eval threads diverged \
                      from the full sweep",
@@ -618,12 +612,10 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
             if mode == EvalMode::Pruned && threads == 1 {
                 pruned_skipped = lines
                     .iter()
-                    .filter_map(|l| matrix::parse_record(l))
-                    .filter_map(|pairs| {
-                        pairs
-                            .into_iter()
-                            .find(|(k, _)| k == "items_skipped")
-                            .and_then(|(_, v)| v.parse::<u64>().ok())
+                    .map(|l| {
+                        Record::parse(l)
+                            .unwrap_or_else(|e| fail(&format!("schema: {e}")))
+                            .items_skipped
                     })
                     .sum();
             }
@@ -707,17 +699,24 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
 
     println!(
         "smoke OK: {checked} records schema-valid, rows_materialized <= participants_touched \
-         and < users in every record, dense/sharded byte-identical across {} cells (MF and NCF), cell {} \
+         and < users in every record, report renders {} rows ({ncf_rows} ncf), dense/sharded \
+         byte-identical across {} cells (MF and NCF), cell {} \
          byte-identical on standalone rerun and under pruned/incremental eval modes at 1/2 \
          eval threads ({pruned_skipped} items pruned), NCF cell {} byte-identical on \
          standalone rerun and pinned to full-mode eval, cells {} kill-and-resume \
          byte-identical at 1/2/8 threads, every MF cell served offline-identical \
          mid-training top-K traffic",
+        report.rows.len(),
         outcomes.len(),
         probe.cell.id(),
         ncf_probe.cell.id(),
         crash_ids.join(" and ")
     );
+}
+
+/// Project every line of one cell under `mask`.
+fn projected(lines: &[String], mask: Mask) -> Vec<String> {
+    lines.iter().map(|l| project(l, mask)).collect()
 }
 
 fn cmd_cell(args: &Args) {
@@ -864,8 +863,7 @@ fn run_one(name: &str, args: &Args) -> Vec<Table> {
 fn emit(rendered: &str, args: &Args, tables: usize) {
     match &args.out {
         Some(path) => {
-            let mut f = std::fs::File::create(path).expect("create output file");
-            f.write_all(rendered.as_bytes()).expect("write output");
+            std::fs::write(path, rendered).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
             eprintln!("wrote {tables} table(s) to {path}");
         }
         None => print!("{rendered}"),

@@ -29,6 +29,7 @@ pub mod detection;
 pub mod fig3;
 pub mod matrix;
 pub mod paper_ref;
+pub mod record;
 pub mod report;
 pub mod runner;
 pub mod scale;
@@ -38,8 +39,8 @@ pub mod tables;
 pub use detection::extension_detection;
 pub use fig3::fig3_side_effects;
 pub use matrix::{
-    backend_invariant, matrix_report, matrix_report_from, model_invariant, run_cell, run_matrix,
-    run_matrix_collect, CellSpec, DefenseKind, MatrixConfig, ModelKind, Population, ScalePreset,
+    matrix_report, matrix_report_from, run_cell, run_matrix, run_matrix_collect, CellSpec,
+    DefenseKind, MatrixConfig, ModelKind, Population, ScalePreset,
 };
 pub use report::Table;
 pub use runner::{run_experiment, ExperimentSpec, Outcome};

@@ -18,7 +18,7 @@
 //! ([`Population::ScaleFree`]) — the regime the paper's threat model
 //! actually assumes, where attackers control a tiny fraction of a huge
 //! user base. Cells are wired through
-//! [`Simulation::with_store`] with the configured [`StoreBackend`], so a
+//! [`Simulation::with_model`] with the configured [`StoreBackend`], so a
 //! million-user cell materializes only the clients the protocol selects
 //! (`rows_materialized ≤ participants_touched`, recorded per record) and
 //! the malicious users exist as lazily materialized rows of the
@@ -33,9 +33,9 @@
 //! Each cell also names a [`ModelKind`]: matrix factorization (the
 //! paper's experimental model, the historical path) or NCF with its
 //! shared interaction MLP `Θ` riding the round loop's flat shared block.
-//! MF cells keep their pre-model-axis ids, seeds and filenames, and —
-//! [`model_invariant`] — their records are byte-identical to before the
-//! model axis existed modulo the new `model` key. NCF cells (`ncf_`-
+//! MF cells keep their pre-model-axis ids, seeds and filenames, and their
+//! records are byte-identical to before the model axis existed modulo the
+//! new `model` key ([`Mask::MODEL`](crate::record::Mask::MODEL)). NCF cells (`ncf_`-
 //! prefixed ids) run the same attacks (poisoning `V` only — the paper's
 //! §IV generic choice) and defenses, evaluate through the MLP scorer in
 //! `full` mode only (the pruned/incremental norm bounds are dot-product
@@ -46,13 +46,18 @@
 //! Every cell derives its RNG seed from the master seed and the cell's
 //! identity alone ([`CellSpec::cell_seed`]), never from scheduling: a
 //! cell rerun standalone (`repro cell`) reproduces its JSONL records
-//! **byte-identically** — modulo the single volatile wall-clock field
-//! `eval_ms`, which every identity gate strips via
-//! [`volatile_invariant`] — regardless of worker count or which other
-//! cells ran. Dense and sharded backends are bit-identical too: a record
+//! **byte-identically** — modulo the wall-clock field `eval_ms` and the
+//! serve probe's counters, which every identity gate strips
+//! ([`Mask::VOLATILE`]) — regardless of worker count or which other cells
+//! ran. Dense and sharded backends are bit-identical too: a record
 //! differs only in its `backend` and `rows_materialized` fields
-//! (normalized by [`backend_invariant`]). `repro matrix --smoke` asserts
-//! both on the 50k-user scale-free smoke preset.
+//! ([`Mask::BACKEND`]). `repro matrix --smoke` asserts both on the
+//! 50k-user scale-free smoke preset. [`Record`] is the record's schema,
+//! and [`project`] the projection every gate compares under.
+//!
+//! [`Mask::VOLATILE`]: crate::record::Mask::VOLATILE
+//! [`Mask::BACKEND`]: crate::record::Mask::BACKEND
+//! [`project`]: crate::record::project
 //!
 //! # Evaluation fast path
 //!
@@ -62,10 +67,13 @@
 //! [`IncrementalEvalState`] living for the cell's lifetime). All three
 //! produce byte-identical metric fields; only
 //! `eval_mode`/`items_scored`/`items_skipped` (and the volatile
-//! `eval_ms`) differ, normalized by [`mode_invariant`]. Scale-free cells
+//! `eval_ms`) differ ([`Mask::MODE`](crate::record::Mask::MODE)). Scale-free cells
 //! sweep fixed 1,024-user shards; dense cells sweep the population as one
 //! shard, which sums the metrics in the historical one-pass order.
 
+// `parse_record` keeps its `matrix` path: perfbench imports it from here.
+pub use crate::record::parse_record;
+use crate::record::Record;
 use crate::report::Table;
 use crate::runner::{default_targets, malicious_count};
 use crate::scale::{DatasetId, Scale};
@@ -75,12 +83,12 @@ use fedrec_data::split::{leave_one_out, TestSet};
 use fedrec_data::{Dataset, HoldoutView, InteractionSource};
 use fedrec_defense::{Krum, NormBound, NormDetector, SimilarityDetector, TrimmedMean};
 use fedrec_federated::defense::{DefensePipeline, Detector};
-use fedrec_federated::history::{RoundDefense, TrainingHistory};
+use fedrec_federated::history::TrainingHistory;
 use fedrec_federated::server::SumAggregator;
 use fedrec_federated::simulation::Snapshot;
-use fedrec_federated::{FaultPlan, Simulation, StoreBackend};
+use fedrec_federated::{ClientModel, FaultPlan, MfClientModel, Simulation, StoreBackend};
 use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
-use fedrec_recsys::eval::{EvalReport, Evaluator};
+use fedrec_recsys::eval::Evaluator;
 use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_recsys::{EvalMode, IncrementalEvalState};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
@@ -431,7 +439,8 @@ pub struct MatrixConfig {
     pub faults: Option<FaultPlan>,
     /// How MF cells compute their streamed evaluation (NCF cells always
     /// run the full scored sweep and record `full`). All modes produce
-    /// byte-identical metric fields; see [`mode_invariant`].
+    /// byte-identical metric fields; see
+    /// [`Mask::MODE`](crate::record::Mask::MODE).
     pub eval_mode: EvalMode,
     /// Worker threads inside each streamed evaluation (results are
     /// thread-invariant; >1 only pays off when the grid itself is not
@@ -575,266 +584,6 @@ fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Keys every JSONL record carries, in emission order. The `f_*` keys are
-/// the cumulative fault counters (dropped/timed-out uploads, late arrivals
-/// applied, quarantined payloads, straggler retries, quorum-skipped
-/// rounds); they read 0 when the grid runs without a fault plan, and they
-/// are backend-independent — fault decisions are a pure function of
-/// `(fault seed, round, client)`. The trailing eval keys describe the
-/// record's evaluation pass: `eval_ms` (wall-clock, volatile), `eval_mode`
-/// (`full`/`pruned`/`incremental`), and the deterministic work counters
-/// `items_scored`/`items_skipped` (top-K selection dot products spent vs
-/// avoided). The trailing serve keys describe the live serving probe
-/// ([`MatrixConfig::serve`]): cumulative snapshot publishes and the worst
-/// epochs-behind observed on any served response — both volatile, because
-/// serving state is deliberately not checkpointed (a crash-resumed cell
-/// restarts its service cold).
-pub const RECORD_KEYS: [&str; 36] = [
-    "cell",
-    "model",
-    "attack",
-    "defense",
-    "rho",
-    "seed",
-    "population",
-    "backend",
-    "users",
-    "epoch",
-    "final",
-    "loss",
-    "er5",
-    "er10",
-    "ndcg10",
-    "hr10",
-    "det_inspected",
-    "det_flagged",
-    "det_excluded",
-    "det_precision",
-    "det_recall",
-    "excluded_total",
-    "malicious",
-    "rows_materialized",
-    "participants_touched",
-    "f_dropped",
-    "f_late",
-    "f_rejected",
-    "f_retried",
-    "f_skipped",
-    "eval_ms",
-    "eval_mode",
-    "items_scored",
-    "items_skipped",
-    "serve_publishes",
-    "served_epoch_lag",
-];
-
-/// The record keys whose values legitimately differ between the dense
-/// and sharded backends of the same cell: the backend name itself, and
-/// how many client rows the store holds (`n` eagerly vs. exactly the
-/// ever-selected participants lazily). Everything else — losses, metrics,
-/// detection counts, `participants_touched` — must be bit-identical.
-pub const BACKEND_DEPENDENT_KEYS: [&str; 2] = ["backend", "rows_materialized"];
-
-/// The record keys whose values are not a deterministic function of the
-/// cell inputs alone: `eval_ms` is wall-clock time, and the serve probe
-/// counters depend on serving state that is deliberately not checkpointed
-/// (a crash-resumed cell restarts its service cold, so its cumulative
-/// publish count and observed lag restart too). Every byte-identity gate
-/// strips them first (see [`volatile_invariant`]).
-pub const VOLATILE_KEYS: [&str; 3] = ["eval_ms", "serve_publishes", "served_epoch_lag"];
-
-/// The record keys that legitimately differ between [`EvalMode`]s of the
-/// same cell: the mode label and the work counters. The metric fields —
-/// losses, ER/NDCG/HR, detection — must be bit-identical across modes.
-pub const MODE_DEPENDENT_KEYS: [&str; 3] = ["eval_mode", "items_scored", "items_skipped"];
-
-/// The one record key the model axis added: the cell's model family.
-/// Projecting it away ([`model_invariant`]) reduces a post-model-axis MF
-/// record to its pre-model-axis spelling — the before/after-refactor
-/// byte-identity gate over the checked-in MF reference records.
-pub const MODEL_DEPENDENT_KEYS: [&str; 1] = ["model"];
-
-/// Remove `keys` fields from one flat JSONL record. None of the stripped
-/// keys is ever first in a record (`"cell"` is), so the leading comma
-/// always exists and the remainder stays valid JSON.
-fn strip_keys(line: &str, keys: &[&str]) -> String {
-    let mut out = line.to_string();
-    for key in keys {
-        let needle = format!(",\"{key}\":");
-        if let Some(start) = out.find(&needle) {
-            let vstart = start + needle.len();
-            let vend = out[vstart..]
-                .find([',', '}'])
-                .map(|i| vstart + i)
-                .unwrap_or(out.len());
-            out.replace_range(start..vend, "");
-        }
-    }
-    out
-}
-
-/// Normalize one JSONL record for dense-vs-sharded comparison by
-/// removing the [`BACKEND_DEPENDENT_KEYS`] fields (and the volatile
-/// timing field). Two backends of the same cell must agree byte-for-byte
-/// after this projection — the invariant `repro matrix --smoke` enforces.
-pub fn backend_invariant(line: &str) -> String {
-    strip_keys(
-        line,
-        &[&BACKEND_DEPENDENT_KEYS[..], &VOLATILE_KEYS[..]].concat(),
-    )
-}
-
-/// Normalize one JSONL record for rerun comparison by removing the
-/// [`VOLATILE_KEYS`] fields. Two runs of the same cell under the same
-/// config must agree byte-for-byte after this projection.
-pub fn volatile_invariant(line: &str) -> String {
-    strip_keys(line, &VOLATILE_KEYS)
-}
-
-/// Normalize one JSONL record for cross-[`EvalMode`] comparison by
-/// removing the [`MODE_DEPENDENT_KEYS`] and volatile fields. The same
-/// cell under `full`, `pruned` and `incremental` evaluation must agree
-/// byte-for-byte after this projection — the mode-equivalence invariant
-/// `repro matrix --smoke` enforces.
-pub fn mode_invariant(line: &str) -> String {
-    strip_keys(
-        line,
-        &[&MODE_DEPENDENT_KEYS[..], &VOLATILE_KEYS[..]].concat(),
-    )
-}
-
-/// Normalize one JSONL record for cross-refactor comparison by removing
-/// the [`MODEL_DEPENDENT_KEYS`] and volatile fields: an MF record so
-/// projected must be byte-identical to the [`volatile_invariant`]
-/// projection of the same cell's record from before the model axis
-/// existed — the invariant guarding the `ClientModel` refactor.
-pub fn model_invariant(line: &str) -> String {
-    strip_keys(
-        line,
-        &[&MODEL_DEPENDENT_KEYS[..], &VOLATILE_KEYS[..]].concat(),
-    )
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The identity fields every record of a cell shares.
-struct CellIdentity<'a> {
-    cell: &'a CellSpec,
-    id: &'a str,
-    seed: u64,
-    population: &'a str,
-    backend: &'a str,
-    users: usize,
-}
-
-/// The per-record training-progress fields: where the run is, plus the
-/// live store counters (the `materialized ≤ touched` scale invariant,
-/// observable from every record).
-struct RecordPoint {
-    epoch: usize,
-    is_final: bool,
-    loss: f32,
-    rows_materialized: usize,
-    participants_touched: usize,
-    /// Cumulative snapshot publishes by the cell's live serving probe
-    /// (0 when serving is off). Volatile: not checkpointed.
-    serve_publishes: u64,
-    /// Worst epochs-behind observed on any served probe response so far
-    /// (0 when serving is off). Volatile: not checkpointed.
-    served_epoch_lag: u64,
-}
-
-/// What one evaluation pass cost: wall-clock (volatile), the mode that
-/// ran, and the deterministic dot-product counters.
-pub struct EvalStats {
-    /// Wall-clock milliseconds of the evaluation pass — the one record
-    /// field that is *not* a deterministic function of the inputs.
-    pub ms: u64,
-    /// The [`EvalMode`] label that produced the report.
-    pub mode: &'static str,
-    /// Top-K selection dot products computed.
-    pub items_scored: u64,
-    /// Top-K selection dot products avoided (exclusions, pruned bounds,
-    /// valid incremental caches).
-    pub items_skipped: u64,
-}
-
-fn render_line(
-    ident: &CellIdentity<'_>,
-    point: &RecordPoint,
-    rep: &EvalReport,
-    eval: &EvalStats,
-    det: Option<&RoundDefense>,
-    excluded_total: usize,
-    faults: (usize, usize, usize, usize, usize),
-) -> String {
-    let CellIdentity {
-        cell,
-        id,
-        seed,
-        population,
-        backend,
-        users,
-    } = *ident;
-    let RecordPoint {
-        epoch,
-        is_final,
-        loss,
-        rows_materialized,
-        participants_touched,
-        serve_publishes,
-        served_epoch_lag,
-    } = *point;
-    let (inspected, flagged, excluded, precision, recall, malicious) = match det {
-        Some(d) => (
-            d.inspected,
-            d.flagged,
-            d.excluded,
-            d.precision,
-            d.recall,
-            d.malicious,
-        ),
-        None => (0, 0, 0, 1.0, 1.0, 0),
-    };
-    let (f_dropped, f_late, f_rejected, f_retried, f_skipped) = faults;
-    format!(
-        "{{\"cell\":\"{id}\",\"model\":\"{}\",\"attack\":\"{}\",\"defense\":\"{}\",\"rho\":{},\"seed\":{seed},\
-         \"population\":\"{population}\",\"backend\":\"{backend}\",\"users\":{users},\
-         \"epoch\":{epoch},\"final\":{is_final},\"loss\":{},\"er5\":{},\"er10\":{},\
-         \"ndcg10\":{},\"hr10\":{},\"det_inspected\":{inspected},\"det_flagged\":{flagged},\
-         \"det_excluded\":{excluded},\"det_precision\":{},\"det_recall\":{},\
-         \"excluded_total\":{excluded_total},\"malicious\":{malicious},\
-         \"rows_materialized\":{},\"participants_touched\":{},\
-         \"f_dropped\":{f_dropped},\"f_late\":{f_late},\"f_rejected\":{f_rejected},\
-         \"f_retried\":{f_retried},\"f_skipped\":{f_skipped},\
-         \"eval_ms\":{},\"eval_mode\":\"{}\",\"items_scored\":{},\"items_skipped\":{},\
-         \"serve_publishes\":{serve_publishes},\"served_epoch_lag\":{served_epoch_lag}}}",
-        cell.model.label(),
-        cell.attack.label(),
-        cell.defense.label(),
-        num(cell.rho),
-        num(loss as f64),
-        num(rep.attack.er_at_5),
-        num(rep.attack.er_at_10),
-        num(rep.attack.ndcg_at_10),
-        num(rep.hr_at_10),
-        num(precision),
-        num(recall),
-        rows_materialized,
-        participants_touched,
-        eval.ms,
-        eval.mode,
-        eval.items_scored,
-        eval.items_skipped,
-    )
-}
-
 /// The grid-constant world every cell shares: population, split, targets.
 /// Derived from the *master* seed only, so it is built once per matrix
 /// run and borrowed by every worker — and a standalone cell rerun
@@ -893,7 +642,8 @@ impl GridWorld {
 }
 
 /// Run one cell, streaming one JSONL record per eval epoch (plus a final
-/// record) into `sink`. Returns the number of records written.
+/// record) into `sink`. Returns the number of records written; on a
+/// write error, returns it and writes nothing more.
 ///
 /// Everything stochastic derives from `cfg.seed` and the cell identity,
 /// so repeated calls — in any process, under any worker count — produce
@@ -942,13 +692,15 @@ struct CellEval<'w> {
 }
 
 impl CellEval<'_> {
+    /// Evaluate one model state into `rec`'s metric and eval fields.
     fn run(
         &self,
         items: &fedrec_linalg::Matrix,
         shared: &[f32],
         users: &dyn fedrec_recsys::UserRowSource,
-    ) -> (EvalReport, EvalStats) {
-        // fedrec-lint: allow(wall-clock) — times the eval pass for the volatile `eval_ms` record field; every identity gate strips it (volatile_invariant)
+        rec: &mut Record,
+    ) {
+        // fedrec-lint: allow(wall-clock) — times the eval pass for the volatile `eval_ms` record field; every identity gate strips it (Mask::VOLATILE)
         let started = std::time::Instant::now();
         let span = 0..self.eval_users;
         let (rep, counters, mode) = if self.ncf {
@@ -982,13 +734,14 @@ impl CellEval<'_> {
             );
             (rep, counters, self.mode)
         };
-        let stats = EvalStats {
-            ms: started.elapsed().as_millis() as u64,
-            mode: mode.label(),
-            items_scored: counters.items_scored,
-            items_skipped: counters.items_skipped,
-        };
-        (rep, stats)
+        rec.eval_ms = started.elapsed().as_millis() as u64;
+        rec.er5 = rep.attack.er_at_5;
+        rec.er10 = rep.attack.er_at_10;
+        rec.ndcg10 = rep.attack.ndcg_at_10;
+        rec.hr10 = rep.hr_at_10;
+        rec.eval_mode = mode;
+        rec.items_scored = counters.items_scored;
+        rec.items_skipped = counters.items_skipped;
     }
 }
 
@@ -1004,7 +757,7 @@ const SERVE_PROBE_USERS: usize = 4;
 /// verified byte-identical to offline evaluation of exactly the snapshot
 /// its epoch tag names — a torn or stale `V` cannot pass. None of this
 /// state is checkpointed, which is why the two record fields it feeds
-/// ([`VOLATILE_KEYS`]) are volatile.
+/// are volatile ([`Mask::VOLATILE`](crate::record::Mask::VOLATILE)).
 struct CellServe {
     svc: Service,
     tx: mpsc::Sender<ServedTopK>,
@@ -1016,17 +769,14 @@ struct CellServe {
 }
 
 /// Everything a prepared cell carries besides the simulation itself:
-/// the evaluation harness, the record identity fields, and the streaming
+/// the evaluation harness, the record template, and the streaming
 /// cadence. Split from [`Simulation`] so record-emitting hooks can borrow
 /// it while the simulation is mutably driven.
 struct CellHarness<'w> {
     eval: CellEval<'w>,
-    cell: CellSpec,
-    id: String,
-    cseed: u64,
-    population: &'static str,
-    backend: &'static str,
-    users: usize,
+    /// The cell's identity fields over neutral defaults; every record the
+    /// cell emits starts as a copy.
+    base: Record,
     epochs: usize,
     eval_every: usize,
     /// Live serving probe; `None` unless [`MatrixConfig::serve`] is on.
@@ -1036,29 +786,36 @@ struct CellHarness<'w> {
 }
 
 impl CellHarness<'_> {
+    /// Complete `rec` (whose epoch, loss and store counters are set) from
+    /// one model state: tick the serve probe, evaluate, and copy in the
+    /// run's defense and fault counters.
     fn line(
         &self,
-        point: &RecordPoint,
-        rep: &EvalReport,
-        eval: &EvalStats,
+        mut rec: Record,
+        items: &fedrec_linalg::Matrix,
+        shared: &[f32],
+        users: &dyn fedrec_recsys::UserRowSource,
         hist: &TrainingHistory,
     ) -> String {
-        render_line(
-            &CellIdentity {
-                cell: &self.cell,
-                id: self.id.as_str(),
-                seed: self.cseed,
-                population: self.population,
-                backend: self.backend,
-                users: self.users,
-            },
-            point,
-            rep,
-            eval,
-            hist.defense.last(),
-            hist.total_excluded(),
-            hist.fault_totals(),
-        )
+        (rec.serve_publishes, rec.served_epoch_lag) = self.serve_tick(rec.epoch, items, users);
+        self.eval.run(items, shared, users, &mut rec);
+        if let Some(d) = hist.defense.last() {
+            rec.det_inspected = d.inspected;
+            rec.det_flagged = d.flagged;
+            rec.det_excluded = d.excluded;
+            rec.det_precision = d.precision;
+            rec.det_recall = d.recall;
+            rec.malicious = d.malicious;
+        }
+        rec.excluded_total = hist.total_excluded();
+        (
+            rec.f_dropped,
+            rec.f_late,
+            rec.f_rejected,
+            rec.f_retried,
+            rec.f_skipped,
+        ) = hist.fault_totals();
+        rec.to_line()
     }
 
     /// The mid-run record for an epoch snapshot, if this epoch emits one
@@ -1068,43 +825,27 @@ impl CellHarness<'_> {
         if self.eval_every == 0 || !done.is_multiple_of(self.eval_every) || done == self.epochs {
             return None;
         }
-        let (serve_publishes, served_epoch_lag) = self.serve_tick(done, snap.items, snap.users);
-        let (rep, stats) = self.eval.run(snap.items, snap.shared, snap.users);
-        Some(self.line(
-            &RecordPoint {
-                epoch: done,
-                is_final: false,
-                loss: snap.loss,
-                rows_materialized: snap.rows_materialized,
-                participants_touched: snap.participants_touched,
-                serve_publishes,
-                served_epoch_lag,
-            },
-            &rep,
-            &stats,
-            hist,
-        ))
+        let rec = Record {
+            epoch: done,
+            loss: snap.loss as f64,
+            rows_materialized: snap.rows_materialized,
+            participants_touched: snap.participants_touched,
+            ..self.base.clone()
+        };
+        Some(self.line(rec, snap.items, snap.shared, snap.users, hist))
     }
 
     /// The summary record for a finished run.
     fn final_line(&self, sim: &Simulation, history: &TrainingHistory) -> String {
-        let (serve_publishes, served_epoch_lag) =
-            self.serve_tick(self.epochs, sim.items(), sim.user_rows());
-        let (rep, stats) = self.eval.run(sim.items(), sim.shared(), sim.user_rows());
-        self.line(
-            &RecordPoint {
-                epoch: self.epochs,
-                is_final: true,
-                loss: history.losses.last().copied().unwrap_or(0.0),
-                rows_materialized: sim.rows_materialized(),
-                participants_touched: sim.participants_touched(),
-                serve_publishes,
-                served_epoch_lag,
-            },
-            &rep,
-            &stats,
-            history,
-        )
+        let rec = Record {
+            epoch: self.epochs,
+            is_final: true,
+            loss: history.losses.last().copied().unwrap_or(0.0) as f64,
+            rows_materialized: sim.rows_materialized(),
+            participants_touched: sim.participants_touched(),
+            ..self.base.clone()
+        };
+        self.line(rec, sim.items(), sim.shared(), sim.user_rows(), history)
     }
 
     /// One live-serving step at an emitting epoch (`done` epochs have
@@ -1136,7 +877,7 @@ impl CellHarness<'_> {
                     resp.epoch, prev_tag,
                     "serve identity (cell {}): response tagged epoch {} but only \
                      epoch {prev_tag} was published when it was queued",
-                    self.id, resp.epoch
+                    self.base.cell, resp.epoch
                 );
                 st.lag_max = st.lag_max.max((done as u64).saturating_sub(resp.epoch));
                 users.write_user_row(resp.user as usize, &mut row);
@@ -1156,18 +897,18 @@ impl CellHarness<'_> {
                     matches,
                     "serve identity (cell {}): user {} response at epoch {prev_tag} is \
                      not byte-identical to offline evaluation of that snapshot",
-                    self.id, resp.user
+                    self.base.cell, resp.user
                 );
             }
             assert_eq!(
                 seen, served,
                 "serve identity (cell {}): drained {served} responses but received {seen}",
-                self.id
+                self.base.cell
             );
         }
         st.svc.publish(done as u64, items);
         st.published = Some((done as u64, items.clone()));
-        for u in 0..self.users.min(SERVE_PROBE_USERS) as u32 {
+        for u in 0..self.base.users.min(SERVE_PROBE_USERS) as u32 {
             let tx = st.tx.clone();
             assert!(st.svc.submit(u, Vec::new(), tx), "serve queue closed");
         }
@@ -1220,30 +961,22 @@ fn prepare_cell<'w>(
     .seed(cseed ^ 0xA7)
     .public(cfg.xi, cseed ^ 0xD1)
     .max_attack_users(scale_free.then_some(SCALE_ATTACK_USER_CAP));
-    let adversary = build_adversary(cell.attack, &env);
-    let pipeline = cell.defense.build(num_malicious);
-    let mut sim = match cell.model {
-        ModelKind::Mf => Simulation::with_store(
-            source.clone(),
-            fed,
-            adversary,
-            num_malicious,
-            pipeline,
-            cfg.backend,
-        ),
-        // NCF cells share the MF adversary registry: poisoning `V` only
-        // is the paper's §IV generic choice, and it keeps every attack's
-        // checkpoint support intact.
-        ModelKind::Ncf => Simulation::with_model(
-            source.clone(),
-            fed,
-            Box::new(NcfClientModel::new(NCF_HIDDEN, fed.k)),
-            adversary,
-            num_malicious,
-            pipeline,
-            cfg.backend,
-        ),
+    // NCF cells share the MF adversary registry: poisoning `V` only is the
+    // paper's §IV generic choice, and it keeps every attack's checkpoint
+    // support intact.
+    let model: Box<dyn ClientModel> = match cell.model {
+        ModelKind::Mf => Box::new(MfClientModel),
+        ModelKind::Ncf => Box::new(NcfClientModel::new(NCF_HIDDEN, fed.k)),
     };
+    let mut sim = Simulation::with_model(
+        source.clone(),
+        fed,
+        model,
+        build_adversary(cell.attack, &env),
+        num_malicious,
+        cell.defense.build(num_malicious),
+        cfg.backend,
+    );
     if let Some(plan) = cfg.faults {
         sim.enable_faults(plan, cseed ^ 0xFA17);
     }
@@ -1253,13 +986,53 @@ fn prepare_cell<'w>(
     } else {
         source.num_users()
     };
-    let backend_label = match cfg.backend {
+    let backend = match cfg.backend {
         StoreBackend::Dense => "dense",
         StoreBackend::Sharded { .. } => "sharded",
     };
     let shard_rows = match (dense, cell.model) {
         (Some(_), ModelKind::Mf) => source.num_users().max(1),
         _ => EVAL_SHARD_ROWS,
+    };
+    let base = Record {
+        cell: cell.id(),
+        model: cell.model,
+        attack: cell.attack,
+        defense: cell.defense,
+        rho: cell.rho,
+        seed: cseed,
+        population: cfg.population.label().to_string(),
+        backend: backend.to_string(),
+        users: source.num_users(),
+        epoch: 0,
+        is_final: false,
+        loss: 0.0,
+        er5: 0.0,
+        er10: 0.0,
+        ndcg10: 0.0,
+        hr10: 0.0,
+        // A cell without a detector inspects nothing: precision and recall
+        // hold vacuously.
+        det_inspected: 0,
+        det_flagged: 0,
+        det_excluded: 0,
+        det_precision: 1.0,
+        det_recall: 1.0,
+        excluded_total: 0,
+        malicious: 0,
+        rows_materialized: 0,
+        participants_touched: 0,
+        f_dropped: 0,
+        f_late: 0,
+        f_rejected: 0,
+        f_retried: 0,
+        f_skipped: 0,
+        eval_ms: 0,
+        eval_mode: cfg.eval_mode,
+        items_scored: 0,
+        items_skipped: 0,
+        serve_publishes: 0,
+        served_epoch_lag: 0,
     };
     let harness = CellHarness {
         eval: CellEval {
@@ -1273,12 +1046,7 @@ fn prepare_cell<'w>(
             ncf: cell.model == ModelKind::Ncf,
             inc: Mutex::new(IncrementalEvalState::new()),
         },
-        cell: *cell,
-        id: cell.id(),
-        cseed,
-        population: cfg.population.label(),
-        backend: backend_label,
-        users: source.num_users(),
+        base,
         epochs: fed.epochs,
         eval_every: cfg.eval_every,
         // The serve probe verifies responses against offline MF
@@ -1299,53 +1067,94 @@ fn prepare_cell<'w>(
     (sim, harness)
 }
 
+/// Train `sim` up to (exclusive) epoch `stop`, one epoch at a time,
+/// handing each mid-run record to `emit`; stops at the first error.
+fn run_to(
+    sim: &mut Simulation,
+    harness: &CellHarness<'_>,
+    history: &mut TrainingHistory,
+    stop: usize,
+    emit: &mut dyn FnMut(String) -> io::Result<()>,
+) -> io::Result<()> {
+    while sim.next_epoch() < stop {
+        let next = sim.next_epoch() + 1;
+        let mut line = None;
+        let mut hook = |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
+            line = harness.snapshot_line(snap, hist);
+        };
+        sim.run_segment(Some(&mut hook), history, next);
+        if let Some(line) = line {
+            emit(line)?;
+        }
+    }
+    Ok(())
+}
+
+/// The one way a cell runs: run `cell` and hand every record line to `emit`
+/// in order. With `kill_after`, the cell stops after that many epochs,
+/// checkpoints, drops its simulation, is built again from the config (as
+/// a restarted process would), restores the checkpoint and finishes.
+/// Returns the final item-matrix digest.
+fn drive(
+    cfg: &MatrixConfig,
+    world: &GridWorld,
+    cell: &CellSpec,
+    threads: Option<usize>,
+    kill_after: Option<usize>,
+    emit: &mut dyn FnMut(String) -> io::Result<()>,
+) -> io::Result<u64> {
+    let (mut sim, mut harness) = prepare_cell(cfg, world, cell, threads);
+    let mut history = TrainingHistory::new();
+    if let Some(kill) = kill_after {
+        let stop = kill.min(harness.epochs);
+        run_to(&mut sim, &harness, &mut history, stop, emit)?;
+        let blob = sim.checkpoint(&history);
+        drop(sim); // the "crash"
+        (sim, harness) = prepare_cell(cfg, world, cell, threads);
+        history = sim.restore(&blob);
+    }
+    run_to(&mut sim, &harness, &mut history, harness.epochs, emit)?;
+    emit(harness.final_line(&sim, &history))?;
+    Ok(items_digest(sim.items()))
+}
+
 fn run_cell_in<W: Write>(
     cfg: &MatrixConfig,
     world: &GridWorld,
     cell: &CellSpec,
     sink: &mut W,
 ) -> io::Result<usize> {
-    let (mut sim, harness) = prepare_cell(cfg, world, cell, None);
-    let mut history = TrainingHistory::new();
-    let mut written = 0usize;
-    let mut write_err: Option<io::Error> = None;
-    {
-        let sink = &mut *sink;
-        let written = &mut written;
-        let write_err = &mut write_err;
-        let harness = &harness;
-        let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-            if write_err.is_some() {
-                return;
-            }
-            if let Some(line) = harness.snapshot_line(snap, hist) {
-                match writeln!(sink, "{line}") {
-                    Ok(()) => *written += 1,
-                    Err(e) => *write_err = Some(e),
-                }
-            }
-        };
-        sim.run_segment(Some(&mut hook), &mut history, harness.epochs);
-    }
-    if let Some(e) = write_err {
-        return Err(e);
-    }
-    let line = harness.final_line(&sim, &history);
-    writeln!(sink, "{line}")?;
-    Ok(written + 1)
+    let mut written = 0;
+    drive(cfg, world, cell, None, None, &mut |mut line| {
+        line.push('\n');
+        sink.write_all(line.as_bytes())?;
+        written += 1;
+        Ok(())
+    })?;
+    Ok(written)
+}
+
+/// Run one cell into memory: its lines and final item-matrix digest.
+fn cell_lines(
+    cfg: &MatrixConfig,
+    world: &GridWorld,
+    cell: &CellSpec,
+    threads: Option<usize>,
+    kill_after: Option<usize>,
+) -> (Vec<String>, u64) {
+    let mut lines = Vec::new();
+    let digest = drive(cfg, world, cell, threads, kill_after, &mut |line| {
+        lines.push(line);
+        Ok(())
+    })
+    .expect("collecting lines cannot fail");
+    (lines, digest)
 }
 
 /// Run one cell into memory; the returned lines match what
 /// [`run_matrix`] writes to the cell's file, byte for byte.
 pub fn run_cell(cfg: &MatrixConfig, cell: &CellSpec) -> Vec<String> {
-    cell_lines(cfg, &GridWorld::build(cfg), cell)
-}
-
-fn cell_lines(cfg: &MatrixConfig, world: &GridWorld, cell: &CellSpec) -> Vec<String> {
-    let mut buf = Vec::new();
-    run_cell_in(cfg, world, cell, &mut buf).expect("in-memory sink cannot fail");
-    let text = String::from_utf8(buf).expect("records are UTF-8");
-    text.lines().map(String::from).collect()
+    cell_lines(cfg, &GridWorld::build(cfg), cell, None, None).0
 }
 
 /// Order-stable digest of an item matrix's raw `f32` bit patterns — the
@@ -1363,22 +1172,7 @@ pub fn items_digest(items: &fedrec_linalg::Matrix) -> u64 {
 /// count, returning its JSONL lines and the final item-matrix digest —
 /// the reference side of the crash-resume identity gate.
 pub fn run_cell_traced(cfg: &MatrixConfig, cell: &CellSpec, threads: usize) -> (Vec<String>, u64) {
-    let world = GridWorld::build(cfg);
-    let (mut sim, harness) = prepare_cell(cfg, &world, cell, Some(threads));
-    let mut history = TrainingHistory::new();
-    let mut lines = Vec::new();
-    {
-        let lines = &mut lines;
-        let harness = &harness;
-        let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-            if let Some(line) = harness.snapshot_line(snap, hist) {
-                lines.push(line);
-            }
-        };
-        sim.run_segment(Some(&mut hook), &mut history, harness.epochs);
-    }
-    lines.push(harness.final_line(&sim, &history));
-    (lines, items_digest(sim.items()))
+    cell_lines(cfg, &GridWorld::build(cfg), cell, Some(threads), None)
 }
 
 /// Run one cell but kill it after `kill_after` epochs: checkpoint, drop
@@ -1393,39 +1187,13 @@ pub fn run_cell_resumed(
     kill_after: usize,
     threads: usize,
 ) -> (Vec<String>, u64) {
-    let world = GridWorld::build(cfg);
-    let mut lines = Vec::new();
-    let blob = {
-        let (mut sim, harness) = prepare_cell(cfg, &world, cell, Some(threads));
-        let mut history = TrainingHistory::new();
-        let stop = kill_after.min(harness.epochs);
-        {
-            let lines = &mut lines;
-            let harness = &harness;
-            let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-                if let Some(line) = harness.snapshot_line(snap, hist) {
-                    lines.push(line);
-                }
-            };
-            sim.run_segment(Some(&mut hook), &mut history, stop);
-        }
-        sim.checkpoint(&history)
-        // sim dropped here: the "crash".
-    };
-    let (mut sim, harness) = prepare_cell(cfg, &world, cell, Some(threads));
-    let mut history = sim.restore(&blob);
-    {
-        let lines = &mut lines;
-        let harness = &harness;
-        let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-            if let Some(line) = harness.snapshot_line(snap, hist) {
-                lines.push(line);
-            }
-        };
-        sim.run_segment(Some(&mut hook), &mut history, harness.epochs);
-    }
-    lines.push(harness.final_line(&sim, &history));
-    (lines, items_digest(sim.items()))
+    cell_lines(
+        cfg,
+        &GridWorld::build(cfg),
+        cell,
+        Some(threads),
+        Some(kill_after),
+    )
 }
 
 /// Fan `cells` out across `workers` scoped threads with a shared atomic
@@ -1458,7 +1226,9 @@ where
 pub fn run_matrix_collect(cfg: &MatrixConfig) -> Vec<(CellSpec, Vec<String>)> {
     let world = GridWorld::build(cfg);
     let cells = cfg.cells();
-    let lines = fan_out(&cells, cfg.workers, |_, cell| cell_lines(cfg, &world, cell));
+    let lines = fan_out(&cells, cfg.workers, |_, cell| {
+        cell_lines(cfg, &world, cell, None, None).0
+    });
     cells.into_iter().zip(lines).collect()
 }
 
@@ -1494,92 +1264,6 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: &Path) -> io::Result<Vec<CellOutc
     results.into_iter().collect()
 }
 
-/// Parse one JSONL record emitted by this module into `(key, value)`
-/// pairs (string values unquoted, everything else verbatim). This is a
-/// deliberately minimal parser for the flat, escape-free objects
-/// [`run_cell_into`] writes — not a general JSON parser.
-pub fn parse_record(line: &str) -> Option<Vec<(String, String)>> {
-    let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut pairs = Vec::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-        rest = rest.strip_prefix('"')?;
-        let end = rest.find('"')?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..].strip_prefix(':')?;
-        if let Some(after_quote) = rest.strip_prefix('"') {
-            let end = after_quote.find('"')?;
-            pairs.push((key, after_quote[..end].to_string()));
-            rest = &after_quote[end + 1..];
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            if end == 0 {
-                return None;
-            }
-            pairs.push((key, rest[..end].to_string()));
-            rest = &rest[end..];
-        }
-    }
-    Some(pairs)
-}
-
-/// Validate one record line: parseable, carries every [`RECORD_KEYS`]
-/// key, and its metric fields are numbers in range.
-pub fn validate_record(line: &str) -> Result<(), String> {
-    let pairs = parse_record(line).ok_or_else(|| format!("unparseable record: {line}"))?;
-    let get = |key: &str| -> Option<&str> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    };
-    for key in RECORD_KEYS {
-        if get(key).is_none() {
-            return Err(format!("record missing key {key:?}: {line}"));
-        }
-    }
-    for key in [
-        "er5",
-        "er10",
-        "ndcg10",
-        "hr10",
-        "det_precision",
-        "det_recall",
-    ] {
-        let raw = get(key).expect("checked above");
-        let v: f64 = raw
-            .parse()
-            .map_err(|_| format!("{key} is not a number ({raw:?}): {line}"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} out of range ({v}): {line}"));
-        }
-    }
-    for key in [
-        "eval_ms",
-        "items_scored",
-        "items_skipped",
-        "serve_publishes",
-        "served_epoch_lag",
-    ] {
-        let raw = get(key).expect("checked above");
-        raw.parse::<u64>()
-            .map_err(|_| format!("{key} is not a count ({raw:?}): {line}"))?;
-    }
-    let mode = get("eval_mode").expect("checked above");
-    if EvalMode::parse(mode).is_none() {
-        return Err(format!("eval_mode is not a known mode ({mode:?}): {line}"));
-    }
-    let model = get("model").expect("checked above");
-    if ModelKind::parse(model).is_none() {
-        return Err(format!("model is not a known family ({model:?}): {line}"));
-    }
-    match get("final") {
-        Some("true") | Some("false") => Ok(()),
-        other => Err(format!("final is not a bool ({other:?}): {line}")),
-    }
-}
-
 /// Render the defended paper table from a matrix run directory: one row
 /// per cell from its final record, over **every** `.jsonl` file in the
 /// directory — including cells left over from earlier runs with other
@@ -1595,47 +1279,22 @@ pub fn matrix_report(dir: &Path) -> io::Result<Table> {
 }
 
 /// Render the defended paper table from specific cell files (one row per
-/// file, from its final record), sorted by (model, attack, defense, ρ).
+/// file, from its last final record), sorted by (model, attack, defense,
+/// ρ). Only lines [`Record::parse`] accepts count; a file without a final
+/// record has no row.
 pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
-    let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
+    let mut rows: Vec<Record> = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(path)?;
-        let finals: Vec<Vec<(String, String)>> = text
+        let last_final = text
             .lines()
-            .filter_map(parse_record)
-            .filter(|pairs| pairs.iter().any(|(k, v)| k == "final" && v == "true"))
-            .collect();
-        let Some(pairs) = finals.last() else { continue };
-        let get = |key: &str| -> String {
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default()
-        };
-        let fmt = |key: &str| -> String {
-            get(key)
-                .parse::<f64>()
-                .map(|v| format!("{v:.4}"))
-                .unwrap_or_else(|_| "?".to_string())
-        };
-        rows.push((
-            get("rho").parse().unwrap_or(f64::NAN),
-            vec![
-                get("model"),
-                get("attack"),
-                get("defense"),
-                get("rho"),
-                fmt("er10"),
-                fmt("hr10"),
-                fmt("det_precision"),
-                fmt("det_recall"),
-                get("excluded_total"),
-            ],
-        ));
+            .rev()
+            .filter_map(|l| Record::parse(l).ok())
+            .find(|r| r.is_final);
+        rows.extend(last_final);
     }
-    // (model, attack, defense) are the first three columns.
-    rows.sort_by(|a, b| a.1[..3].cmp(&b.1[..3]).then(a.0.total_cmp(&b.0)));
+    let sort_key = |r: &Record| (r.model.label(), r.attack.label(), r.defense.label());
+    rows.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)).then(a.rho.total_cmp(&b.rho)));
     let mut t = Table::new(
         "Scenario matrix: model x attack x defense x rho (final epoch)",
         vec![
@@ -1650,8 +1309,19 @@ pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
             "excluded",
         ],
     );
-    for (_, row) in rows {
-        t.push_row(row);
+    let f4 = |v: f64| format!("{v:.4}");
+    for r in rows {
+        t.push_row(vec![
+            r.model.label().to_string(),
+            r.attack.label().to_string(),
+            r.defense.label().to_string(),
+            r.rho.to_string(),
+            f4(r.er10),
+            f4(r.hr10),
+            f4(r.det_precision),
+            f4(r.det_recall),
+            r.excluded_total.to_string(),
+        ]);
     }
     Ok(t)
 }
@@ -1659,11 +1329,21 @@ pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{project, Mask};
 
-    /// Strip the volatile timing field from every line — the projection
-    /// under which reruns are byte-identical.
+    /// Project every line under `mask`.
+    fn proj(lines: &[String], mask: Mask) -> Vec<String> {
+        lines.iter().map(|l| project(l, mask)).collect()
+    }
+
+    /// Strip the volatile fields from every line — the projection under
+    /// which reruns are byte-identical.
     fn vol(lines: &[String]) -> Vec<String> {
-        lines.iter().map(|l| volatile_invariant(l)).collect()
+        proj(lines, Mask::VOLATILE)
+    }
+
+    fn rec(line: &str) -> Record {
+        Record::parse(line).unwrap()
     }
 
     fn tiny_cfg(seed: u64) -> MatrixConfig {
@@ -1738,20 +1418,12 @@ mod tests {
         // 4 epochs, eval every 2, final epoch folded into the summary
         // record: epochs 2 (hook) and 4 (final).
         assert_eq!(lines.len(), 2);
-        for line in &lines {
-            validate_record(line).unwrap();
-        }
-        let last = parse_record(lines.last().unwrap()).unwrap();
-        let get = |k: &str| {
-            last.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(get("final"), "true");
-        assert_eq!(get("attack"), "Random");
-        assert_eq!(get("defense"), "detector-gated");
-        assert_eq!(get("epoch"), "4");
+        let recs: Vec<Record> = lines.iter().map(|l| rec(l)).collect();
+        assert!(!recs[0].is_final && recs[1].is_final);
+        assert_eq!(recs[1].attack, AttackMethod::Random);
+        assert_eq!(recs[1].defense, DefenseKind::DetectorGated);
+        assert_eq!(recs[1].epoch, 4);
+        assert_eq!(recs[1].cell, cell.id());
     }
 
     /// The acceptance criterion: rerunning any single cell standalone
@@ -1839,17 +1511,9 @@ mod tests {
         };
         let lines = run_cell(&cfg, &cell);
         for line in &lines {
-            let pairs = parse_record(line).unwrap();
-            let get = |k: &str| {
-                pairs
-                    .iter()
-                    .find(|(key, _)| key == k)
-                    .map(|(_, v)| v.clone())
-                    .unwrap()
-            };
-            assert_eq!(get("malicious"), "0");
-            let recall: f64 = get("det_recall").parse().unwrap();
-            assert_eq!(recall, 1.0, "vacuous recall must be 1.0: {line}");
+            let r = rec(line);
+            assert_eq!(r.malicious, 0);
+            assert_eq!(r.det_recall, 1.0, "vacuous recall must be 1.0: {line}");
         }
     }
 
@@ -1862,15 +1526,6 @@ mod tests {
             workers: 2,
             ..MatrixConfig::at_scale(ScalePreset::Tiny, seed)
         }
-    }
-
-    fn record_field(line: &str, key: &str) -> String {
-        parse_record(line)
-            .unwrap()
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing {key}: {line}"))
     }
 
     #[test]
@@ -1911,22 +1566,22 @@ mod tests {
     fn backend_invariant_strips_exactly_the_backend_fields() {
         let line = "{\"cell\":\"x\",\"backend\":\"sharded\",\"users\":600,\
                     \"rows_materialized\":12,\"participants_touched\":30}";
-        let stripped = backend_invariant(line);
+        let stripped = project(line, Mask::BACKEND);
         assert_eq!(
             stripped,
             "{\"cell\":\"x\",\"users\":600,\"participants_touched\":30}"
         );
         // Idempotent, and identical for the dense spelling of the cell.
-        assert_eq!(backend_invariant(&stripped), stripped);
+        assert_eq!(project(&stripped, Mask::BACKEND), stripped);
         let dense = "{\"cell\":\"x\",\"backend\":\"dense\",\"users\":600,\
                      \"rows_materialized\":600,\"participants_touched\":30}";
-        assert_eq!(backend_invariant(dense), stripped);
+        assert_eq!(project(dense, Mask::BACKEND), stripped);
         // The volatile timing field is stripped too — dense and sharded
         // runs never agree on wall-clock.
         let timed = "{\"cell\":\"x\",\"backend\":\"dense\",\"users\":600,\
                      \"rows_materialized\":600,\"eval_ms\":17,\
                      \"participants_touched\":30}";
-        assert_eq!(backend_invariant(timed), stripped);
+        assert_eq!(project(timed, Mask::BACKEND), stripped);
     }
 
     #[test]
@@ -1934,13 +1589,14 @@ mod tests {
         let line = "{\"cell\":\"x\",\"eval_ms\":42,\"eval_mode\":\"pruned\",\
                     \"items_scored\":100,\"items_skipped\":900,\"hr10\":0.5}";
         assert_eq!(
-            volatile_invariant(line),
+            project(line, Mask::VOLATILE),
             "{\"cell\":\"x\",\"eval_mode\":\"pruned\",\"items_scored\":100,\
              \"items_skipped\":900,\"hr10\":0.5}"
         );
-        assert_eq!(mode_invariant(line), "{\"cell\":\"x\",\"hr10\":0.5}");
+        let mode = project(line, Mask::MODE);
+        assert_eq!(mode, "{\"cell\":\"x\",\"hr10\":0.5}");
         // Idempotent.
-        assert_eq!(mode_invariant(&mode_invariant(line)), mode_invariant(line));
+        assert_eq!(project(&mode, Mask::MODE), mode);
     }
 
     /// The tentpole invariant at miniature scale: the same attacked,
@@ -1961,34 +1617,31 @@ mod tests {
         let mut saw_lazy_win = false;
         for ((cell, s_lines), (_, d_lines)) in sharded.iter().zip(&dense) {
             assert_eq!(s_lines.len(), d_lines.len(), "cell {}", cell.id());
+            assert_eq!(
+                proj(s_lines, Mask::BACKEND),
+                proj(d_lines, Mask::BACKEND),
+                "cell {} diverged across backends",
+                cell.id()
+            );
             for (s, d) in s_lines.iter().zip(d_lines) {
-                assert_eq!(
-                    backend_invariant(s),
-                    backend_invariant(d),
-                    "cell {} diverged across backends",
-                    cell.id()
-                );
-                assert_eq!(record_field(s, "backend"), "sharded");
-                assert_eq!(record_field(d, "backend"), "dense");
-                assert_eq!(record_field(s, "population"), "scalefree-tiny");
-                let rows: usize = record_field(s, "rows_materialized").parse().unwrap();
-                let touched: usize = record_field(s, "participants_touched").parse().unwrap();
-                let users: usize = record_field(s, "users").parse().unwrap();
-                assert!(rows <= touched, "lazy invariant violated: {s}");
-                if rows < users {
+                let (s, d) = (rec(s), rec(d));
+                assert_eq!(s.backend, "sharded");
+                assert_eq!(d.backend, "dense");
+                assert_eq!(s.population, "scalefree-tiny");
+                assert!(s.rows_materialized <= s.participants_touched, "{s:?}");
+                if s.rows_materialized < s.users {
                     saw_lazy_win = true;
                 }
                 // Dense stores are eager by definition.
-                assert_eq!(record_field(d, "rows_materialized"), users.to_string());
+                assert_eq!(d.rows_materialized, s.users);
             }
-            validate_record(s_lines.last().unwrap()).unwrap();
         }
         assert!(saw_lazy_win, "sharded runs must not materialize everyone");
     }
 
     /// The live serving probe changes the two volatile serve fields and
     /// nothing else: a cell run with serving on is byte-identical to the
-    /// same cell with serving off after [`volatile_invariant`], and the
+    /// same cell with serving off after the volatile projection, and the
     /// serve fields themselves report real publishes and real staleness
     /// (each drain serves probes queued one emitting epoch earlier).
     /// `serve_tick` panics internally if any served response is not
@@ -2009,29 +1662,20 @@ mod tests {
         };
         let off = run_cell(&off_cfg, &cell);
         let on = run_cell(&on_cfg, &cell);
-        let vol = |lines: &[String]| -> Vec<String> {
-            lines.iter().map(|l| volatile_invariant(l)).collect()
-        };
         assert_eq!(vol(&on), vol(&off), "serving leaked into a record byte");
         for line in &off {
-            assert_eq!(record_field(line, "serve_publishes"), "0");
-            assert_eq!(record_field(line, "served_epoch_lag"), "0");
+            assert_eq!(rec(line).serve_publishes, 0);
+            assert_eq!(rec(line).served_epoch_lag, 0);
         }
-        let publishes: Vec<u64> = on
-            .iter()
-            .map(|l| record_field(l, "serve_publishes").parse().unwrap())
-            .collect();
+        let publishes: Vec<u64> = on.iter().map(|l| rec(l).serve_publishes).collect();
         assert!(
             publishes.windows(2).all(|w| w[0] < w[1]),
             "publish counts must strictly increase across records: {publishes:?}"
         );
         assert_eq!(*publishes.last().unwrap(), on.len() as u64);
         // Probes queued at epoch 2 drain at epoch 4: observed lag 2.
-        let lag: u64 = record_field(on.last().unwrap(), "served_epoch_lag")
-            .parse()
-            .unwrap();
+        let lag = rec(on.last().unwrap()).served_epoch_lag;
         assert_eq!(lag, 2, "expected eval-cadence staleness");
-        validate_record(on.last().unwrap()).unwrap();
     }
 
     #[test]
@@ -2047,7 +1691,7 @@ mod tests {
             rho: 0.0,
         };
         let lines = run_cell(&cfg, &cell);
-        let hr: f64 = record_field(lines.last().unwrap(), "hr10").parse().unwrap();
+        let hr = rec(lines.last().unwrap()).hr10;
         assert!(hr > 0.0, "holdout produced no hit-rate signal: {hr}");
     }
 
@@ -2067,23 +1711,11 @@ mod tests {
         let clean = run_cell(&clean_cfg, &cell);
         let faulted = run_cell(&faulted_cfg, &cell);
         let fault_sum = |line: &str| -> usize {
-            [
-                "f_dropped",
-                "f_late",
-                "f_rejected",
-                "f_retried",
-                "f_skipped",
-            ]
-            .iter()
-            .map(|k| record_field(line, k).parse::<usize>().unwrap())
-            .sum()
+            let r = rec(line);
+            r.f_dropped + r.f_late + r.f_rejected + r.f_retried + r.f_skipped
         };
         for line in &clean {
-            validate_record(line).unwrap();
             assert_eq!(fault_sum(line), 0, "no-plan run must report zeros");
-        }
-        for line in &faulted {
-            validate_record(line).unwrap();
         }
         // The counters are cumulative: the final record carries at least
         // as much as any mid-run record, and the smoke rates over a whole
@@ -2098,6 +1730,53 @@ mod tests {
         );
         // Faulted reruns stay byte-identical (modulo eval_ms).
         assert_eq!(vol(&faulted), vol(&run_cell(&faulted_cfg, &cell)));
+    }
+
+    /// A sink that fails on its second write: `run_cell_into` returns that
+    /// error and writes nothing after it.
+    #[test]
+    fn run_cell_into_stops_at_the_first_write_error() {
+        struct FailsSecond {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for FailsSecond {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                if self.writes == 2 {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // Eval every epoch: three mid-run records before the final one,
+        // so the failing write is a mid-run record.
+        let cfg = MatrixConfig {
+            eval_every: 1,
+            ..tiny_cfg(23)
+        };
+        let cell = CellSpec {
+            model: ModelKind::Mf,
+            attack: AttackMethod::Random,
+            defense: DefenseKind::None,
+            rho: 0.05,
+        };
+        let mut sink = FailsSecond {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let err = run_cell_into(&cfg, &cell, &mut sink).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(sink.writes, 2, "a record was written after a failed write");
+        let written = String::from_utf8(sink.bytes).unwrap();
+        let expected = run_cell(&cfg, &cell);
+        assert_eq!(expected.len(), 4);
+        assert_eq!(vol(&[written.trim_end().to_string()]), vol(&expected[..1]));
+        assert!(written.ends_with('\n'));
     }
 
     /// The crash-resume acceptance gate at miniature scale: a faulted
@@ -2151,18 +1830,14 @@ mod tests {
                 let got = run_matrix_collect(&cfg);
                 assert_eq!(got.len(), full.len());
                 for ((cell, g_lines), (_, f_lines)) in got.iter().zip(&full) {
-                    assert_eq!(g_lines.len(), f_lines.len(), "cell {}", cell.id());
-                    for (g, f) in g_lines.iter().zip(f_lines) {
-                        assert_eq!(
-                            mode_invariant(g),
-                            mode_invariant(f),
-                            "cell {} diverged under {} x{threads}",
-                            cell.id(),
-                            mode.label()
-                        );
-                        assert_eq!(record_field(g, "eval_mode"), mode.label());
-                        validate_record(g).unwrap();
-                    }
+                    assert_eq!(
+                        proj(g_lines, Mask::MODE),
+                        proj(f_lines, Mask::MODE),
+                        "cell {} diverged under {} x{threads}",
+                        cell.id(),
+                        mode.label()
+                    );
+                    assert!(g_lines.iter().all(|g| rec(g).eval_mode == mode));
                 }
             }
         }
@@ -2175,7 +1850,7 @@ mod tests {
         let skipped: u64 = pruned
             .iter()
             .flat_map(|(_, lines)| lines.iter())
-            .map(|l| record_field(l, "items_skipped").parse::<u64>().unwrap())
+            .map(|l| rec(l).items_skipped)
             .sum();
         assert!(skipped > 0, "pruned mode never skipped an item");
     }
@@ -2194,13 +1869,13 @@ mod tests {
             });
             assert_eq!(got.len(), full.len());
             for ((cell, g_lines), (_, f_lines)) in got.iter().zip(&full) {
-                assert_eq!(g_lines.len(), f_lines.len(), "cell {}", cell.id());
-                for (g, f) in g_lines.iter().zip(f_lines) {
-                    let id = cell.id();
-                    assert_eq!(mode_invariant(g), mode_invariant(f), "{id} under {mode:?}");
-                    assert_eq!(record_field(g, "eval_mode"), mode.label());
-                    validate_record(g).unwrap();
-                }
+                let id = cell.id();
+                assert_eq!(
+                    proj(g_lines, Mask::MODE),
+                    proj(f_lines, Mask::MODE),
+                    "{id} under {mode:?}"
+                );
+                assert!(g_lines.iter().all(|g| rec(g).eval_mode == mode));
             }
         }
     }
@@ -2264,12 +1939,11 @@ mod tests {
     #[test]
     fn model_projection_strips_the_model_field() {
         let line = "{\"cell\":\"x\",\"model\":\"mf\",\"eval_ms\":42,\"hr10\":0.5}";
-        assert_eq!(model_invariant(line), "{\"cell\":\"x\",\"hr10\":0.5}");
+        let stripped = project(line, Mask::MODEL);
+        assert_eq!(stripped, "{\"cell\":\"x\",\"hr10\":0.5}");
         // Idempotent, and the NCF spelling strips identically.
-        assert_eq!(
-            model_invariant(&model_invariant(line)),
-            model_invariant(line)
-        );
+        assert_eq!(project(&stripped, Mask::MODEL), stripped);
+        assert_eq!(project(&line.replace("mf", "ncf"), Mask::MODEL), stripped);
     }
 
     /// The refactor gate: MF cells produce records byte-identical to the
@@ -2301,8 +1975,11 @@ mod tests {
             };
             produced.extend(run_cell(&cfg, &cell));
         }
-        let old: Vec<String> = reference.lines().map(volatile_invariant).collect();
-        let new: Vec<String> = produced.iter().map(|l| model_invariant(l)).collect();
+        let old: Vec<String> = reference
+            .lines()
+            .map(|l| project(l, Mask::VOLATILE))
+            .collect();
+        let new = proj(&produced, Mask::MODEL);
         assert_eq!(old.len(), new.len());
         for (o, n) in old.iter().zip(&new) {
             assert_eq!(o, n, "MF record drifted across the model-axis refactor");
@@ -2356,8 +2033,11 @@ mod tests {
             };
             produced.extend(run_cell(&cfg, &cell));
         }
-        let old: Vec<String> = reference.lines().map(volatile_invariant).collect();
-        let new: Vec<String> = produced.iter().map(|l| volatile_invariant(l)).collect();
+        let old: Vec<String> = reference
+            .lines()
+            .map(|l| project(l, Mask::VOLATILE))
+            .collect();
+        let new = vol(&produced);
         assert_eq!(old.len(), new.len());
         for (o, n) in old.iter().zip(&new) {
             assert_eq!(o, n, "record drifted from the pre-index reference");
@@ -2390,27 +2070,23 @@ mod tests {
         for ((cell, s_lines), (_, d_lines)) in sharded.iter().zip(&dense) {
             assert_eq!(cell.model, ModelKind::Ncf);
             assert!(cell.id().starts_with("ncf_"), "{}", cell.id());
-            assert_eq!(s_lines.len(), d_lines.len(), "cell {}", cell.id());
-            for (s, d) in s_lines.iter().zip(d_lines) {
-                validate_record(s).unwrap();
-                assert_eq!(
-                    backend_invariant(s),
-                    backend_invariant(d),
-                    "NCF cell {} diverged across backends",
-                    cell.id()
-                );
-                assert_eq!(record_field(s, "model"), "ncf");
-                assert_eq!(record_field(s, "eval_mode"), "full");
-                assert_eq!(record_field(s, "serve_publishes"), "0");
+            assert_eq!(
+                proj(s_lines, Mask::BACKEND),
+                proj(d_lines, Mask::BACKEND),
+                "NCF cell {} diverged across backends",
+                cell.id()
+            );
+            for s in s_lines.iter().map(|l| rec(l)) {
+                assert_eq!(s.model, ModelKind::Ncf);
+                assert_eq!(s.eval_mode, EvalMode::Full);
+                assert_eq!(s.serve_publishes, 0);
             }
             // Standalone rerun byte-identity holds for NCF cells too.
             assert_eq!(vol(&run_cell(&sharded_cfg, cell)), vol(s_lines));
         }
         // NCF training learns something at this scale: the clean cell's
         // final HR@10 is a real measurement.
-        let hr: f64 = record_field(sharded[0].1.last().unwrap(), "hr10")
-            .parse()
-            .unwrap();
+        let hr = rec(sharded[0].1.last().unwrap()).hr10;
         assert!(hr > 0.0, "NCF eval produced no hit-rate signal");
     }
 
@@ -2444,20 +2120,5 @@ mod tests {
                 "resumed NCF item matrix diverged at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn parse_record_handles_shapes() {
-        let pairs = parse_record("{\"a\":\"x\",\"b\":1.5,\"c\":true}").unwrap();
-        assert_eq!(
-            pairs,
-            vec![
-                ("a".to_string(), "x".to_string()),
-                ("b".to_string(), "1.5".to_string()),
-                ("c".to_string(), "true".to_string()),
-            ]
-        );
-        assert!(parse_record("not json").is_none());
-        assert!(parse_record("{\"a\":}").is_none());
     }
 }

@@ -303,7 +303,7 @@ pub fn extension_defenses(scale: Scale, seed: u64) -> Table {
     use fedrec_baselines::registry::{build_adversary, AttackEnv};
     use fedrec_defense::{CoordinateMedian, Krum, NormBound, TrimmedMean};
     use fedrec_federated::server::{Aggregator, SumAggregator};
-    use fedrec_federated::Simulation;
+    use fedrec_federated::{DefensePipeline, Simulation};
     use fedrec_recsys::eval::Evaluator;
 
     let (train, test, targets) = prepare(scale, DatasetId::Ml100k, seed);
@@ -337,7 +337,8 @@ pub fn extension_defenses(scale: Scale, seed: u64) -> Table {
             .seed(seed ^ 0xA7)
             .public(xi, seed ^ 0xD1);
         let adversary = build_adversary(AttackMethod::FedRecAttack, &env);
-        let mut sim = Simulation::with_aggregator(&train, fed, adversary, num_malicious, agg);
+        let plain = DefensePipeline::plain(agg);
+        let mut sim = Simulation::with_defense(&train, fed, adversary, num_malicious, plain);
         sim.run(None);
         let evaluator = Evaluator::new(&train, &test, &targets, seed ^ 0xE7);
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);

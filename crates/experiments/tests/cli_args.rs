@@ -1,6 +1,7 @@
-//! The `repro` binary answers an out-of-domain malicious ratio ρ with its
-//! usage message and exit code 2 — never an allocation abort, a panic, or
-//! a silently run nonsense cell.
+//! The `repro` binary answers bad input with a typed failure — an
+//! out-of-domain malicious ratio ρ with its usage message and exit code 2,
+//! an unwritable output path with a `repro:` error and exit code 1 —
+//! never an allocation abort, a panic, or a silently run nonsense cell.
 
 use std::process::{Command, Output};
 
@@ -42,4 +43,38 @@ fn matrix_rejects_rho_lists_with_a_bad_entry() {
         let out = repro(&["matrix", "--population", "tiny", "--rhos", rhos]);
         assert_usage_error(&out, &format!("--rhos {rhos}"));
     }
+}
+
+/// An `--out` path that cannot be created is a `repro:` error with exit
+/// code 1 — for a rendered table as for a cell's records — not a panic.
+#[test]
+fn unwritable_out_path_fails_cleanly() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("missing-dir").join("x");
+    let (dir_arg, out_arg) = (dir.to_str().unwrap(), out.to_str().unwrap());
+    let cell = [
+        "cell",
+        "--population",
+        "tiny",
+        "--attack",
+        "random",
+        "--defense",
+        "none",
+        "--rho",
+        "0.01",
+        "--out",
+        out_arg,
+    ];
+    for args in [
+        &["report", "--dir", dir_arg, "--out", out_arg][..],
+        &cell[..],
+    ] {
+        let got = repro(args);
+        let stderr = String::from_utf8_lossy(&got.stderr);
+        assert_eq!(got.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert!(stderr.starts_with("repro:"), "{}: {stderr}", args[0]);
+        assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

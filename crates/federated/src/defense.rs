@@ -122,8 +122,8 @@ pub struct DefensePipeline {
 
 impl DefensePipeline {
     /// No detection at all: uploads go straight to `aggregator`. This is
-    /// what [`Simulation::with_aggregator`](crate::Simulation::with_aggregator)
-    /// wraps, and it records no [`RoundDefense`] history.
+    /// what [`Simulation::new`](crate::Simulation::new) runs (with plain
+    /// summation), and it records no [`RoundDefense`] history.
     pub fn plain(aggregator: Box<dyn Aggregator>) -> Self {
         Self {
             detector: None,

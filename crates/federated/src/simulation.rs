@@ -62,7 +62,7 @@ use crate::faults::{
 };
 use crate::history::{RoundDefense, RoundFaults, TrainingHistory};
 use crate::model::{ClientModel, MfClientModel};
-use crate::server::{Aggregator, Server, SumAggregator};
+use crate::server::{Server, SumAggregator};
 use crate::store::{ClientStore, DenseStore, ShardedStore, StoreBackend};
 use fedrec_data::InteractionSource;
 use fedrec_linalg::{Matrix, SeededRng, SparseGrad};
@@ -166,7 +166,8 @@ pub struct Simulation {
     /// `(produced_round, client_id)` order, so draining is deterministic).
     pending: Vec<PendingUpload>,
     /// The next epoch [`Simulation::run_segment`] will execute — the
-    /// resume cursor; manual [`Simulation::step`] calls do not advance it.
+    /// resume cursor; manual [`Simulation::step_faulted`] calls do not
+    /// advance it.
     next_epoch: usize,
 }
 
@@ -179,34 +180,18 @@ impl Simulation {
         adversary: Box<dyn Adversary>,
         num_malicious: usize,
     ) -> Self {
-        Self::with_aggregator(data, cfg, adversary, num_malicious, Box::new(SumAggregator))
-    }
-
-    /// Like [`Simulation::new`] but with a custom (e.g. byzantine-robust)
-    /// aggregator and no detector.
-    pub fn with_aggregator<D: InteractionSource + ?Sized>(
-        data: &D,
-        cfg: FedConfig,
-        adversary: Box<dyn Adversary>,
-        num_malicious: usize,
-        aggregator: Box<dyn Aggregator>,
-    ) -> Self {
-        Self::with_defense(
-            data,
-            cfg,
-            adversary,
-            num_malicious,
-            DefensePipeline::plain(aggregator),
-        )
+        let plain = DefensePipeline::plain(Box::new(SumAggregator));
+        Self::with_defense(data, cfg, adversary, num_malicious, plain)
     }
 
     /// Like [`Simulation::new`] but with a full in-loop defense pipeline
-    /// (detector → flagged-client exclusion → robust aggregator). When the
+    /// (detector → flagged-client exclusion → robust aggregator), or just
+    /// a robust aggregator through [`DefensePipeline::plain`]. When the
     /// pipeline carries a detector, every round records a
     /// [`RoundDefense`] into the run's [`TrainingHistory`].
     ///
     /// Uses the eager [`DenseStore`]; million-user populations should go
-    /// through [`Simulation::with_store`] and a sharded backend instead.
+    /// through [`Simulation::with_model`] and a sharded backend instead.
     pub fn with_defense<D: InteractionSource + ?Sized>(
         data: &D,
         cfg: FedConfig,
@@ -214,63 +199,32 @@ impl Simulation {
         num_malicious: usize,
         defense: DefensePipeline,
     ) -> Self {
-        cfg.validate();
-        let model: Box<dyn ClientModel> = Box::new(MfClientModel);
-        let mut rng = SeededRng::new(cfg.seed);
-        let server = Server::new(
-            Matrix::random_normal(data.num_items(), cfg.k, 0.0, 0.1, &mut rng),
-            cfg.lr,
-        );
-        let shared = model.init_shared(&mut rng);
-        let store = Box::new(DenseStore::build(data, cfg.k, &mut rng));
-        Self::assemble(
-            server,
-            store,
-            model,
-            shared,
+        let store = |rng: &mut SeededRng| -> Box<dyn ClientStore> {
+            Box::new(DenseStore::build(data, cfg.k, rng))
+        };
+        let mf = Box::new(MfClientModel);
+        Self::build(
+            data.num_items(),
+            cfg,
+            mf,
             adversary,
             num_malicious,
             defense,
-            cfg,
-            rng,
+            store,
         )
     }
 
     /// Build a simulation over a shared interaction source with an
-    /// explicit client-state backend.
+    /// explicit model and client-state backend. `model` defines the local
+    /// step and the (possibly empty) flat shared-parameter block `Θ` the
+    /// server maintains alongside `V`; [`MfClientModel`] is the paper's
+    /// matrix factorization.
     ///
     /// With [`StoreBackend::Sharded`] the population is never built up
     /// front: a client materializes on first participation, round cost is
     /// `O(|U'|)`, and the run is bit-identical to the dense backend for
     /// any thread count (the construction RNG stream is checkpointed and
     /// replayed per user).
-    pub fn with_store(
-        data: Arc<dyn InteractionSource + Send + Sync>,
-        cfg: FedConfig,
-        adversary: Box<dyn Adversary>,
-        num_malicious: usize,
-        defense: DefensePipeline,
-        backend: StoreBackend,
-    ) -> Self {
-        Self::with_model(
-            data,
-            cfg,
-            Box::new(MfClientModel),
-            adversary,
-            num_malicious,
-            defense,
-            backend,
-        )
-    }
-
-    /// Like [`Simulation::with_store`] but generalized over the model
-    /// seam: `model` defines the local step and the (possibly empty) flat
-    /// shared-parameter block `Θ` the server maintains alongside `V`.
-    ///
-    /// Construction draw order is `V` → `Θ` → client store, mirroring the
-    /// shared-then-private order of the paper's setup. [`MfClientModel`]
-    /// draws nothing for `Θ`, which is exactly why every pre-seam MF run
-    /// is byte-identical under this constructor.
     pub fn with_model(
         data: Arc<dyn InteractionSource + Send + Sync>,
         cfg: FedConfig,
@@ -280,50 +234,54 @@ impl Simulation {
         defense: DefensePipeline,
         backend: StoreBackend,
     ) -> Self {
-        cfg.validate();
-        let mut rng = SeededRng::new(cfg.seed);
-        let server = Server::new(
-            Matrix::random_normal(data.num_items(), cfg.k, 0.0, 0.1, &mut rng),
-            cfg.lr,
-        );
-        let shared = model.init_shared(&mut rng);
-        let store: Box<dyn ClientStore> = match backend {
-            StoreBackend::Dense => Box::new(DenseStore::build(&*data, cfg.k, &mut rng)),
-            StoreBackend::Sharded { shard_rows } => {
-                Box::new(ShardedStore::build(data, cfg.k, &mut rng, shard_rows))
+        let num_items = data.num_items();
+        let store = |rng: &mut SeededRng| -> Box<dyn ClientStore> {
+            match backend {
+                StoreBackend::Dense => Box::new(DenseStore::build(&*data, cfg.k, rng)),
+                StoreBackend::Sharded { shard_rows } => {
+                    Box::new(ShardedStore::build(data, cfg.k, rng, shard_rows))
+                }
             }
         };
-        Self::assemble(
-            server,
-            store,
+        Self::build(
+            num_items,
+            cfg,
             model,
-            shared,
             adversary,
             num_malicious,
             defense,
-            cfg,
-            rng,
+            store,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        server: Server,
-        store: Box<dyn ClientStore>,
+    /// The one construction path. Draw order is `V` → `Θ` → client store
+    /// (`store` draws from the stream it is handed), mirroring the
+    /// shared-then-private order of the paper's setup. [`MfClientModel`]
+    /// draws nothing for `Θ`, which is why every MF run is byte-identical
+    /// whichever constructor built it.
+    fn build(
+        num_items: usize,
+        cfg: FedConfig,
         model: Box<dyn ClientModel>,
-        shared: Vec<f32>,
         adversary: Box<dyn Adversary>,
         num_malicious: usize,
         defense: DefensePipeline,
-        cfg: FedConfig,
-        mut rng: SeededRng,
+        store: impl FnOnce(&mut SeededRng) -> Box<dyn ClientStore>,
     ) -> Self {
+        cfg.validate();
+        let mut rng = SeededRng::new(cfg.seed);
+        let server = Server::new(
+            Matrix::random_normal(num_items, cfg.k, 0.0, 0.1, &mut rng),
+            cfg.lr,
+        );
+        let shared = model.init_shared(&mut rng);
         assert_eq!(
             shared.len(),
             model.shared_len(),
             "model '{}' initialized a shared block of the wrong length",
             model.name()
         );
+        let store = store(&mut rng);
         let adv_rng = rng.fork(0xADBE);
         let touched = vec![false; store.num_users()];
         Self {
@@ -491,14 +449,10 @@ impl Simulation {
         }
     }
 
-    /// Execute one round (epoch); returns the total benign loss.
-    pub fn step(&mut self, epoch: usize) -> f32 {
-        self.step_faulted(epoch).0
-    }
-
-    /// Execute one round with full fault bookkeeping: the benign-loss
-    /// total, the defense record (when a detector is attached), and the
-    /// round's fault counters (when a fault plan is attached).
+    /// Execute one round (epoch): the benign-loss total, the defense
+    /// record (when a detector is attached), and the round's fault
+    /// counters (when a fault plan is attached). It does not advance the
+    /// resume cursor of [`Simulation::run_segment`].
     pub fn step_faulted(
         &mut self,
         epoch: usize,
@@ -1065,8 +1019,8 @@ mod tests {
         };
         let mut full = Simulation::new(&data, smoke_cfg(), Box::new(NoAttack), 0);
         let mut part = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-        let lf = full.step(0);
-        let lp = part.step(0);
+        let lf = full.step_faulted(0).0;
+        let lp = part.step_faulted(0).0;
         assert!(
             lp < lf * 0.5,
             "quarter participation should produce well under half the loss mass"

@@ -1,7 +1,7 @@
 //! Property-based tests for the federated simulation layer.
 
 use fedrec_data::synthetic::SyntheticConfig;
-use fedrec_federated::{FedConfig, NoAttack, Simulation, StoreBackend};
+use fedrec_federated::{FedConfig, MfClientModel, NoAttack, Simulation, StoreBackend};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -174,9 +174,10 @@ proptest! {
                 client_fraction: frac,
                 ..tiny_cfg(seed)
             };
-            let mut sim = Simulation::with_store(
+            let mut sim = Simulation::with_model(
                 Arc::new(data.clone()),
                 cfg,
+                Box::new(MfClientModel),
                 Box::new(NoAttack),
                 3,
                 pipeline(),
@@ -196,7 +197,7 @@ proptest! {
             pipeline(),
         );
         let hl = legacy.run(None);
-        prop_assert_eq!(&h0.losses, &hl.losses, "with_defense vs with_store(Dense)");
+        prop_assert_eq!(&h0.losses, &hl.losses, "with_defense vs with_model(Dense)");
 
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 2, 8] {
@@ -301,9 +302,10 @@ proptest! {
         };
         let run = |backend: StoreBackend, threads: usize| {
             let cfg = FedConfig { threads, ..cfg0 };
-            let mut sim = Simulation::with_store(
+            let mut sim = Simulation::with_model(
                 Arc::new(data.clone()),
                 cfg,
+                Box::new(MfClientModel),
                 Box::new(NoAttack),
                 3,
                 fedrec_federated::DefensePipeline::plain(
@@ -367,9 +369,10 @@ proptest! {
             ..tiny_cfg(seed)
         };
         let build = || {
-            let mut sim = Simulation::with_store(
+            let mut sim = Simulation::with_model(
                 Arc::new(data.clone()),
                 cfg,
+                Box::new(MfClientModel),
                 Box::new(NoAttack),
                 3,
                 fedrec_federated::DefensePipeline::plain(

@@ -202,7 +202,7 @@ mod tests {
         let data = SyntheticConfig::smoke().generate(3);
         let mut sim = ncf_sim(&data, smoke_cfg(), Box::new(NoAttack), 0);
         let before = sim.shared().to_vec();
-        sim.step(0);
+        sim.step_faulted(0);
         assert_ne!(before, sim.shared(), "Θ must be updated by Eq. 7");
     }
 
@@ -215,8 +215,8 @@ mod tests {
             ..smoke_cfg()
         };
         let mut noisy = ncf_sim(&data, noisy_cfg, Box::new(NoAttack), 0);
-        clean.step(0);
-        noisy.step(0);
+        clean.step_faulted(0);
+        noisy.step_faulted(0);
         assert_ne!(clean.shared(), noisy.shared());
     }
 }

@@ -11,7 +11,7 @@
 use fedrec_data::synthetic::SyntheticConfig;
 use fedrec_federated::defense::DefensePipeline;
 use fedrec_federated::server::SumAggregator;
-use fedrec_federated::{FedConfig, NoAttack, Simulation, StoreBackend};
+use fedrec_federated::{FedConfig, MfClientModel, NoAttack, Simulation, StoreBackend};
 use fedrec_linalg::Matrix;
 use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
@@ -54,9 +54,10 @@ fn serving_mid_training_is_exact_monotonic_and_cold() {
         client_fraction: 0.3,
         ..FedConfig::default()
     };
-    let mut sim = Simulation::with_store(
+    let mut sim = Simulation::with_model(
         Arc::new(data),
         cfg,
+        Box::new(MfClientModel),
         Box::new(NoAttack),
         0,
         DefensePipeline::plain(Box::new(SumAggregator)),

@@ -60,8 +60,8 @@ fn main() {
     for (name, agg) in aggregators {
         let public = PublicView::sample(&train, 0.05, 2);
         let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, num_malicious);
-        let mut sim =
-            Simulation::with_aggregator(&train, fed, Box::new(attack), num_malicious, agg);
+        let plain = DefensePipeline::plain(agg);
+        let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), num_malicious, plain);
         sim.run(None);
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         println!(

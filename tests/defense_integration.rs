@@ -14,7 +14,8 @@ fn er10_under(aggregator: Box<dyn Aggregator>) -> (f64, f64) {
         epochs: 50,
         ..FedConfig::smoke()
     };
-    let mut sim = Simulation::with_aggregator(&train, fed, Box::new(attack), malicious, aggregator);
+    let plain = DefensePipeline::plain(aggregator);
+    let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), malicious, plain);
     sim.run(None);
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
@@ -75,7 +76,8 @@ fn defended_clean_training_still_learns() {
         Box::new(NormBound { factor: 3.0 }),
     ] {
         let name = agg.name();
-        let mut sim = Simulation::with_aggregator(&train, fed, Box::new(NoAttack), 0, agg);
+        let plain = DefensePipeline::plain(agg);
+        let mut sim = Simulation::with_defense(&train, fed, Box::new(NoAttack), 0, plain);
         sim.run(None);
         let evaluator = Evaluator::new(&train, &test, &targets, 3);
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);

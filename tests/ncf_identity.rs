@@ -25,6 +25,7 @@ use fedrecattack::experiments::matrix;
 use fedrecattack::experiments::matrix::{
     CellSpec, DefenseKind, MatrixConfig, ModelKind, ScalePreset,
 };
+use fedrecattack::experiments::record::{project, Mask, Record};
 use fedrecattack::federated::server::SumAggregator;
 use fedrecattack::federated::store::StoreBackend;
 use fedrecattack::federated::{DefensePipeline, FaultPlan, FedConfig, Simulation};
@@ -308,30 +309,19 @@ fn ncf_records_are_identical_across_requested_eval_modes() {
             ..base.clone()
         };
         let got = matrix::run_cell(&cfg, &cell);
-        let project = |lines: &[String]| -> Vec<String> {
-            lines
-                .iter()
-                .map(|l| matrix::volatile_invariant(l))
-                .collect()
+        let vol = |lines: &[String]| -> Vec<String> {
+            lines.iter().map(|l| project(l, Mask::VOLATILE)).collect()
         };
         assert_eq!(
-            project(&got),
-            project(&full),
+            vol(&got),
+            vol(&full),
             "NCF records diverged under requested {} mode",
             mode.label()
         );
     }
     for line in &full {
-        let pairs = matrix::parse_record(line).expect("parseable record");
-        let get = |k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(get("eval_mode"), "full");
-        assert_eq!(get("model"), "ncf");
-        matrix::validate_record(line).unwrap();
+        let rec = Record::parse(line).unwrap();
+        assert_eq!(rec.eval_mode, EvalMode::Full);
+        assert_eq!(rec.model, ModelKind::Ncf);
     }
 }

@@ -10,7 +10,7 @@ use fedrecattack::data::scalefree::{ScaleFreeConfig, ScaleFreeDataset};
 use fedrecattack::data::InteractionSource;
 use fedrecattack::federated::server::SumAggregator;
 use fedrecattack::federated::store::StoreBackend;
-use fedrecattack::federated::{DefensePipeline, FedConfig, Simulation};
+use fedrecattack::federated::{DefensePipeline, FedConfig, MfClientModel, Simulation};
 use fedrecattack::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -47,9 +47,10 @@ fn run(
     let adversary = build_adversary(attack, &env);
     let pipeline =
         DefensePipeline::monitored(Box::new(NormDetector::new(3.0)), Box::new(SumAggregator));
-    let mut sim = Simulation::with_store(
+    let mut sim = Simulation::with_model(
         data.clone() as Arc<dyn InteractionSource + Send + Sync>,
         fed,
+        Box::new(MfClientModel),
         adversary,
         num_malicious,
         pipeline,
