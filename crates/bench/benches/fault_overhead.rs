@@ -1,7 +1,6 @@
 //! Overhead of the deterministic fault layer on the round loop, plus the
-//! cost of the crash-resume checkpoint path. Same workload shape as the
-//! `round_loop` bench (1,000 clients, 2,000 items, k = 32) so the clean
-//! arm is directly comparable. Measured numbers are recorded in
+//! cost of the crash-resume checkpoint path, on one federated round over
+//! 1,000 clients, 2,000 items at k = 32. Measured numbers are recorded in
 //! BENCH_faults.json at the repository root.
 //!
 //! Four arms:

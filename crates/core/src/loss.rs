@@ -26,7 +26,7 @@
 //! (§V-D): scores are pushed just past the boundary, not to infinity.
 
 use fedrec_data::PublicView;
-use fedrec_linalg::{vector, Matrix, SeededRng};
+use fedrec_linalg::{kernel, Matrix, SeededRng};
 use fedrec_recsys::topk;
 
 /// The saturating surrogate `g` of Eq. 14.
@@ -167,27 +167,10 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
         let Some(u) = users.row_of(ui) else {
             continue; // no estimate for this user — no signal to extract
         };
-        for (item, slot) in scores.iter_mut().enumerate() {
-            *slot = vector::dot(u, items.row(item));
-        }
+        kernel::score_rows(items.as_slice(), k, u, &mut scores);
         let exclude = public.user_items(ui);
         let extended = topk::top_k_excluding(&scores, exclude, fetch);
-
-        // Margin item: weakest non-target inside the top-K window, else
-        // the strongest non-target just below it.
-        let mut margin_item: Option<u32> = None;
-        for (pos, &v) in extended.iter().enumerate() {
-            let is_target = targets.binary_search(&v).is_ok();
-            if pos < top_k {
-                if !is_target {
-                    margin_item = Some(v); // keeps updating: last = weakest
-                }
-            } else if margin_item.is_none() && !is_target {
-                margin_item = Some(v);
-                break;
-            }
-        }
-        let Some(jstar) = margin_item else {
+        let Some(jstar) = margin_item(&extended, targets, top_k) else {
             continue; // degenerate: fewer non-target items than K
         };
         let margin = scores[jstar as usize];
@@ -207,6 +190,22 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
     AttackGradient { grad, loss }
 }
 
+/// The margin item `j*` of Eq. 15 in a user's ranked list `extended`
+/// (the top `K + |V^tar|` items, best first): the weakest non-target
+/// inside the top-`top_k` window, else the strongest non-target just
+/// below it. `None` when `extended` holds no non-target at all. `targets`
+/// is sorted ascending.
+pub fn margin_item(extended: &[u32], targets: &[u32], top_k: usize) -> Option<u32> {
+    let non_target = |v: &&u32| targets.binary_search(v).is_err();
+    let (window, below) = extended.split_at(top_k.min(extended.len()));
+    window
+        .iter()
+        .rev()
+        .find(non_target)
+        .or_else(|| below.iter().find(non_target))
+        .copied()
+}
+
 /// Choose a random user subset of size `max` (or all users when `max`
 /// covers them) for subsampled gradient evaluation.
 pub fn sample_user_subset(num_users: usize, max: usize, rng: &mut SeededRng) -> Vec<usize> {
@@ -223,6 +222,30 @@ pub fn sample_user_subset(num_users: usize, max: usize, rng: &mut SeededRng) -> 
 mod tests {
     use super::*;
     use fedrec_data::Dataset;
+    use fedrec_linalg::vector;
+
+    #[test]
+    fn margin_item_is_the_weakest_non_target_in_the_window() {
+        // Window [7, 3, 9] with target 3: the weakest non-target is 9.
+        assert_eq!(margin_item(&[7, 3, 9, 4], &[3], 3), Some(9));
+        // A target at the window's end does not hide the non-target
+        // before it.
+        assert_eq!(margin_item(&[7, 9, 3, 4], &[3], 3), Some(9));
+    }
+
+    #[test]
+    fn margin_item_falls_below_a_window_full_of_targets() {
+        // Targets fill the top-2 window: the first non-target below it.
+        assert_eq!(margin_item(&[5, 2, 8, 6], &[2, 5], 2), Some(8));
+        assert_eq!(margin_item(&[5, 2, 5, 8], &[2, 5], 2), Some(8));
+    }
+
+    #[test]
+    fn margin_item_is_none_without_a_non_target() {
+        // Fewer non-targets than K, and none at all in the list.
+        assert_eq!(margin_item(&[2, 5], &[2, 5], 10), None);
+        assert_eq!(margin_item(&[], &[2, 5], 10), None);
+    }
 
     #[test]
     fn g_matches_definition_and_is_continuous() {

@@ -1268,7 +1268,8 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: &Path) -> io::Result<Vec<CellOutc
 /// per cell from its final record, over **every** `.jsonl` file in the
 /// directory — including cells left over from earlier runs with other
 /// grids. To report on exactly one run's cells, use
-/// [`matrix_report_from`] with that run's outcome paths.
+/// [`matrix_report_from`] with that run's outcome paths. Fails like
+/// [`matrix_report_from`] on a file without a final record.
 pub fn matrix_report(dir: &Path) -> io::Result<Table> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -1280,18 +1281,28 @@ pub fn matrix_report(dir: &Path) -> io::Result<Table> {
 
 /// Render the defended paper table from specific cell files (one row per
 /// file, from its last final record), sorted by (model, attack, defense,
-/// ρ). Only lines [`Record::parse`] accepts count; a file without a final
-/// record has no row.
+/// ρ). Only lines [`Record::parse`] accepts count. A file without such a
+/// final record — a truncated cell, an older schema — is an
+/// [`io::ErrorKind::InvalidData`] error that names the first such file
+/// and carries the parse error of its last rejected line, if any.
 pub fn matrix_report_from(paths: &[PathBuf]) -> io::Result<Table> {
     let mut rows: Vec<Record> = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(path)?;
-        let last_final = text
-            .lines()
-            .rev()
-            .filter_map(|l| Record::parse(l).ok())
-            .find(|r| r.is_final);
-        rows.extend(last_final);
+        let mut rejected = None;
+        let last_final = text.lines().rev().find_map(|l| match Record::parse(l) {
+            Ok(r) => r.is_final.then_some(r),
+            Err(e) => {
+                rejected.get_or_insert(e);
+                None
+            }
+        });
+        let Some(record) = last_final else {
+            let why = rejected.map_or(String::new(), |e| format!("; last rejected line: {e}"));
+            let msg = format!("{}: no final record{why}", path.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        };
+        rows.push(record);
     }
     let sort_key = |r: &Record| (r.model.label(), r.attack.label(), r.defense.label());
     rows.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)).then(a.rho.total_cmp(&b.rho)));

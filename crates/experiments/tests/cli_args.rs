@@ -1,7 +1,8 @@
 //! The `repro` binary answers bad input with a typed failure — an
 //! out-of-domain malicious ratio ρ with its usage message and exit code 2,
-//! an unwritable output path with a `repro:` error and exit code 1 —
-//! never an allocation abort, a panic, or a silently run nonsense cell.
+//! an unwritable output path or an unreadable cell file with a `repro:`
+//! error and exit code 1 — never an allocation abort, a panic, a silently
+//! run nonsense cell or a silently dropped report row.
 
 use std::process::{Command, Output};
 
@@ -75,6 +76,34 @@ fn unwritable_out_path_fails_cleanly() {
         assert_eq!(got.status.code(), Some(1), "{}: {stderr}", args[0]);
         assert!(stderr.starts_with("repro:"), "{}: {stderr}", args[0]);
         assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cell file without a final record the current schema accepts — an
+/// old-schema file, a cell truncated mid-line — fails `repro report` with
+/// exit code 1 and an error naming the file, instead of vanishing from
+/// the table.
+#[test]
+fn report_fails_on_a_cell_file_without_a_final_record() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-report-{}", std::process::id()));
+    let old_schema = include_str!("../testdata/mf_tiny_reference.jsonl");
+    // The first cell of a current-schema file, cut inside its final line.
+    let mut lines = include_str!("../testdata/pairwise_tiny_reference.jsonl").lines();
+    let (first, last) = (lines.next().unwrap(), lines.next().unwrap());
+    let truncated = format!("{first}\n{}", &last[..last.len() / 2]);
+    for (name, text) in [("old_schema", old_schema), ("truncated", &truncated)] {
+        let case = dir.join(name);
+        std::fs::create_dir_all(&case).unwrap();
+        let file = case.join(format!("{name}.jsonl"));
+        std::fs::write(&file, text).unwrap();
+        let got = repro(&["report", "--dir", case.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&got.stderr);
+        assert_eq!(got.status.code(), Some(1), "{name}: {stderr}");
+        let prefix = format!("repro: report failed: {}: ", file.display());
+        assert!(stderr.starts_with(&prefix), "{name}: {stderr}");
+        assert!(stderr.contains("last rejected line"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -27,6 +27,7 @@
 
 use crate::model::NcfModel;
 use crate::theta::Theta;
+use fedrec_attack::loss::{g_prime, margin_item};
 use fedrec_attack::upload::{select_item_set, take_upload};
 use fedrec_data::PublicView;
 use fedrec_federated::adversary::{Adversary, RoundCtx};
@@ -115,26 +116,16 @@ impl NcfFedRecAttack {
             NcfModel::scores_for_vector(theta, items, u, &mut scores);
             let exclude = self.public.user_items(ui);
             let extended = topk::top_k_excluding(&scores, exclude, fetch);
-            let mut margin_item: Option<u32> = None;
-            for (pos, &v) in extended.iter().enumerate() {
-                let is_target = self.targets.binary_search(&v).is_ok();
-                if pos < self.top_k {
-                    if !is_target {
-                        margin_item = Some(v);
-                    }
-                } else if margin_item.is_none() && !is_target {
-                    margin_item = Some(v);
-                    break;
-                }
-            }
-            let Some(jstar) = margin_item else { continue };
+            let Some(jstar) = margin_item(&extended, &self.targets, self.top_k) else {
+                continue;
+            };
             let margin = scores[jstar as usize];
             for &t in &self.targets {
                 if self.public.contains(ui, t) {
                     continue;
                 }
                 let d = margin - scores[t as usize];
-                let gp = fedrec_attack::loss::g_prime(d);
+                let gp = g_prime(d);
                 if gp <= 1e-12 {
                     continue;
                 }

@@ -19,12 +19,18 @@
 //!   (the item matrix re-ordered by descending row norm) and skips whole
 //!   norm blocks once the Cauchy–Schwarz bound `u·v ≤ ‖u‖·‖v‖` proves no
 //!   remaining item can enter the heap. See the soundness notes on
-//!   [`PrunedItems`].
+//!   [`PrunedItems`]. Its ranking is the one-user case of
+//!   [`top_ranked_block`], the one pruned sweep, which the serving
+//!   layer runs over whole request batches.
 //! * [`ListScores`] — replays an exact ranking computed earlier (by the
 //!   blocked kernel sweep or the incremental candidate rescore) and
 //!   answers point queries with direct dots.
+//!
+//! The candidate rule itself — heap order and the group pre-screen —
+//! lives in [`crate::topk`]; this module only decides which items to
+//! score and in what order.
 
-use crate::topk::TopKHeap;
+use crate::topk::{TopKHeap, GROUP};
 use fedrec_linalg::{kernel, vector, Matrix};
 use std::cmp::Ordering;
 
@@ -178,7 +184,8 @@ impl PrunedItems {
     }
 }
 
-/// On-demand pruned scorer for one user vector against [`PrunedItems`].
+/// On-demand pruned scorer for one user vector against [`PrunedItems`]:
+/// its ranking runs [`top_ranked_block`] for this one user.
 ///
 /// `score_of` goes through the *original* item matrix (same rows, same
 /// bits), so point queries cost one dot regardless of pruning.
@@ -187,7 +194,6 @@ pub struct PrunedScores<'a> {
     pruned: &'a PrunedItems,
     items: &'a Matrix,
     u: &'a [f32],
-    unorm: f64,
     scored: u64,
 }
 
@@ -202,7 +208,6 @@ impl<'a> PrunedScores<'a> {
             pruned,
             items,
             u,
-            unorm: row_norm_f64(u),
             scored: 0,
         }
     }
@@ -217,78 +222,24 @@ impl<'a> PrunedScores<'a> {
     /// `exclude`, written into `out` in the total order of
     /// [`crate::topk`]. This is `top_k_excluding` plus the scores — the
     /// incremental evaluator needs the score of the last kept candidate
-    /// as its validity floor.
+    /// as its validity floor. It is the one-user case of
+    /// [`top_ranked_block`], whose dot count it adds to
+    /// [`Self::items_scored`].
     pub fn top_ranked_excluding(&mut self, exclude: &[u32], k: usize, out: &mut Vec<(u32, f32)>) {
-        debug_assert!(exclude.windows(2).all(|w| w[0] < w[1]), "exclude unsorted");
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let mut heap = TopKHeap::new(k);
-        let kdim = self.pruned.k;
-        let m = self.pruned.order.len();
-        // Exclusions as visit-position bits: one shift-and-test per
-        // visited item instead of a binary search over the id list.
-        let mut excl = vec![0u64; m.div_ceil(64)];
-        for &e in exclude {
-            let p = self.pruned.pos_of[e as usize] as usize;
-            excl[p / 64] |= 1 << (p % 64);
-        }
-        let mut scores = [0.0f32; PRUNE_BLOCK];
-        let mut pos = 0usize;
-        let mut block = 0usize;
-        while pos < m {
-            if heap.is_full() {
-                if let Some(min) = heap.min_score() {
-                    // Strictly below the heap minimum: nothing in this or
-                    // any later (lower-norm) block can be admitted.
-                    if self.unorm * self.pruned.bounds[block] < f64::from(min) {
-                        break;
-                    }
-                }
-            }
-            let end = (pos + PRUNE_BLOCK).min(m);
-            // Batch the block's dots through the blocked kernel — each
-            // output is still exactly `vector::dot(u, row)`, the kernel
-            // just computes four at a time. Excluded rows are scored too
-            // (their dots are wasted, a per-user-degree cost) but are
-            // neither offered to the heap nor counted in `scored`,
-            // keeping counters identical to the per-item formulation.
-            kernel::score_rows(
-                &self.pruned.rows[pos * kdim..end * kdim],
-                kdim,
-                self.u,
-                &mut scores[..end - pos],
-            );
-            feed_pruned_scores(
-                &mut heap,
-                &self.pruned.order,
-                &scores[..end - pos],
-                pos,
-                &excl,
-                &mut self.scored,
-            );
-            pos = end;
-            block += 1;
-        }
-        heap.drain_sorted_into(out);
+        let out = std::slice::from_mut(out);
+        self.scored += top_ranked_block(self.pruned, self.u, &[exclude], k, out);
     }
 }
 
 /// Feed one pruning block's precomputed scores (`scores[i]` is visit
-/// position `pos + i`) into a user's heap, in groups of 8 with the same
-/// exact pre-screen as the full-mode tile feed: once the heap is full, a
-/// group whose pairwise max is strictly below the floor cannot contribute
-/// (equal scores only enter on the id tie-break, which `<` excludes;
-/// NaN/-∞ sanitize to `f32::MIN`, covered by the `floor > f32::MIN`
-/// guard). Skipped groups still count their non-excluded members into
-/// `scored` — the group's dots were already computed — so counters are
-/// identical to the per-item formulation. `pos` is a multiple of 256, so
+/// position `pos + i`) into a user's heap, skipping the positions set in
+/// `excl`, in groups of [`GROUP`] screened by [`TopKHeap::rejects_group`].
+/// Unlike [`TopKHeap::push_run`], items arrive norm-sorted, not id-sorted,
+/// so exclusions are visit-position bits rather than a cursor over ids.
+/// Skipped groups still count their non-excluded members into `scored` —
+/// the group's dots were already computed — so counters are identical to
+/// the per-item formulation. `pos` is a multiple of [`PRUNE_BLOCK`], so
 /// groups stay aligned within the `u64` exclusion words.
-///
-/// Shared by the rowwise [`PrunedScores`] sweep and the batched
-/// [`top_ranked_block`]: identical feeding order is what makes the two
-/// paths byte-identical.
 fn feed_pruned_scores(
     heap: &mut TopKHeap,
     order: &[u32],
@@ -298,33 +249,24 @@ fn feed_pruned_scores(
     scored: &mut u64,
 ) {
     let end = pos + scores.len();
-    let group_end = pos + scores.len() / 8 * 8;
+    let group_end = pos + scores.len() / GROUP * GROUP;
     let mut p = pos;
-    'groups: while p < group_end {
-        if heap.is_full() {
-            if let Some(floor) = heap.min_score() {
-                if floor > f32::MIN {
-                    let g = &scores[p - pos..p - pos + 8];
-                    let gmax = g[0]
-                        .max(g[1])
-                        .max(g[2].max(g[3]))
-                        .max(g[4].max(g[5]).max(g[6].max(g[7])));
-                    if gmax < floor {
-                        let bits = excl[p / 64] >> (p % 64) & 0xFF;
-                        *scored += 8 - u64::from(bits.count_ones());
-                        p += 8;
-                        continue 'groups;
-                    }
+    while p < group_end {
+        let g: &[f32; GROUP] = scores[p - pos..p - pos + GROUP]
+            .try_into()
+            .expect("GROUP scores");
+        if heap.rejects_group(g) {
+            let bits = excl[p / 64] >> (p % 64) & 0xFF;
+            *scored += GROUP as u64 - u64::from(bits.count_ones());
+        } else {
+            for d in p..p + GROUP {
+                if excl[d / 64] >> (d % 64) & 1 == 0 {
+                    *scored += 1;
+                    heap.push(order[d], scores[d - pos]);
                 }
             }
         }
-        for d in p..p + 8 {
-            if excl[d / 64] >> (d % 64) & 1 == 0 {
-                *scored += 1;
-                heap.push(order[d], scores[d - pos]);
-            }
-        }
-        p += 8;
+        p += GROUP;
     }
     for d in group_end..end {
         if excl[d / 64] >> (d % 64) & 1 == 0 {
@@ -334,15 +276,15 @@ fn feed_pruned_scores(
     }
 }
 
-/// Batched exact top-`k` for up to a user block: every user's ranked
-/// `(item, sanitized score)` list is **byte-identical** to what
-/// [`PrunedScores::top_ranked_excluding`] produces for that user alone —
-/// same dots (the blocked kernel computes bit-identical
-/// [`vector::dot`]s), same block visit order, same per-user bound
-/// deactivation at block boundaries, same group pre-screen, same heap
-/// total order. The batch only amortizes `V` memory traffic: each
-/// [`PRUNE_BLOCK`] item tile is streamed once for all still-active users
-/// instead of once per user.
+/// The pruned sweep: exact top-`k` for a block of users over the
+/// norm-sorted [`PrunedItems`]. Every user's ranked `(item, sanitized
+/// score)` list is **byte-identical** to the batch of that user alone
+/// ([`PrunedScores::top_ranked_excluding`]) — same dots (the blocked
+/// kernel computes bit-identical [`vector::dot`]s), same block visit
+/// order, same per-user bound deactivation at block boundaries, same
+/// group pre-screen, same heap total order. The batch only amortizes `V`
+/// memory traffic: each [`PRUNE_BLOCK`] item tile is streamed once for
+/// all still-active users instead of once per user.
 ///
 /// `users` holds the row-major user vectors (`excludes.len()` rows of
 /// width `pruned.k()`); each exclusion list must be sorted ascending.
@@ -389,9 +331,9 @@ pub fn top_ranked_block(
     let mut pos = 0usize;
     let mut block = 0usize;
     while pos < m {
-        // Same strictly-below test as the rowwise sweep's `break`, made
-        // per-user: a deactivated user is never fed again, which is
-        // exactly what breaking out of the rowwise loop does.
+        // Cauchy–Schwarz: once a user's bound for this and every later
+        // (lower-norm) block sits strictly below their heap minimum,
+        // nothing left can be admitted, and the user is never fed again.
         active.retain(|&j| {
             if heaps[j].is_full() {
                 if let Some(min) = heaps[j].min_score() {
@@ -412,6 +354,10 @@ pub fn top_ranked_block(
             packed[slot * kdim..(slot + 1) * kdim]
                 .copy_from_slice(&users[j * kdim..(j + 1) * kdim]);
         }
+        // Excluded rows are scored too (their dots are wasted, a
+        // per-user-degree cost) but are neither offered to a heap nor
+        // counted in `scored`, keeping counters identical to the per-item
+        // formulation.
         kernel::score_block(
             &packed[..a * kdim],
             &pruned.rows[pos * kdim..end * kdim],
@@ -652,10 +598,10 @@ mod tests {
         assert_eq!(ls.score_of(3).to_bits(), dense[3].to_bits());
     }
 
-    /// The batched block scorer must reproduce the rowwise pruned sweep
-    /// bit for bit — ranked lists, score bits, and summed dot counters —
-    /// across norm skew (users deactivate at different blocks), partial
-    /// tail blocks, exclusions, and varying k.
+    /// A 13-user batch must reproduce one-user calls bit for bit — ranked
+    /// lists, score bits, and summed dot counters — across norm skew
+    /// (users deactivate at different blocks), partial tail blocks,
+    /// exclusions, and varying k.
     #[test]
     fn top_ranked_block_matches_rowwise_pruned_exactly() {
         // 1000 items = 3 full blocks + a 232-item tail; skew the front so

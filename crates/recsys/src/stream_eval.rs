@@ -31,8 +31,10 @@
 //!   [`fedrec_linalg::kernel::score_block`] kernel: users are scored in
 //!   blocks of [`USER_BLOCK`] against item tiles of [`ITEM_TILE`] rows,
 //!   so `V` streams from memory once per *block* instead of once per
-//!   *user*. Scores feed per-user [`TopKHeap`]s tile by tile — the heap's
-//!   total order makes the result independent of feeding order.
+//!   *user*. Each user's tile of scores goes to their [`TopKHeap`]
+//!   through [`TopKHeap::push_run`], the one heap feed of
+//!   [`crate::topk`] — the heap's total order makes the result
+//!   independent of feeding order.
 //! * [`EvalMode::Pruned`] — exact top-K via Cauchy–Schwarz norm bounds
 //!   over the norm-sorted [`PrunedItems`]; provably-losing item blocks
 //!   are never scored (see the soundness notes in [`crate::scorer`]).
@@ -235,66 +237,6 @@ impl EvalScratch {
             heaps,
             ranked: Vec::with_capacity(16),
         }
-    }
-}
-
-/// Feed one user's tile of scores (`tile[i]` scores item `tile_lo + i`)
-/// into their top-K heap, skipping `exclude` (sorted ascending ids).
-///
-/// Two exact shortcuts keep this off the per-item slow path, which at
-/// million scale is itself a multi-second cost (10⁹ heap offers per
-/// 10k-user sweep):
-///
-/// * **Exclusion cursor.** Items arrive in ascending id order, so one
-///   cursor walk over `exclude` replaces a binary search per item.
-/// * **Group pre-screen.** Once the heap is full, a candidate enters only
-///   with a sanitized score `> floor`, or `== floor` on a smaller id
-///   ([`TopKHeap::push`]). An 8-score group whose pairwise `f32::max`
-///   tree is *strictly below* the floor therefore cannot contribute and
-///   is skipped wholesale. This is exact, not approximate:
-///   - equal-to-floor scores (which may still enter on the id tie-break)
-///     never satisfy the strict `<`;
-///   - NaN and `-∞` sanitize to `f32::MIN`, and `f32::max` may ignore a
-///     NaN operand — both are covered by requiring `floor > f32::MIN`
-///     before screening, below which no sanitized score can sink;
-///   - an all-NaN group yields a NaN tree max, which fails `< floor` and
-///     falls through to the per-item path.
-fn feed_heap_tile(heap: &mut TopKHeap, tile: &[f32], tile_lo: usize, exclude: &[u32]) {
-    const GROUP: usize = 8;
-    let mut ec = exclude.partition_point(|&x| (x as usize) < tile_lo);
-    let mut offer = |heap: &mut TopKHeap, ti: usize, s: f32| {
-        let item = (tile_lo + ti) as u32;
-        while ec < exclude.len() && exclude[ec] < item {
-            ec += 1;
-        }
-        if ec < exclude.len() && exclude[ec] == item {
-            ec += 1;
-            return;
-        }
-        heap.push(item, s);
-    };
-    let mut ti = 0usize;
-    while ti + GROUP <= tile.len() {
-        if let Some(floor) = heap.min_score() {
-            if heap.is_full() && floor > f32::MIN {
-                let g = &tile[ti..ti + GROUP];
-                let gmax = g[0]
-                    .max(g[1])
-                    .max(g[2].max(g[3]))
-                    .max(g[4].max(g[5]).max(g[6].max(g[7])));
-                if gmax < floor {
-                    ti += GROUP;
-                    continue;
-                }
-            }
-        }
-        for d in 0..GROUP {
-            offer(heap, ti + d, tile[ti + d]);
-        }
-        ti += GROUP;
-    }
-    for (d, &s) in tile[ti..].iter().enumerate() {
-        offer(heap, ti + d, s);
     }
 }
 
@@ -559,8 +501,8 @@ impl Evaluator {
 
     /// Blocked full sweep of users `lo..hi`: score [`USER_BLOCK`]-row
     /// user blocks against [`ITEM_TILE`]-row item tiles through the
-    /// linalg kernel, feeding per-user top-10 heaps tile by tile. Returns
-    /// the dots spent.
+    /// linalg kernel, feeding per-user top-10 heaps tile by tile through
+    /// [`TopKHeap::push_run`]. Returns the dots spent.
     #[allow(clippy::too_many_arguments)]
     fn eval_shard_full<D>(
         &self,
@@ -600,7 +542,7 @@ impl Evaluator {
                 );
                 for (j, heap) in scratch.heaps.iter_mut().take(b).enumerate() {
                     let exclude = train.user_items(block_lo + j);
-                    feed_heap_tile(heap, &scratch.tile[j * t..(j + 1) * t], tile_lo, exclude);
+                    heap.push_run(tile_lo, &scratch.tile[j * t..(j + 1) * t], exclude);
                 }
                 tile_lo = tile_hi;
             }

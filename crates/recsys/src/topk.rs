@@ -1,9 +1,23 @@
-//! Top-K recommendation lists.
+//! Top-K recommendation lists — the one top-K core.
 //!
 //! §III-C: "for each user `u_i`, the recommender system recommends K items
 //! in `V_i⁻` with the top-K predicted scores" — i.e. already-interacted
 //! items are excluded. The same routine with the *public* exclusion set
 //! `V_i⁻″` produces the attacker's approximate lists `V_i^rec′` (Eq. 15).
+//!
+//! Every ranking in the workspace — the metrics, the attacker's lists and
+//! the online service — selects through [`TopKHeap`], and this module is
+//! the only place that decides which candidate may enter a top-K:
+//!
+//! * [`TopKHeap::push`] holds the order (descending sanitized score, ties
+//!   to the smaller id);
+//! * [`TopKHeap::rejects_group`] is the exact group pre-screen that lets a
+//!   feed skip [`GROUP`] scores at once;
+//! * [`TopKHeap::push_run`] is the one heap feed for scores of ascending
+//!   item ids: an exclusion cursor plus the pre-screen. The dense
+//!   [`top_k_excluding`] and the blocked evaluation sweep both feed through
+//!   it, and the norm-sorted pruned feed in [`crate::scorer`] screens its
+//!   groups with the same test.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -52,12 +66,15 @@ fn sanitize(score: f32) -> f32 {
     }
 }
 
+/// Scores per pre-screen group ([`TopKHeap::rejects_group`]).
+pub const GROUP: usize = 8;
+
 /// Incremental top-K selection under the module's deterministic total
 /// order: descending sanitized score, ties broken by ascending item id.
 ///
 /// This is the single implementation of the tie rule: the dense
 /// [`top_k_excluding`] sweep, the blocked/tile-fed evaluation path and
-/// the bound-pruned path all push candidates through this heap, so they
+/// the bound-pruned path all offer candidates to this heap, so they
 /// cannot disagree on orderings. Because the order is total and the
 /// replacement rule is strict, the final selection is independent of the
 /// order in which candidates are pushed — the property the pruned
@@ -128,6 +145,77 @@ impl TopKHeap {
         self.heap.peek().map(|s| s.score)
     }
 
+    /// Whether no score of the group `g` can enter the heap, so a feed may
+    /// skip the whole group without offering it.
+    ///
+    /// True only when the heap is full, its floor (the sanitized score of
+    /// the worst retained candidate) is above `f32::MIN`, and the pairwise
+    /// `f32::max` tree of the group lies *strictly below* the floor. Once
+    /// the heap is full a candidate enters only with a sanitized score
+    /// `> floor`, or `== floor` on a smaller id ([`Self::push`]), so the
+    /// test is exact, not approximate:
+    /// - equal-to-floor scores (which may still enter on the id tie-break)
+    ///   never satisfy the strict `<`;
+    /// - NaN and `-∞` sanitize to `f32::MIN`, and `f32::max` may ignore a
+    ///   NaN operand — both are covered by requiring `floor > f32::MIN`,
+    ///   below which no sanitized score can sink;
+    /// - an all-NaN group yields a NaN tree max, which fails `< floor` and
+    ///   falls through to per-item offers.
+    #[inline]
+    pub fn rejects_group(&self, g: &[f32; GROUP]) -> bool {
+        match self.heap.peek() {
+            Some(min) if self.is_full() && min.score > f32::MIN => {
+                let gmax = g[0]
+                    .max(g[1])
+                    .max(g[2].max(g[3]))
+                    .max(g[4].max(g[5]).max(g[6].max(g[7])));
+                gmax < min.score
+            }
+            _ => false,
+        }
+    }
+
+    /// Offer `scores[i]` as the score of item `first + i`, skipping the
+    /// items in `exclude` (sorted ascending ids; ids outside the run are
+    /// allowed). Leaves the heap exactly as offering every non-excluded
+    /// item through [`Self::push`] would, with two shortcuts that keep a
+    /// long run off the per-item path (at million scale that path is
+    /// itself a multi-second cost: 10⁹ heap offers per 10k-user sweep):
+    ///
+    /// * **Exclusion cursor.** Items arrive in ascending id order, so one
+    ///   cursor walk over `exclude` replaces a binary search per item.
+    /// * **Group pre-screen.** Each aligned group of [`GROUP`] scores that
+    ///   [`Self::rejects_group`] rules out is skipped wholesale; the tail
+    ///   of fewer than [`GROUP`] scores is offered item by item.
+    #[inline]
+    pub fn push_run(&mut self, first: usize, scores: &[f32], exclude: &[u32]) {
+        let mut ec = exclude.partition_point(|&x| (x as usize) < first);
+        let mut offer = |heap: &mut TopKHeap, i: usize, s: f32| {
+            let item = (first + i) as u32;
+            while ec < exclude.len() && exclude[ec] < item {
+                ec += 1;
+            }
+            if ec < exclude.len() && exclude[ec] == item {
+                ec += 1;
+                return;
+            }
+            heap.push(item, s);
+        };
+        let mut i = 0usize;
+        while i + GROUP <= scores.len() {
+            let g: &[f32; GROUP] = scores[i..i + GROUP].try_into().expect("GROUP scores");
+            if !self.rejects_group(g) {
+                for (d, &s) in g.iter().enumerate() {
+                    offer(self, i + d, s);
+                }
+            }
+            i += GROUP;
+        }
+        for (d, &s) in scores[i..].iter().enumerate() {
+            offer(self, i + d, s);
+        }
+    }
+
     /// Drain into `out` as `(item, sanitized score)` pairs sorted by the
     /// total order (descending score, ties ascending id), emptying the
     /// heap for reuse.
@@ -146,21 +234,16 @@ impl TopKHeap {
 /// The `k` highest-scoring items not in `exclude` (sorted ascending item
 /// ids), ordered by descending score (ties broken by ascending item id).
 ///
-/// `scores[v]` is the predicted score of item `v`. Runs in `O(m log k)`.
-/// Non-finite scores are treated as the lowest possible value.
+/// `scores[v]` is the predicted score of item `v`. Runs in `O(m log k)`,
+/// through [`TopKHeap::push_run`]. NaN scores are treated as the lowest
+/// possible value and ±∞ are clamped to the finite range.
 pub fn top_k_excluding(scores: &[f32], exclude: &[u32], k: usize) -> Vec<u32> {
     debug_assert!(exclude.windows(2).all(|w| w[0] < w[1]), "exclude unsorted");
     if k == 0 {
         return Vec::new();
     }
     let mut heap = TopKHeap::new(k);
-    for (item, &score) in scores.iter().enumerate() {
-        let item = item as u32;
-        if exclude.binary_search(&item).is_ok() {
-            continue;
-        }
-        heap.push(item, score);
-    }
+    heap.push_run(0, scores, exclude);
     let mut out = Vec::with_capacity(heap.len());
     heap.drain_sorted_into(&mut out);
     out.into_iter().map(|(item, _)| item).collect()
@@ -291,6 +374,25 @@ mod tests {
         let mut out = Vec::new();
         heap.drain_sorted_into(&mut out);
         assert_eq!(out, vec![(5, 0.5)]);
+    }
+
+    #[test]
+    fn group_prescreen_keeps_groups_that_tie_the_floor() {
+        let mut heap = TopKHeap::new(1);
+        heap.push(9, 0.5);
+        assert!(heap.rejects_group(&[0.4; GROUP]));
+        // A member equal to the floor may still enter on a smaller id.
+        assert!(!heap.rejects_group(&[0.1, 0.1, 0.1, 0.5, 0.1, 0.1, 0.1, 0.1]));
+        // At the lowest floor, NaN and -inf tie it: f32::max skips the
+        // NaNs, the tree max is -inf, and yet a NaN at a smaller id enters.
+        heap.reset(1);
+        heap.push(9, f32::NAN);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        assert!(!heap.rejects_group(&[nan, ninf, nan, nan, ninf, nan, nan, nan]));
+        heap.push(3, nan);
+        let mut out = Vec::new();
+        heap.drain_sorted_into(&mut out);
+        assert_eq!(out, vec![(3, f32::MIN)]);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use fedrec_data::split::leave_one_out;
 use fedrec_data::Dataset;
 use fedrec_linalg::{Matrix, SeededRng};
 use fedrec_recsys::eval::{EvalReport, Evaluator};
+use fedrec_recsys::topk::{TopKHeap, GROUP};
 use fedrec_recsys::{
     bpr, metrics, ranking, topk, EvalCounters, EvalMode, IncrementalEvalState, MfModel,
 };
@@ -140,6 +141,124 @@ proptest! {
         let hits_from_p = p * list.len() as f64;
         let hits_from_r = r * relevant.len() as f64;
         prop_assert!((hits_from_p - hits_from_r).abs() < 1e-9);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The one heap feed: `top_k_excluding` (exclusion cursor plus the group
+// pre-screen) must select exactly what offering every item through
+// `TopKHeap::push`, with a binary search per exclusion, selects.
+// ---------------------------------------------------------------------------
+
+/// Scores that stress the top-K order: NaN, ±∞, ±0.0, the finite extremes
+/// and heavy ties. The first three all sanitize to `f32::MIN`.
+const HOSTILE: [f32; 11] = [
+    f32::NAN,
+    f32::NEG_INFINITY,
+    f32::MIN,
+    f32::INFINITY,
+    f32::MAX,
+    0.0,
+    -0.0,
+    0.5,
+    0.5,
+    -0.5,
+    1.0,
+];
+
+/// `len` scores drawn from the first `span` entries of [`HOSTILE`]; a
+/// `span` past its end adds fresh normal draws to the mix.
+fn hostile_scores(len: usize, span: usize, rng: &mut SeededRng) -> Vec<f32> {
+    (0..len)
+        .map(|_| match HOSTILE.get(rng.below(span)) {
+            Some(&s) => s,
+            None => rng.normal(0.0, 1.0),
+        })
+        .collect()
+}
+
+/// The heap's sanitation: NaN lowest, ±∞ clamped to the finite range.
+fn sanitized(s: f32) -> f32 {
+    if s.is_nan() {
+        f32::MIN
+    } else {
+        s.clamp(f32::MIN, f32::MAX)
+    }
+}
+
+/// The dense top-K before the one heap feed: every item offered through
+/// [`TopKHeap::push`], exclusions found by binary search.
+fn top_k_binary_search(scores: &[f32], exclude: &[u32], k: usize) -> Vec<u32> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut heap = TopKHeap::new(k);
+    for (item, &score) in scores.iter().enumerate() {
+        let item = item as u32;
+        if exclude.binary_search(&item).is_ok() {
+            continue;
+        }
+        heap.push(item, score);
+    }
+    let mut out = Vec::with_capacity(heap.len());
+    heap.drain_sorted_into(&mut out);
+    out.into_iter().map(|(item, _)| item).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `top_k_excluding` equals the binary-search loop on lengths that are
+    /// mostly not multiples of [`GROUP`], hostile and tied scores, sorted
+    /// exclusion lists reaching past the last item, and k from 0 to past
+    /// the candidate count; its list is in descending sanitized score,
+    /// ties to the smaller id.
+    #[test]
+    fn top_k_excluding_matches_the_binary_search_loop(
+        len in 0usize..300,
+        span in 1usize..HOSTILE.len() + 2,
+        density in 0u64..4,
+        ki in 0usize..6,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let scores = hostile_scores(len, span, &mut rng);
+        let exclude: Vec<u32> = (0..len as u32 + 8)
+            .filter(|_| (rng.below(4) as u64) < density)
+            .collect();
+        let k = [0, 1, 7, 10, len, len + 5][ki];
+        let top = topk::top_k_excluding(&scores, &exclude, k);
+        prop_assert_eq!(&top, &top_k_binary_search(&scores, &exclude, k), "len {} k {}", len, k);
+        for w in top.windows(2) {
+            let (a, b) = (sanitized(scores[w[0] as usize]), sanitized(scores[w[1] as usize]));
+            prop_assert!(a > b || (a == b && w[0] < w[1]), "order {:?} at len {}", w, len);
+        }
+    }
+
+    /// The group pre-screen rejects a group only when no member could
+    /// enter the heap under any id: every sanitized member lies strictly
+    /// below the floor (an equal one may still enter on a smaller id,
+    /// which the norm-sorted pruned feed offers).
+    #[test]
+    fn rejects_group_only_rejects_groups_no_member_can_enter(
+        k in 1usize..4,
+        fill in 0usize..6,
+        span in 1usize..HOSTILE.len() + 2,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let mut heap = TopKHeap::new(k);
+        for (i, s) in hostile_scores(fill, span, &mut rng).into_iter().enumerate() {
+            heap.push(100 + i as u32, s);
+        }
+        let group: [f32; GROUP] = hostile_scores(GROUP, span, &mut rng).try_into().unwrap();
+        if heap.rejects_group(&group) {
+            prop_assert!(heap.is_full());
+            let floor = heap.min_score().unwrap();
+            for &s in &group {
+                prop_assert!(sanitized(s) < floor, "{:?} rejected at floor {}", group, floor);
+            }
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`top_ranked_block`](fedrec_recsys::scorer::top_ranked_block()), which
 //! streams each norm-sorted item tile once for the whole block instead of
 //! once per user. Batching is invisible in the output: the block scorer
-//! is byte-identical per user to the rowwise sweep, so a response never
+//! gives each user the bytes of a one-user batch, so a response never
 //! depends on which other requests happened to share its batch — the
 //! serving determinism contract (fixed snapshot epoch, user, exclusions ⇒
 //! fixed bytes, any thread count, hit or miss) reduces to the offline
