@@ -75,6 +75,7 @@ use fedrec_experiments::{
 };
 use fedrec_federated::StoreBackend;
 use fedrec_recsys::EvalMode;
+use fedrec_serve::Stamp;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -381,8 +382,8 @@ fn cmd_matrix(args: &Args) {
     if args.smoke {
         let _ = std::fs::remove_dir_all(&out_dir);
     }
-    // fedrec-lint: allow(wall-clock) — progress timing on stderr only; record bytes never include it
-    let started = std::time::Instant::now();
+    // Progress timing on stderr only; record bytes never include it.
+    let started = Stamp::now();
     let outcomes =
         run_matrix(&cfg, &out_dir).unwrap_or_else(|e| fail(&format!("matrix run failed: {e}")));
     let records: usize = outcomes.iter().map(|o| o.records).sum();
@@ -392,7 +393,7 @@ fn cmd_matrix(args: &Args) {
         records,
         out_dir.display(),
         cfg.workers,
-        started.elapsed().as_secs_f64()
+        started.elapsed_ns() as f64 / 1e9
     );
     if args.smoke {
         smoke_checks(&cfg, &outcomes);
@@ -888,8 +889,8 @@ fn main() {
         "serve" => return cmd_serve(&args),
         _ => {}
     }
-    // fedrec-lint: allow(wall-clock) — progress timing on stderr only; table bytes never include it
-    let started = std::time::Instant::now();
+    // Progress timing on stderr only; table bytes never include it.
+    let started = Stamp::now();
     let tables = run_one(&args.experiment, &args);
     let rendered: String = tables
         .iter()
@@ -905,6 +906,6 @@ fn main() {
     eprintln!(
         "({} table(s) in {:.1}s)",
         tables.len(),
-        started.elapsed().as_secs_f64()
+        started.elapsed_ns() as f64 / 1e9
     );
 }

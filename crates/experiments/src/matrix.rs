@@ -91,7 +91,7 @@ use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
 use fedrec_recsys::eval::Evaluator;
 use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_recsys::{EvalMode, IncrementalEvalState};
-use fedrec_serve::{ServeConfig, ServedTopK, Service};
+use fedrec_serve::{ServeConfig, ServedTopK, Service, Stamp};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -700,8 +700,9 @@ impl CellEval<'_> {
         users: &dyn fedrec_recsys::UserRowSource,
         rec: &mut Record,
     ) {
-        // fedrec-lint: allow(wall-clock) — times the eval pass for the volatile `eval_ms` record field; every identity gate strips it (Mask::VOLATILE)
-        let started = std::time::Instant::now();
+        // Times the eval pass for the volatile `eval_ms` record field;
+        // every identity gate strips it (Mask::VOLATILE).
+        let started = Stamp::now();
         let span = 0..self.eval_users;
         let (rep, counters, mode) = if self.ncf {
             let theta = Theta::from_shared(items.cols(), shared);
@@ -734,7 +735,7 @@ impl CellEval<'_> {
             );
             (rep, counters, self.mode)
         };
-        rec.eval_ms = started.elapsed().as_millis() as u64;
+        rec.eval_ms = started.elapsed_ns() / 1_000_000;
         rec.er5 = rep.attack.er_at_5;
         rec.er10 = rep.attack.er_at_10;
         rec.ndcg10 = rep.attack.ndcg_at_10;
@@ -1269,12 +1270,19 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: &Path) -> io::Result<Vec<CellOutc
 /// directory — including cells left over from earlier runs with other
 /// grids. To report on exactly one run's cells, use
 /// [`matrix_report_from`] with that run's outcome paths. Fails like
-/// [`matrix_report_from`] on a file without a final record.
+/// [`matrix_report_from`] on a file without a final record, and with
+/// [`io::ErrorKind::InvalidData`] on a directory that holds no `.jsonl`
+/// file (a mistyped or not-yet-written run directory is not a run with
+/// no cells).
 pub fn matrix_report(dir: &Path) -> io::Result<Table> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
         .collect();
+    if entries.is_empty() {
+        let msg = format!("no cell files (*.jsonl) in {}", dir.display());
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    }
     entries.sort();
     matrix_report_from(&entries)
 }

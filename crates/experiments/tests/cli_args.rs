@@ -1,8 +1,9 @@
 //! The `repro` binary answers bad input with a typed failure — an
 //! out-of-domain malicious ratio ρ with its usage message and exit code 2,
-//! an unwritable output path or an unreadable cell file with a `repro:`
-//! error and exit code 1 — never an allocation abort, a panic, a silently
-//! run nonsense cell or a silently dropped report row.
+//! an unwritable output path, an unreadable cell file or a report
+//! directory without cell files with a `repro:` error and exit code 1 —
+//! never an allocation abort, a panic, a silently run nonsense cell or a
+//! silently dropped report row.
 
 use std::process::{Command, Output};
 
@@ -48,10 +49,17 @@ fn matrix_rejects_rho_lists_with_a_bad_entry() {
 
 /// An `--out` path that cannot be created is a `repro:` error with exit
 /// code 1 — for a rendered table as for a cell's records — not a panic.
+/// The report directory holds one valid cell, so `report` fails at its
+/// write, not at reading the directory.
 #[test]
 fn unwritable_out_path_fails_cleanly() {
     let dir = std::env::temp_dir().join(format!("repro-cli-out-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let cell_lines: Vec<&str> = include_str!("../testdata/pairwise_tiny_reference.jsonl")
+        .lines()
+        .take(2)
+        .collect();
+    std::fs::write(dir.join("cell.jsonl"), cell_lines.join("\n") + "\n").unwrap();
     let out = dir.join("missing-dir").join("x");
     let (dir_arg, out_arg) = (dir.to_str().unwrap(), out.to_str().unwrap());
     let cell = [
@@ -74,9 +82,33 @@ fn unwritable_out_path_fails_cleanly() {
         let got = repro(args);
         let stderr = String::from_utf8_lossy(&got.stderr);
         assert_eq!(got.status.code(), Some(1), "{}: {stderr}", args[0]);
-        assert!(stderr.starts_with("repro:"), "{}: {stderr}", args[0]);
+        let prefix = if args[0] == "report" {
+            "repro: write"
+        } else {
+            "repro:"
+        };
+        assert!(stderr.starts_with(prefix), "{}: {stderr}", args[0]);
         assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A report directory without a single cell file is a `repro:` error
+/// with exit code 1, not an empty table.
+#[test]
+fn report_fails_on_a_directory_without_cell_files() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("notes.txt"), "not a cell\n").unwrap();
+    let got = repro(&["report", "--dir", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&got.stderr);
+    assert_eq!(got.status.code(), Some(1), "{stderr}");
+    let want = format!(
+        "repro: report failed: no cell files (*.jsonl) in {}",
+        dir.display()
+    );
+    assert!(stderr.starts_with(&want), "{stderr}");
+    assert!(got.stdout.is_empty(), "rendered a table: {:?}", got.stdout);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

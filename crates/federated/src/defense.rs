@@ -159,11 +159,6 @@ impl DefensePipeline {
         self.detector.as_deref().map(Detector::name)
     }
 
-    /// Name of the aggregation rule.
-    pub fn aggregator_name(&self) -> &'static str {
-        self.aggregator.name()
-    }
-
     /// Whether flagged uploads are excluded from aggregation.
     pub fn excludes(&self) -> bool {
         self.exclude_flagged

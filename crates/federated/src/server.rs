@@ -71,11 +71,6 @@ impl Server {
     pub fn apply(&mut self, aggregate: &SparseGrad) {
         aggregate.apply_to(&mut self.items, self.lr);
     }
-
-    /// Consume the server, returning the final `V`.
-    pub fn into_items(self) -> Matrix {
-        self.items
-    }
 }
 
 #[cfg(test)]

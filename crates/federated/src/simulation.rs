@@ -312,11 +312,6 @@ impl Simulation {
         self.faults = Some(FaultInjector::new(plan, seed));
     }
 
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     /// Straggler uploads currently in flight.
     pub fn pending_uploads(&self) -> usize {
         self.pending.len()
@@ -350,11 +345,6 @@ impl Simulation {
     /// The flat server-side shared-parameter block `Θ` (empty for MF).
     pub fn shared(&self) -> &[f32] {
         &self.shared
-    }
-
-    /// The model family driving local rounds ("mf", "ncf", ...).
-    pub fn model_name(&self) -> &'static str {
-        self.model.name()
     }
 
     /// Benign clients whose state is currently materialized in memory

@@ -99,12 +99,6 @@ impl Matrix {
         vector::axpy(alpha, x, self.row_mut(i));
     }
 
-    /// Dot product of row `i` with an external vector.
-    #[inline]
-    pub fn row_dot(&self, i: usize, x: &[f32]) -> f32 {
-        vector::dot(self.row(i), x)
-    }
-
     /// ℓ2 norm of every row; used by the attack's filler-item selection
     /// probabilities (Eq. 22) and by detection heuristics.
     pub fn row_norms(&self) -> Vec<f32> {
@@ -138,25 +132,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Iterator over rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
-    }
-
-    /// Mean of all rows as a single `cols`-vector (PipAttack's popular-item
-    /// centroid uses this over a subset; this is the dense helper).
-    pub fn mean_row(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        if self.rows == 0 {
-            return out;
-        }
-        for r in self.iter_rows() {
-            vector::add_assign(&mut out, r);
-        }
-        vector::scale(1.0 / self.rows as f32, &mut out);
-        out
     }
 
     /// Mean of the rows whose indices are given.
@@ -253,7 +228,6 @@ mod tests {
     #[test]
     fn mean_row_and_subset() {
         let m = Matrix::from_vec(3, 2, vec![1.0, 0.0, 3.0, 0.0, 5.0, 6.0]);
-        assert_eq!(m.mean_row(), vec![3.0, 2.0]);
         assert_eq!(m.mean_of_rows(&[0, 1]), vec![2.0, 0.0]);
         assert_eq!(m.mean_of_rows(&[]), vec![0.0, 0.0]);
     }

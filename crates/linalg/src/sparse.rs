@@ -72,23 +72,6 @@ impl SparseGrad {
         self.rows.extend_from_slice(row);
     }
 
-    /// Append `(item, row)` pairs arriving in strictly increasing id
-    /// order; see [`SparseGrad::push_sorted`].
-    pub fn extend_sorted<'r>(&mut self, pairs: impl IntoIterator<Item = (u32, &'r [f32])>) {
-        for (item, row) in pairs {
-            self.push_sorted(item, row);
-        }
-    }
-
-    /// Build from `(item, row)` pairs already in strictly increasing id
-    /// order. The batch counterpart of repeated [`SparseGrad::accumulate`]
-    /// for pre-sorted input: linear in the number of rows.
-    pub fn from_pairs<'r>(k: usize, pairs: impl IntoIterator<Item = (u32, &'r [f32])>) -> Self {
-        let mut g = Self::new(k);
-        g.extend_sorted(pairs);
-        g
-    }
-
     /// Latent dimension.
     #[inline]
     pub fn k(&self) -> usize {
@@ -287,21 +270,6 @@ impl SparseGrad {
         g
     }
 
-    /// Keep only the rows for items in `keep` (sorted slice); drop the rest.
-    pub fn retain_items(&mut self, keep: &[u32]) {
-        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep must be sorted");
-        let mut new_items = Vec::with_capacity(keep.len());
-        let mut new_rows = Vec::with_capacity(keep.len() * self.k);
-        for (item, row) in self.iter() {
-            if keep.binary_search(&item).is_ok() {
-                new_items.push(item);
-                new_rows.extend_from_slice(row);
-            }
-        }
-        self.items = new_items;
-        self.rows = new_rows;
-    }
-
     /// Sum of squared entries across all rows.
     pub fn frobenius_norm_sq(&self) -> f32 {
         vector::l2_norm_sq(&self.rows)
@@ -454,7 +422,10 @@ mod tests {
     #[test]
     fn sorted_builders_match_accumulate() {
         let rows: Vec<(u32, [f32; 2])> = vec![(2, [1.0, 2.0]), (4, [3.0, 4.0]), (9, [5.0, 6.0])];
-        let batch = SparseGrad::from_pairs(2, rows.iter().map(|(i, r)| (*i, &r[..])));
+        let mut batch = SparseGrad::new(2);
+        for (i, r) in &rows {
+            batch.push_sorted(*i, r);
+        }
         let mut inc = SparseGrad::new(2);
         for (i, r) in &rows {
             inc.accumulate(*i, 1.0, r);
@@ -534,15 +505,6 @@ mod tests {
         assert_eq!(&d[6..8], &[0.0, 5.0]);
         let g2 = SparseGrad::from_dense(&d, 2, 1e-9);
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn retain_items_filters() {
-        let mut g = grad_of(&[(0, [1.0, 0.0]), (2, [2.0, 0.0]), (5, [3.0, 0.0])]);
-        g.retain_items(&[2, 5]);
-        assert_eq!(g.items(), &[2, 5]);
-        assert_eq!(g.get(0), None);
-        assert_eq!(g.get(2).unwrap(), &[2.0, 0.0]);
     }
 
     #[test]

@@ -19,8 +19,15 @@
 //! the index tie rule, which needs score equality. NaN anywhere in the
 //! drift accounting poisons the bound, so degenerate models permanently
 //! fall back to exact sweeps: wrong-but-fast is never an outcome.
+//!
+//! [`rank_cached`] is the one hit-or-sweep step built on that argument:
+//! given a block of users and the entries that apply to them, it serves
+//! every entry that revalidates and ranks every other user with one
+//! pruned sweep. The incremental evaluator calls it per user block, the
+//! serving layer per request batch and per inline request, so this module
+//! alone decides when a cached ranking may stand in for a sweep.
 
-use crate::scorer::{drift_step, row_norm_f64};
+use crate::scorer::{drift_step, row_norm_f64, top_ranked_block, PrunedItems};
 use crate::topk::TopKHeap;
 use fedrec_linalg::{vector, Matrix};
 
@@ -187,6 +194,81 @@ impl Candidates {
         // on a smaller index.
         kth > self.floor + self.unorm * (drift - self.drift_at) + slack
     }
+}
+
+/// The exact top-K of a block of users, from their cached candidates
+/// where those still hold and from one pruned sweep where they do not.
+///
+/// `rows` holds `excludes.len()` row-major user vectors of width
+/// `items.cols()`, `pruned` is the norm-sorted view of `items`, and
+/// `(drift, vmax_seen)` are the [`DriftTracker`] readings at `items`.
+/// `cached[j]` is user `j`'s entry if one *applies* (the caller checked
+/// it was built for this row and these exclusions); this step only
+/// revalidates it. A user whose entry revalidates gets its exact ranked
+/// top-`k` in `out[j]`. Every other user is a miss: all misses are ranked
+/// together at `cand_k` by one [`top_ranked_block`] call over their
+/// packed rows, so `out[j]` holds the band a fresh [`Candidates`] is built
+/// from, and its `k`-prefix is the top-`k` (the heap order is total).
+///
+/// Returns the dots spent and the miss indices, ascending. A hit is
+/// charged its rescore (`ids().len()` dots), a miss only its sweep: an
+/// entry that fails revalidation is not charged its rescore, which keeps
+/// every user's charge within the `m` dots of a full sweep.
+#[allow(clippy::too_many_arguments)]
+pub fn rank_cached(
+    pruned: &PrunedItems,
+    items: &Matrix,
+    rows: &[f32],
+    excludes: &[&[u32]],
+    cached: &[Option<&Candidates>],
+    (drift, vmax_seen): (f64, f64),
+    (k, cand_k): (usize, usize),
+    out: &mut [Vec<(u32, f32)>],
+) -> (u64, Vec<usize>) {
+    let (b, kdim) = (excludes.len(), items.cols());
+    assert_eq!(rows.len(), b * kdim, "user block shape mismatch");
+    assert_eq!(cached.len(), b, "cache slot count mismatch");
+    assert_eq!(out.len(), b, "output slot count mismatch");
+    let mut dots = 0u64;
+    let mut misses = Vec::new();
+    // Built on the first entry only, so a block without one allocates
+    // no heap.
+    let mut heap: Option<TopKHeap> = None;
+    for (j, entry) in cached.iter().enumerate() {
+        let row = &rows[j * kdim..(j + 1) * kdim];
+        let hit = entry.is_some_and(|c| {
+            let heap = heap.get_or_insert_with(|| TopKHeap::new(k));
+            heap.reset(k);
+            let valid = c.revalidate(row, items, drift, vmax_seen, heap);
+            if valid {
+                dots += c.ids().len() as u64;
+                heap.drain_sorted_into(&mut out[j]);
+            }
+            valid
+        });
+        if !hit {
+            misses.push(j);
+        }
+    }
+    if misses.len() == b {
+        // Nothing hit (a first epoch, an inline miss): rank the block in
+        // place, without copying rows or allocating a packed batch.
+        dots += top_ranked_block(pruned, rows, excludes, cand_k, out);
+    } else if !misses.is_empty() {
+        let mut packed = Vec::with_capacity(misses.len() * kdim);
+        let mut miss_excludes = Vec::with_capacity(misses.len());
+        let mut lists = Vec::with_capacity(misses.len());
+        for &j in &misses {
+            packed.extend_from_slice(&rows[j * kdim..(j + 1) * kdim]);
+            miss_excludes.push(excludes[j]);
+            lists.push(std::mem::take(&mut out[j]));
+        }
+        dots += top_ranked_block(pruned, &packed, &miss_excludes, cand_k, &mut lists);
+        for (&j, list) in misses.iter().zip(lists) {
+            out[j] = list;
+        }
+    }
+    (dots, misses)
 }
 
 #[cfg(test)]

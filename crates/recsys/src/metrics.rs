@@ -133,7 +133,6 @@ pub struct MetricsAccumulator {
     ndcg10_sum: f64,
     hr_users: usize,
     hr_hits: usize,
-    loss_sum: f64,
 }
 
 impl MetricsAccumulator {
@@ -143,9 +142,10 @@ impl MetricsAccumulator {
     }
 
     /// Record one user's attack metrics from any [`ScoreSource`] — a
-    /// dense vector ([`DenseScores`]), the bound-pruned scorer, or a
-    /// replayed exact ranking. Only the top-10 list is consumed, which is
-    /// what lets pruned sources skip provably-losing items.
+    /// dense vector ([`DenseScores`]) or a replayed exact ranking
+    /// ([`ListScores`](crate::scorer::ListScores)). Only the top-10 list
+    /// is consumed, which is what lets the evaluator rank with a pruned
+    /// sweep that skips provably-losing items, or with cached candidates.
     pub fn push_user_attack<S: ScoreSource + ?Sized>(
         &mut self,
         scores: &mut S,
@@ -173,11 +173,6 @@ impl MetricsAccumulator {
         }
     }
 
-    /// Record one user's training loss (for Fig. 3's loss curves).
-    pub fn push_loss(&mut self, loss: f32) {
-        self.loss_sum += loss as f64;
-    }
-
     /// Fold another accumulator into this one.
     ///
     /// The streaming sharded evaluator computes one accumulator per
@@ -191,7 +186,6 @@ impl MetricsAccumulator {
         self.ndcg10_sum += other.ndcg10_sum;
         self.hr_users += other.hr_users;
         self.hr_hits += other.hr_hits;
-        self.loss_sum += other.loss_sum;
     }
 
     /// Number of users pushed through [`Self::push_user_attack`].
@@ -219,11 +213,6 @@ impl MetricsAccumulator {
         } else {
             self.hr_hits as f64 / self.hr_users as f64
         }
-    }
-
-    /// Total pushed training loss.
-    pub fn total_loss(&self) -> f64 {
-        self.loss_sum
     }
 }
 
@@ -363,17 +352,14 @@ mod tests {
         whole.push_user_attack(&mut DenseScores::new(&s), &[], &[0]);
         whole.push_user_attack(&mut DenseScores::new(&s2), &[], &[0]);
         whole.push_user_hr(&mut DenseScores::new(&s), 0, &[1, 2]);
-        whole.push_loss(0.5);
         let mut a = MetricsAccumulator::new();
         a.push_user_attack(&mut DenseScores::new(&s), &[], &[0]);
         a.push_user_hr(&mut DenseScores::new(&s), 0, &[1, 2]);
-        a.push_loss(0.5);
         let mut b = MetricsAccumulator::new();
         b.push_user_attack(&mut DenseScores::new(&s2), &[], &[0]);
         a.merge(&b);
         assert_eq!(a.attack_metrics(), whole.attack_metrics());
         assert_eq!(a.hr_at_10(), whole.hr_at_10());
-        assert_eq!(a.total_loss(), whole.total_loss());
         assert_eq!(a.attack_users(), 2);
     }
 }

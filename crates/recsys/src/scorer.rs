@@ -8,26 +8,27 @@
 //! scorer that can produce the exact top-K-excluding list and exact
 //! individual scores, however it wants to get there.
 //!
-//! Three implementations, all **byte-identical** in what they feed the
+//! Two implementations, **byte-identical** in what they feed the
 //! metrics:
 //!
 //! * [`DenseScores`] — wraps a precomputed dense score vector; the
 //!   ranking of the dense-scorer sweep
 //!   ([`crate::eval::Evaluator::evaluate_user_range_scored`], which NCF
 //!   uses) and of tests.
-//! * [`PrunedScores`] — computes dots on demand over [`PrunedItems`]
-//!   (the item matrix re-ordered by descending row norm) and skips whole
-//!   norm blocks once the Cauchy–Schwarz bound `u·v ≤ ‖u‖·‖v‖` proves no
-//!   remaining item can enter the heap. See the soundness notes on
-//!   [`PrunedItems`]. Its ranking is the one-user case of
-//!   [`top_ranked_block`], the one pruned sweep, which the serving
-//!   layer runs over whole request batches.
 //! * [`ListScores`] — replays an exact ranking computed earlier (by the
-//!   blocked kernel sweep or the incremental candidate rescore) and
-//!   answers point queries with direct dots.
+//!   blocked kernel sweep, the pruned sweep or the incremental candidate
+//!   rescore) and answers point queries with direct dots.
 //!
-//! The candidate rule itself — heap order and the group pre-screen —
-//! lives in [`crate::topk`]; this module only decides which items to
+//! The rankings [`ListScores`] replays come from [`top_ranked_block`],
+//! the one pruned sweep: it scores a block of users over
+//! [`PrunedItems`] (the item matrix re-ordered by descending row norm)
+//! and skips whole norm blocks once the Cauchy–Schwarz bound
+//! `u·v ≤ ‖u‖·‖v‖` proves no remaining item can enter a user's heap (see
+//! the soundness notes on [`PrunedItems`]). The evaluator runs it per
+//! user block, the serving layer per request batch, and
+//! [`PrunedScores`] is its one-user case for callers that rank a single
+//! user. The candidate rule itself — heap order and the group pre-screen
+//! — lives in [`crate::topk`]; this module only decides which items to
 //! score and in what order.
 
 use crate::topk::{TopKHeap, GROUP};
@@ -184,15 +185,11 @@ impl PrunedItems {
     }
 }
 
-/// On-demand pruned scorer for one user vector against [`PrunedItems`]:
-/// its ranking runs [`top_ranked_block`] for this one user.
-///
-/// `score_of` goes through the *original* item matrix (same rows, same
-/// bits), so point queries cost one dot regardless of pruning.
+/// The pruned sweep for one user vector against [`PrunedItems`]: its
+/// ranking runs [`top_ranked_block`] for this one user.
 #[derive(Debug)]
 pub struct PrunedScores<'a> {
     pruned: &'a PrunedItems,
-    items: &'a Matrix,
     u: &'a [f32],
     scored: u64,
 }
@@ -200,29 +197,27 @@ pub struct PrunedScores<'a> {
 impl<'a> PrunedScores<'a> {
     /// Scorer for user vector `u`. `items` must be the matrix
     /// `pruned` was built from.
-    pub fn new(pruned: &'a PrunedItems, items: &'a Matrix, u: &'a [f32]) -> Self {
+    pub fn new(pruned: &'a PrunedItems, items: &Matrix, u: &'a [f32]) -> Self {
         assert_eq!(pruned.num_items(), items.rows(), "item count mismatch");
         assert_eq!(pruned.k(), items.cols(), "latent dimension mismatch");
         assert_eq!(u.len(), pruned.k(), "user vector dimension mismatch");
         Self {
             pruned,
-            items,
             u,
             scored: 0,
         }
     }
 
-    /// Number of top-K candidate dots actually computed so far
-    /// (`score_of` point queries are not counted).
+    /// Number of top-K candidate dots counted so far by
+    /// [`Self::top_ranked_excluding`].
     pub fn items_scored(&self) -> u64 {
         self.scored
     }
 
     /// Exact ranked top-`k` (item, sanitized score) pairs excluding
     /// `exclude`, written into `out` in the total order of
-    /// [`crate::topk`]. This is `top_k_excluding` plus the scores — the
-    /// incremental evaluator needs the score of the last kept candidate
-    /// as its validity floor. It is the one-user case of
+    /// [`crate::topk`] — equal to [`crate::topk::top_k_excluding`] over
+    /// the dense scores, plus the scores. It is the one-user case of
     /// [`top_ranked_block`], whose dot count it adds to
     /// [`Self::items_scored`].
     pub fn top_ranked_excluding(&mut self, exclude: &[u32], k: usize, out: &mut Vec<(u32, f32)>) {
@@ -290,9 +285,9 @@ fn feed_pruned_scores(
 /// width `pruned.k()`); each exclusion list must be sorted ascending.
 /// Users whose bound fires are dropped from subsequent kernel calls, so a
 /// batch of mostly-prunable users converges to the cheap rows quickly.
-/// Returns the summed per-user dot counts under [`PrunedScores`]
-/// semantics (non-excluded offers in visited blocks; excluded rows are
-/// scored by the kernel but never counted).
+/// Returns the summed per-user dot counts: non-excluded offers in
+/// visited blocks (excluded rows are scored by the kernel but never
+/// counted).
 pub fn top_ranked_block(
     pruned: &PrunedItems,
     users: &[f32],
@@ -383,24 +378,13 @@ pub fn top_ranked_block(
     scored
 }
 
-impl ScoreSource for PrunedScores<'_> {
-    fn top_k_excluding(&mut self, exclude: &[u32], k: usize) -> Vec<u32> {
-        let mut ranked = Vec::with_capacity(k);
-        self.top_ranked_excluding(exclude, k, &mut ranked);
-        ranked.into_iter().map(|(item, _)| item).collect()
-    }
-
-    fn score_of(&mut self, item: u32) -> f32 {
-        vector::dot(self.u, self.items.row(item as usize))
-    }
-}
-
 /// Replays an exact precomputed ranking; point queries are direct dots.
 ///
 /// `ranked` must be the exact top-`k'` (item, score) ranking for this
 /// user *with the exclusion set already applied*, for some `k'` at least
-/// as large as any `k` later requested — the blocked full sweep and the
-/// incremental candidate rescore both produce exactly that.
+/// as large as any `k` later requested — the blocked full sweep, the
+/// pruned sweep and the incremental candidate rescore all produce
+/// exactly that.
 #[derive(Debug)]
 pub struct ListScores<'a> {
     ranked: &'a [(u32, f32)],
@@ -480,19 +464,27 @@ mod tests {
             .collect()
     }
 
+    /// The pruned sweep's top-`k` ids for `u` and the dots it spent.
+    fn pruned_top(items: &Matrix, u: &[f32], exclude: &[u32], k: usize) -> (Vec<u32>, u64) {
+        let pruned = PrunedItems::build(items);
+        let mut ps = PrunedScores::new(&pruned, items, u);
+        let mut ranked = Vec::new();
+        ps.top_ranked_excluding(exclude, k, &mut ranked);
+        let ids = ranked.into_iter().map(|(item, _)| item).collect();
+        (ids, ps.items_scored())
+    }
+
     #[test]
     fn pruned_matches_dense_topk_exactly() {
         let items = random_items(500, 8, 3);
-        let pruned = PrunedItems::build(&items);
         let mut rng = SeededRng::new(4);
         for trial in 0..20 {
             let u: Vec<f32> = (0..8).map(|_| rng.normal(0.0, 1.0)).collect();
             let dense = dense_scores(&items, &u);
             let exclude: Vec<u32> = (0..items.rows() as u32).filter(|i| i % 7 == 0).collect();
             for k in [1usize, 5, 10, 100, 600] {
-                let mut ps = PrunedScores::new(&pruned, &items, &u);
                 assert_eq!(
-                    ps.top_k_excluding(&exclude, k),
+                    pruned_top(&items, &u, &exclude, k).0,
                     topk::top_k_excluding(&dense, &exclude, k),
                     "trial {trial} k={k}"
                 );
@@ -509,18 +501,13 @@ mod tests {
                 *x *= 100.0;
             }
         }
-        let pruned = PrunedItems::build(&items);
         let u = vec![1.0f32; 8];
-        let mut ps = PrunedScores::new(&pruned, &items, &u);
+        let (top, scored) = pruned_top(&items, &u, &[], 10);
         let dense = dense_scores(&items, &u);
-        assert_eq!(
-            ps.top_k_excluding(&[], 10),
-            topk::top_k_excluding(&dense, &[], 10)
-        );
+        assert_eq!(top, topk::top_k_excluding(&dense, &[], 10));
         assert!(
-            ps.items_scored() < items.rows() as u64 / 2,
-            "no pruning happened: scored {}",
-            ps.items_scored()
+            scored < items.rows() as u64 / 2,
+            "no pruning happened: scored {scored}"
         );
     }
 
@@ -536,13 +523,11 @@ mod tests {
         }
         data[40 * k] = f32::NAN;
         let items = Matrix::from_vec(m, k, data);
-        let pruned = PrunedItems::build(&items);
         let u = vec![1.0f32, 0.0, 0.0, 0.0];
         let dense = dense_scores(&items, &u);
         for (kreq, exclude) in [(10usize, vec![]), (40, vec![0u32, 1, 2]), (100, vec![])] {
-            let mut ps = PrunedScores::new(&pruned, &items, &u);
             assert_eq!(
-                ps.top_k_excluding(&exclude, kreq),
+                pruned_top(&items, &u, &exclude, kreq).0,
                 topk::top_k_excluding(&dense, &exclude, kreq)
             );
         }
@@ -551,28 +536,27 @@ mod tests {
     #[test]
     fn pruned_zero_user_vector_matches_dense() {
         let items = random_items(100, 4, 5);
-        let pruned = PrunedItems::build(&items);
         let u = vec![0.0f32; 4];
         let dense = dense_scores(&items, &u);
-        let mut ps = PrunedScores::new(&pruned, &items, &u);
         assert_eq!(
-            ps.top_k_excluding(&[], 10),
+            pruned_top(&items, &u, &[], 10).0,
             topk::top_k_excluding(&dense, &[], 10)
         );
     }
 
+    /// A replayed ranking answers point queries with the dense vector's
+    /// bits, item by item.
     #[test]
     fn score_of_is_bitwise_dense() {
         let items = random_items(50, 8, 6);
-        let pruned = PrunedItems::build(&items);
         let mut rng = SeededRng::new(7);
         let u: Vec<f32> = (0..8).map(|_| rng.normal(0.0, 1.0)).collect();
         let dense = dense_scores(&items, &u);
-        let mut ps = PrunedScores::new(&pruned, &items, &u);
+        let mut ls = ListScores::new(&[], &items, &u);
         let mut ds = DenseScores::new(&dense);
         for item in 0..50u32 {
             assert_eq!(
-                ps.score_of(item).to_bits(),
+                ls.score_of(item).to_bits(),
                 ds.score_of(item).to_bits(),
                 "item {item}"
             );

@@ -25,30 +25,35 @@
 //! # Evaluation modes
 //!
 //! Three [`EvalMode`]s produce **byte-identical** [`EvalReport`]s; they
-//! differ only in how many dot products they spend:
+//! differ only in how many dot products they spend. Every mode ranks a
+//! shard [`USER_BLOCK`] users at a time and replays each user's exact
+//! ranking into the metrics through [`ListScores`]:
 //!
 //! * [`EvalMode::Full`] — every user × item pair, but through the blocked
-//!   [`fedrec_linalg::kernel::score_block`] kernel: users are scored in
-//!   blocks of [`USER_BLOCK`] against item tiles of [`ITEM_TILE`] rows,
-//!   so `V` streams from memory once per *block* instead of once per
-//!   *user*. Each user's tile of scores goes to their [`TopKHeap`]
-//!   through [`TopKHeap::push_run`], the one heap feed of
-//!   [`crate::topk`] — the heap's total order makes the result
-//!   independent of feeding order.
-//! * [`EvalMode::Pruned`] — exact top-K via Cauchy–Schwarz norm bounds
-//!   over the norm-sorted [`PrunedItems`]; provably-losing item blocks
-//!   are never scored (see the soundness notes in [`crate::scorer`]).
+//!   [`fedrec_linalg::kernel::score_block`] kernel: the block is scored
+//!   against item tiles of [`ITEM_TILE`] rows, so `V` streams from memory
+//!   once per *block* instead of once per *user*. Each user's tile of
+//!   scores goes to their [`TopKHeap`] through [`TopKHeap::push_run`],
+//!   the one heap feed of [`crate::topk`] — the heap's total order makes
+//!   the result independent of feeding order.
+//! * [`EvalMode::Pruned`] — one [`top_ranked_block`] call per block:
+//!   exact top-K via Cauchy–Schwarz norm bounds over the norm-sorted
+//!   [`PrunedItems`], where provably-losing item blocks are never scored
+//!   (see the soundness notes in [`crate::scorer`]). When no bound fires
+//!   the call does the same kernel-batched work as [`EvalMode::Full`], so
+//!   no probe has to choose between the two.
 //! * [`EvalMode::Incremental`] — reuses an [`IncrementalEvalState`]
-//!   across eval epochs: only `V` changes between evals, so each user's
-//!   cached [`Candidates`] (top-10 plus a margin band) are rescored and
-//!   accepted when the drift bound of [`crate::candidates`] proves no
-//!   outside item can have entered the top-10; otherwise that user falls
-//!   back to the pruned sweep and refreshes their cache.
+//!   across eval epochs: only `V` changes between evals, so each block
+//!   goes through [`rank_cached`], which serves a user's cached
+//!   [`Candidates`] (top-10 plus a margin band) when the drift bound of
+//!   [`crate::candidates`] proves no outside item can have entered the
+//!   top-10, and ranks the rest with one pruned sweep whose bands refresh
+//!   their caches.
 
-use crate::candidates::{Candidates, DriftTracker, CAND_K};
+use crate::candidates::{rank_cached, Candidates, DriftTracker, CAND_K};
 use crate::eval::{EvalReport, Evaluator};
 use crate::metrics::MetricsAccumulator;
-use crate::scorer::{DenseScores, ListScores, PrunedItems, PrunedScores, ScoreSource};
+use crate::scorer::{top_ranked_block, DenseScores, ListScores, PrunedItems, ScoreSource};
 use crate::topk::TopKHeap;
 use fedrec_data::split::TestSet;
 use fedrec_data::InteractionSource;
@@ -56,34 +61,14 @@ use fedrec_linalg::{kernel, Matrix, ShardedMatrix};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Users scored per blocked-kernel call in [`EvalMode::Full`]: the item
-/// tile is reused across this many users, dividing `V` memory traffic by
-/// the same factor.
+/// Users ranked per block in every dot-product mode: in
+/// [`EvalMode::Full`] the item tile is reused across this many users,
+/// dividing `V` memory traffic by the same factor.
 pub const USER_BLOCK: usize = 64;
 
 /// Item rows per cache tile in [`EvalMode::Full`]; at `k = 32` a tile is
 /// 32 KiB — comfortably L1/L2-resident while a user block consumes it.
 pub const ITEM_TILE: usize = 256;
-
-/// Users probed per shard before [`EvalMode::Pruned`] commits to a
-/// strategy for the shard's remainder (see the adaptive fallback note on
-/// [`Evaluator::evaluate_user_range_mode`]).
-pub const PRUNE_PROBE_USERS: usize = 32;
-
-/// Probe decision threshold: the pruned sweep keeps going only when the
-/// probe skipped at least `1/PRUNE_PROBE_MIN_SKIP` of its candidate dots.
-/// The blocked-full kernel moves roughly 2× the FLOP rate of the rowwise
-/// pruned path, so a skip rate this low can never pay for the lost block
-/// reuse; a sweep that prunes for real skips orders of magnitude more.
-const PRUNE_PROBE_MIN_SKIP: u64 = 16;
-
-/// Early probe checkpoint: the skip-rate test also runs after this many
-/// users. A uniform-norm catalog (the fallback's reason to exist) shows
-/// exactly zero skips from the first user, so the shard bails to
-/// blocked-full after paying the rowwise worst case for only this prefix
-/// instead of the full probe; shards with a nonzero-but-borderline skip
-/// rate still fund all `PRUNE_PROBE_USERS` before deciding.
-const PRUNE_PROBE_EARLY: usize = 8;
 
 /// How the streamed evaluator computes each user's exact top-10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +110,15 @@ impl EvalMode {
 /// the user's interaction set, pruned by a norm bound, or covered by a
 /// still-valid incremental cache. HR@10 point queries are not counted.
 /// Both are deterministic for fixed inputs: they never depend on thread
-/// count or shard claiming order.
+/// count or shard claiming order. Per user, the modes charge:
+///
+/// * [`EvalMode::Full`] — all `m` kernel dots, excluded items included;
+/// * [`EvalMode::Pruned`] — the pruned sweep's count: every non-excluded
+///   item in the norm blocks visited before the bound fired;
+/// * [`EvalMode::Incremental`] — a cache hit its rescore (one dot per
+///   cached candidate), anything else only its pruned sweep at
+///   [`CAND_K`]; an entry that fails revalidation is not charged its
+///   rescore (see [`rank_cached`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCounters {
     /// Dot products computed during top-K selection.
@@ -212,30 +205,23 @@ impl UserRowSource for ShardedMatrix {
 /// — allocated once per worker and reused across every shard it claims
 /// (the round loop's `RoundScratch` pattern applied to evaluation).
 struct EvalScratch {
-    /// One user row (the rowwise pruned and incremental paths).
-    row: Vec<f32>,
     /// User block rows, `USER_BLOCK × k` row-major.
     rows: Vec<f32>,
-    /// Kernel output tile, `USER_BLOCK × ITEM_TILE`.
+    /// Kernel output tile, `USER_BLOCK × ITEM_TILE` ([`EvalMode::Full`]).
     tile: Vec<f32>,
-    /// One top-10 heap per block slot.
+    /// One top-10 heap per block slot ([`EvalMode::Full`]).
     heaps: Vec<TopKHeap>,
-    /// Drained ranking of the user currently being pushed.
-    ranked: Vec<(u32, f32)>,
+    /// One exact ranking per block slot, replayed into the metrics.
+    lists: Vec<Vec<(u32, f32)>>,
 }
 
 impl EvalScratch {
     fn new(k: usize) -> Self {
-        let mut heaps = Vec::with_capacity(USER_BLOCK);
-        for _ in 0..USER_BLOCK {
-            heaps.push(TopKHeap::new(10));
-        }
         Self {
-            row: vec![0.0f32; k],
             rows: vec![0.0f32; USER_BLOCK * k],
             tile: vec![0.0f32; USER_BLOCK * ITEM_TILE],
-            heaps,
-            ranked: Vec::with_capacity(16),
+            heaps: (0..USER_BLOCK).map(|_| TopKHeap::new(10)).collect(),
+            lists: vec![Vec::new(); USER_BLOCK],
         }
     }
 }
@@ -256,15 +242,9 @@ impl Evaluator {
     /// user sample at `O(|range|)` cost instead of sweeping a million
     /// users per epoch.
     ///
-    /// [`EvalMode::Pruned`] is adaptive per shard: up to
-    /// [`PRUNE_PROBE_USERS`] users run through the norm-bound scorer, and
-    /// if they skipped less than `1/PRUNE_PROBE_MIN_SKIP` of their
-    /// candidate dots — checked at an early checkpoint and again after the
-    /// full probe — the shard's remainder falls back to the blocked-full
-    /// kernel (uniform-norm factors make the bound worthless, and the
-    /// rowwise sweep then loses to block reuse). The fallback changes only
-    /// the counters, never a report byte, and the decision depends only on
-    /// the shard's own users — counters stay thread-invariant.
+    /// Every mode ranks [`USER_BLOCK`] users at a time (see the module
+    /// docs), so the counters depend only on each block's own users,
+    /// never on the thread count.
     /// [`EvalMode::Incremental`] requires `state` and panics without it.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_user_range_mode<D>(
@@ -284,7 +264,7 @@ impl Evaluator {
     {
         assert_eq!(users.k(), items.cols(), "latent dimension mismatch");
         let k = items.cols();
-        // The pruned re-order is also the incremental fallback path.
+        // Incremental misses rank through the same pruned sweep.
         let pruned = (mode != EvalMode::Full).then(|| PrunedItems::build(items));
         let inc = match mode {
             EvalMode::Incremental => {
@@ -309,23 +289,11 @@ impl Evaluator {
             threads,
             shard_rows,
             || EvalScratch::new(k),
-            |scratch, lo, hi, acc, refreshes| match (mode, &pruned, snapshot) {
-                (EvalMode::Full, _, _) => {
-                    self.eval_shard_full(items, users, train, test, lo, hi, scratch, acc)
-                }
-                (EvalMode::Pruned, Some(pi), _) => {
-                    self.eval_shard_pruned(items, pi, users, train, test, lo, hi, scratch, acc)
-                }
-                (EvalMode::Incremental, Some(pi), Some(st)) => {
-                    let mut scored = 0u64;
-                    for u in lo..hi {
-                        scored += self.eval_user_incremental(
-                            items, train, test, u, users, st, pi, scratch, acc, refreshes,
-                        );
-                    }
-                    scored
-                }
-                _ => unreachable!("mode-specific state prepared above"),
+            |scratch, lo, hi, acc, refreshes| {
+                let (pi, st) = (pruned.as_ref(), snapshot);
+                self.eval_shard(
+                    items, mode, pi, st, users, train, test, lo, hi, scratch, acc, refreshes,
+                )
             },
         );
         if let Some(st) = inc {
@@ -499,133 +467,22 @@ impl Evaluator {
         }
     }
 
-    /// Blocked full sweep of users `lo..hi`: score [`USER_BLOCK`]-row
-    /// user blocks against [`ITEM_TILE`]-row item tiles through the
-    /// linalg kernel, feeding per-user top-10 heaps tile by tile through
-    /// [`TopKHeap::push_run`]. Returns the dots spent.
+    /// Rank users `lo..hi` [`USER_BLOCK`] at a time in `mode` (with its
+    /// prepared pruning view `pi` and incremental state `st`), push each
+    /// user's ranking through [`ListScores`], and queue the refreshed
+    /// cache entries of incremental misses. Returns the dots spent.
     #[allow(clippy::too_many_arguments)]
-    fn eval_shard_full<D>(
+    fn eval_shard<D>(
         &self,
         items: &Matrix,
+        mode: EvalMode,
+        pi: Option<&PrunedItems>,
+        st: Option<&IncrementalEvalState>,
         users: &dyn UserRowSource,
         train: &D,
         test: &TestSet,
         lo: usize,
         hi: usize,
-        scratch: &mut EvalScratch,
-        acc: &mut MetricsAccumulator,
-    ) -> u64
-    where
-        D: InteractionSource + Sync + ?Sized,
-    {
-        let m = items.rows();
-        let k = items.cols();
-        let mut block_lo = lo;
-        while block_lo < hi {
-            let block_hi = (block_lo + USER_BLOCK).min(hi);
-            let b = block_hi - block_lo;
-            for (j, u) in (block_lo..block_hi).enumerate() {
-                users.write_user_row(u, &mut scratch.rows[j * k..(j + 1) * k]);
-            }
-            for heap in scratch.heaps.iter_mut().take(b) {
-                heap.reset(10);
-            }
-            let mut tile_lo = 0usize;
-            while tile_lo < m {
-                let tile_hi = (tile_lo + ITEM_TILE).min(m);
-                let t = tile_hi - tile_lo;
-                kernel::score_block(
-                    &scratch.rows[..b * k],
-                    &items.as_slice()[tile_lo * k..tile_hi * k],
-                    k,
-                    &mut scratch.tile[..b * t],
-                );
-                for (j, heap) in scratch.heaps.iter_mut().take(b).enumerate() {
-                    let exclude = train.user_items(block_lo + j);
-                    heap.push_run(tile_lo, &scratch.tile[j * t..(j + 1) * t], exclude);
-                }
-                tile_lo = tile_hi;
-            }
-            for j in 0..b {
-                scratch.heaps[j].drain_sorted_into(&mut scratch.ranked);
-                let urow = &scratch.rows[j * k..(j + 1) * k];
-                let mut src = ListScores::new(&scratch.ranked, items, urow);
-                self.push_user(&mut src, block_lo + j, train, test, acc);
-            }
-            block_lo = block_hi;
-        }
-        ((hi - lo) * m) as u64
-    }
-
-    /// Pruned sweep of users `lo..hi` with the adaptive probe (see
-    /// [`Self::evaluate_user_range_mode`]). Returns the dots spent.
-    ///
-    /// The probe sweeps the first few users through the norm-bound scorer
-    /// and watches the realized skip rate. On adversarially uniform norms
-    /// the bound never fires, and the rowwise pruned sweep then pays full
-    /// price without the blocked kernel's 64-user item-tile reuse —
-    /// slower than just sweeping everything. If the probe skipped (almost)
-    /// nothing, the shard finishes blocked-full; both paths produce
-    /// byte-identical reports, so the switch can never change a metric
-    /// byte. (Counter semantics differ slightly by design: the fallback,
-    /// like [`EvalMode::Full`], counts every kernel dot including excluded
-    /// items, while the pruned path counts non-excluded offers only.) The
-    /// probe itself pays the rowwise worst case, so it checks its skip
-    /// rate at an early checkpoint first: an adversarially uniform catalog
-    /// shows zero skips immediately and the shard bails to blocked-full
-    /// after [`PRUNE_PROBE_EARLY`] users; only ambiguous shards fund the
-    /// full probe.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_shard_pruned<D>(
-        &self,
-        items: &Matrix,
-        pi: &PrunedItems,
-        users: &dyn UserRowSource,
-        train: &D,
-        test: &TestSet,
-        lo: usize,
-        hi: usize,
-        scratch: &mut EvalScratch,
-        acc: &mut MetricsAccumulator,
-    ) -> u64
-    where
-        D: InteractionSource + Sync + ?Sized,
-    {
-        let m = items.rows();
-        let early_hi = (lo + PRUNE_PROBE_EARLY).min(hi);
-        let probe_hi = (lo + PRUNE_PROBE_USERS).min(hi);
-        let (mut scored, mut budget) = (0u64, 0u64);
-        for u in lo..hi {
-            users.write_user_row(u, &mut scratch.row);
-            let mut src = PrunedScores::new(pi, items, &scratch.row);
-            self.push_user(&mut src, u, train, test, acc);
-            scored += src.items_scored();
-            if u >= probe_hi {
-                continue;
-            }
-            budget += (m - train.user_items(u).len()) as u64;
-            let done = u + 1;
-            let checkpoint = done == early_hi || done == probe_hi;
-            if checkpoint && done < hi && (budget - scored) * PRUNE_PROBE_MIN_SKIP < budget {
-                return scored
-                    + self.eval_shard_full(items, users, train, test, done, hi, scratch, acc);
-            }
-        }
-        scored
-    }
-
-    /// Evaluate one user incrementally; returns the dots spent and, on
-    /// cache miss/invalidation, appends the refreshed cache entry.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_user_incremental<D>(
-        &self,
-        items: &Matrix,
-        train: &D,
-        test: &TestSet,
-        u: usize,
-        users: &dyn UserRowSource,
-        st: &IncrementalEvalState,
-        pi: &PrunedItems,
         scratch: &mut EvalScratch,
         acc: &mut MetricsAccumulator,
         refreshes: &mut Vec<(usize, Candidates)>,
@@ -633,31 +490,83 @@ impl Evaluator {
     where
         D: InteractionSource + Sync + ?Sized,
     {
-        users.write_user_row(u, &mut scratch.row);
-        let row = &scratch.row;
+        let (m, k) = (items.rows(), items.cols());
         let mut scored = 0u64;
-        let mut valid = false;
-        if let Some(c) = st.users[u].as_ref().filter(|c| c.same_row(row)) {
-            let heap = &mut scratch.heaps[0];
-            heap.reset(10);
-            valid = c.revalidate(row, items, st.tracker.drift(), st.tracker.vmax_seen(), heap);
-            scored += c.ids().len() as u64;
-            if valid {
-                heap.drain_sorted_into(&mut scratch.ranked);
+        let mut block_lo = lo;
+        while block_lo < hi {
+            let block_hi = (block_lo + USER_BLOCK).min(hi);
+            let b = block_hi - block_lo;
+            let rows = &mut scratch.rows[..b * k];
+            for (j, u) in (block_lo..block_hi).enumerate() {
+                users.write_user_row(u, &mut rows[j * k..(j + 1) * k]);
             }
+            let rows = &*rows;
+            let lists = &mut scratch.lists[..b];
+            let mut excludes: [&[u32]; USER_BLOCK] = [&[]; USER_BLOCK];
+            if mode != EvalMode::Full {
+                for (j, u) in (block_lo..block_hi).enumerate() {
+                    excludes[j] = train.user_items(u);
+                }
+            }
+            scored += match (mode, pi, st) {
+                (EvalMode::Full, _, _) => {
+                    let heaps = &mut scratch.heaps[..b];
+                    for heap in heaps.iter_mut() {
+                        heap.reset(10);
+                    }
+                    let mut tile_lo = 0usize;
+                    while tile_lo < m {
+                        let tile_hi = (tile_lo + ITEM_TILE).min(m);
+                        let t = tile_hi - tile_lo;
+                        let tile = &mut scratch.tile[..b * t];
+                        let slab = &items.as_slice()[tile_lo * k..tile_hi * k];
+                        kernel::score_block(rows, slab, k, tile);
+                        for (j, heap) in heaps.iter_mut().enumerate() {
+                            let exclude = train.user_items(block_lo + j);
+                            heap.push_run(tile_lo, &tile[j * t..(j + 1) * t], exclude);
+                        }
+                        tile_lo = tile_hi;
+                    }
+                    for (heap, list) in heaps.iter_mut().zip(lists.iter_mut()) {
+                        heap.drain_sorted_into(list);
+                    }
+                    (b * m) as u64
+                }
+                (EvalMode::Pruned, Some(pi), _) => {
+                    top_ranked_block(pi, rows, &excludes[..b], 10, lists)
+                }
+                (EvalMode::Incremental, Some(pi), Some(st)) => {
+                    let mut cached: [Option<&Candidates>; USER_BLOCK] = [None; USER_BLOCK];
+                    for (j, u) in (block_lo..block_hi).enumerate() {
+                        let row = &rows[j * k..(j + 1) * k];
+                        cached[j] = st.users[u].as_ref().filter(|c| c.same_row(row));
+                    }
+                    let (drift, vmax) = (st.tracker.drift(), st.tracker.vmax_seen());
+                    let (dots, misses) = rank_cached(
+                        pi,
+                        items,
+                        rows,
+                        &excludes[..b],
+                        &cached[..b],
+                        (drift, vmax),
+                        (10, CAND_K),
+                        lists,
+                    );
+                    for j in misses {
+                        let row = &rows[j * k..(j + 1) * k];
+                        let entry = Candidates::new(row, &lists[j], CAND_K, drift);
+                        refreshes.push((block_lo + j, entry));
+                    }
+                    dots
+                }
+                _ => unreachable!("mode-specific state prepared above"),
+            };
+            for (j, list) in lists.iter().enumerate() {
+                let mut src = ListScores::new(list, items, &rows[j * k..(j + 1) * k]);
+                self.push_user(&mut src, block_lo + j, train, test, acc);
+            }
+            block_lo = block_hi;
         }
-        if !valid {
-            // Exact fallback sweep (pruned), caching the margin band.
-            let mut ps = PrunedScores::new(pi, items, row);
-            ps.top_ranked_excluding(train.user_items(u), CAND_K, &mut scratch.ranked);
-            scored = ps.items_scored();
-            refreshes.push((
-                u,
-                Candidates::new(row, &scratch.ranked, CAND_K, st.tracker.drift()),
-            ));
-        }
-        let mut src = ListScores::new(&scratch.ranked, items, row);
-        self.push_user(&mut src, u, train, test, acc);
         scored
     }
 }
@@ -894,31 +803,31 @@ mod tests {
         }
     }
 
+    /// Summed exclusion-list lengths over `train`'s users.
+    fn excluded(train: &Dataset) -> u64 {
+        let n = train.num_users();
+        (0..n).map(|u| train.user_items(u).len() as u64).sum()
+    }
+
     /// Uniform-norm item factors are the norm bound's adversarial case:
-    /// no block can ever be skipped. The per-shard probe must detect the
-    /// zero skip rate and fall back to the blocked-full kernel for the
-    /// shard remainder — without changing a report byte and with
-    /// thread-invariant counters.
+    /// no block can ever be skipped. The pruned sweep then scores every
+    /// non-excluded item — the same kernel-batched work as the full sweep
+    /// — so it skips exactly the exclusion lists, with the full report
+    /// and thread-invariant counters.
     #[test]
-    fn pruned_probe_falls_back_on_uniform_norms() {
+    fn pruned_on_uniform_norms_skips_only_exclusions() {
         let (train, test, eval, mut model) = setup();
         // Rescale every item row to unit norm: directions (and therefore
         // rankings) stay distinct, but every Cauchy–Schwarz bound is flat.
         for i in 0..model.item_factors.rows() {
             let row = model.item_factors.row_mut(i);
-            let mut sq = 0.0f64;
-            for v in row.iter() {
-                sq += f64::from(*v) * f64::from(*v);
-            }
-            let inv = (1.0 / sq.sqrt()) as f32;
+            let inv = (1.0 / crate::scorer::row_norm_f64(row)) as f32;
             for v in row.iter_mut() {
                 *v *= inv;
             }
         }
-        let n = train.num_users();
-        // Wider than PRUNE_PROBE_USERS so every shard has a post-probe
-        // remainder for the fallback to cover.
-        let shard_rows = PRUNE_PROBE_USERS * 2;
+        // Shards of one full and one partial user block.
+        let shard_rows = USER_BLOCK + 16;
         let run = |threads: usize, mode: EvalMode| {
             run_mode(
                 &eval,
@@ -932,41 +841,30 @@ mod tests {
         };
         let (full, fc) = run(1, EvalMode::Full);
         let (pruned, pc) = run(1, EvalMode::Pruned);
-        assert_eq!(full, pruned, "fallback changed report bytes");
+        assert_eq!(full, pruned, "uniform norms changed report bytes");
         assert_eq!(pc.items_scored + pc.items_skipped, fc.items_scored);
-        // Fallback engaged: the rowwise pruned path skips exactly the
-        // users' exclusion lists here (the bound fires for nothing), while
-        // the blocked fallback charges remainder users the full `m` dots.
-        // Fewer skips than the combined exclusion lists proves the
-        // remainder went through the kernel.
-        let mut excluded = 0u64;
-        for u in 0..n {
-            excluded += train.user_items(u).len() as u64;
-        }
+        let excluded = excluded(&train);
         assert!(excluded > 0, "smoke train set unexpectedly empty");
-        assert!(
-            pc.items_skipped < excluded,
-            "probe kept rowwise pruning on uniform norms: skipped={} excluded={excluded}",
-            pc.items_skipped
-        );
-        // The shard-local decision must not depend on worker count.
+        assert_eq!(pc.items_skipped, excluded, "a flat bound pruned something");
         for t in [2usize, 8] {
             let (rt, ct) = run(t, EvalMode::Pruned);
-            assert_eq!(pruned, rt, "fallback report diverged at {t} threads");
-            assert_eq!(pc, ct, "fallback counters diverged at {t} threads");
+            assert_eq!(pruned, rt, "pruned report diverged at {t} threads");
+            assert_eq!(pc, ct, "pruned counters diverged at {t} threads");
         }
     }
 
-    /// Norm-skewed factors (the realistic post-training shape) must keep
-    /// the rowwise pruned sweep: the probe sees a healthy skip rate and
-    /// never falls back, so `items_skipped` stays well above the pure
-    /// exclusion count. Needs a catalog wider than one [`PRUNE_BLOCK`] —
-    /// the block bound can't skip anything inside the block holding the
-    /// top candidates.
+    /// Norm-skewed factors (the realistic post-training shape) make the
+    /// bound fire, so `items_skipped` stays well above the pure exclusion
+    /// count, and a block's count is its users' one-user pruned sweeps
+    /// at k = 10. Needs a catalog wider than one [`PRUNE_BLOCK`] — the
+    /// block bound can't skip anything inside the block holding the top
+    /// candidates.
+    ///
+    /// [`PRUNE_BLOCK`]: crate::scorer::PRUNE_BLOCK
     #[test]
-    fn pruned_probe_keeps_pruning_on_skewed_norms() {
+    fn pruned_keeps_pruning_on_skewed_norms() {
         let full_ds = SyntheticConfig {
-            name: "probe-skew",
+            name: "prune-skew",
             num_items: 900,
             ..SyntheticConfig::smoke()
         }
@@ -983,8 +881,7 @@ mod tests {
                 *v *= scale;
             }
         }
-        let n = train.num_users();
-        let shard_rows = PRUNE_PROBE_USERS * 2;
+        let shard_rows = USER_BLOCK + 16;
         let (full, _) = run_mode(
             &eval,
             &model,
@@ -1004,15 +901,21 @@ mod tests {
             None,
         );
         assert_eq!(full, pruned);
-        let mut excluded = 0u64;
-        for u in 0..n {
-            excluded += train.user_items(u).len() as u64;
-        }
+        let excluded = excluded(&train);
         assert!(
             pc.items_skipped > excluded,
             "skewed norms should prune beyond exclusions: skipped={} excluded={excluded}",
             pc.items_skipped
         );
+        let (items, users) = (&model.item_factors, &model.user_factors);
+        let pi = PrunedItems::build(items);
+        let mut one_user = 0u64;
+        for u in 0..train.num_users() {
+            let mut ps = crate::scorer::PrunedScores::new(&pi, items, users.row(u));
+            ps.top_ranked_excluding(train.user_items(u), 10, &mut Vec::new());
+            one_user += ps.items_scored();
+        }
+        assert_eq!(pc.items_scored, one_user, "pruned mode ranked past k = 10");
     }
 
     /// Drive the incremental evaluator through several epochs of genuine
@@ -1049,8 +952,9 @@ mod tests {
             assert_eq!(full, pruned, "pruned diverged at epoch {epoch}");
             assert_eq!(state.cached_users(), n);
             // A validated cache costs CAND_K dots; an invalidated one costs
-            // the pruned sweep *plus* the candidate rescore. Beating the
-            // plain pruned sweep therefore requires genuine cache hits.
+            // only its pruned sweep at CAND_K, which ranks past the top-10
+            // and so spends at least the plain pruned sweep's dots. Beating
+            // that sweep therefore requires genuine cache hits.
             if epoch > 0 && ic.items_scored < pc.items_scored {
                 saved_some = true;
             }

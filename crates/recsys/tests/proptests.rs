@@ -3,7 +3,9 @@
 use fedrec_data::split::leave_one_out;
 use fedrec_data::Dataset;
 use fedrec_linalg::{Matrix, SeededRng};
+use fedrec_recsys::candidates::{rank_cached, Candidates, DriftTracker, CAND_K};
 use fedrec_recsys::eval::{EvalReport, Evaluator};
+use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_recsys::topk::{TopKHeap, GROUP};
 use fedrec_recsys::{
     bpr, metrics, ranking, topk, EvalCounters, EvalMode, IncrementalEvalState, MfModel,
@@ -374,5 +376,133 @@ proptest! {
         }
         prop_assert_eq!(&per_thread[0], &per_thread[1], "2-thread incremental diverged");
         prop_assert_eq!(&per_thread[0], &per_thread[2], "8-thread incremental diverged");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The one hit-or-sweep step: a block through `rank_cached` answers every
+// user as a one-user call does, and each answer and charge is what the
+// primitives give — the entry's rescore for a hit, the one-user pruned
+// sweep at the band width for a miss.
+// ---------------------------------------------------------------------------
+
+/// One user's expected `rank_cached` answer from the primitives:
+/// (ranked list, dots charged, whether it missed).
+fn rank_one_by_hand(
+    (pruned, items): (&PrunedItems, &Matrix),
+    row: &[f32],
+    exclude: &[u32],
+    entry: Option<&Candidates>,
+    (drift, vmax_seen): (f64, f64),
+    (k, cand_k): (usize, usize),
+) -> (Vec<(u32, f32)>, u64, bool) {
+    let mut list = Vec::new();
+    if let Some(c) = entry {
+        let mut heap = TopKHeap::new(k);
+        if c.revalidate(row, items, drift, vmax_seen, &mut heap) {
+            heap.drain_sorted_into(&mut list);
+            return (list, c.ids().len() as u64, false);
+        }
+    }
+    let mut ps = PrunedScores::new(pruned, items, row);
+    ps.top_ranked_excluding(exclude, cand_k, &mut list);
+    (list, ps.items_scored(), true)
+}
+
+fn same_bits(a: &[(u32, f32)], b: &[(u32, f32)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Blocks of 1–70 users mixing no entry, entries that still
+    /// revalidate after a small drift, entries that fail (an entry built
+    /// a huge or NaN drift ago) and floor-`−∞` entries (the user's
+    /// catalog fits in the band), for k ∈ {1, 10} and cand_k ∈ {k,
+    /// `CAND_K`}: every list (ids and score bits), miss and summed charge
+    /// equals one-user calls and the primitives.
+    #[test]
+    fn rank_cached_blocks_match_one_user_calls(
+        b in 1usize..71,
+        m in 8usize..600,
+        kdim in 1usize..9,
+        ki in 0usize..4,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let k = [1usize, 10][ki % 2];
+        let cand_k = if ki < 2 { k } else { CAND_K };
+        // Norm-skewed rows, so some sweeps stop early, then a small drift.
+        let mut old = Matrix::random_normal(m, kdim, 0.0, 1.0, &mut rng);
+        for i in 0..m {
+            let scale = 4.0 / (1.0 + i as f32 / 16.0);
+            old.row_mut(i).iter_mut().for_each(|x| *x *= scale);
+        }
+        let mut items = old.clone();
+        for _ in 0..3 {
+            let i = rng.below(m);
+            items.row_mut(i).iter_mut().for_each(|x| *x += rng.normal(0.0, 1e-4));
+        }
+        let mut tracker = DriftTracker::new();
+        tracker.observe(&old);
+        tracker.observe(&items);
+        let bounds = (tracker.drift(), tracker.vmax_seen());
+        let (old_pruned, pruned) = (PrunedItems::build(&old), PrunedItems::build(&items));
+        let rows: Vec<f32> = (0..b * kdim).map(|_| rng.normal(0.0, 1.0)).collect();
+        let mut excludes: Vec<Vec<u32>> = Vec::with_capacity(b);
+        let mut entries: Vec<Option<Candidates>> = Vec::with_capacity(b);
+        for j in 0..b {
+            let row = &rows[j * kdim..(j + 1) * kdim];
+            let kind = rng.below(5);
+            let exclude: Vec<u32> = if kind == 4 {
+                // Keep fewer than cand_k items: the entry holds them all.
+                let keep = rng.below(cand_k.min(m));
+                let kept = rng.sample_indices(m, keep);
+                (0..m as u32).filter(|i| !kept.contains(&(*i as usize))).collect()
+            } else {
+                (0..m as u32).filter(|_| rng.below(8) == 0).collect()
+            };
+            let drift_at = match kind {
+                0 => None,
+                1 | 4 => Some(0.0),
+                2 => Some(-1e3),
+                _ => Some(f64::NAN),
+            };
+            entries.push(drift_at.map(|at| {
+                let mut ranked = Vec::new();
+                PrunedScores::new(&old_pruned, &old, row)
+                    .top_ranked_excluding(&exclude, cand_k, &mut ranked);
+                Candidates::new(row, &ranked, cand_k, at)
+            }));
+            excludes.push(exclude);
+        }
+        let excl: Vec<&[u32]> = excludes.iter().map(Vec::as_slice).collect();
+        let cached: Vec<Option<&Candidates>> = entries.iter().map(Option::as_ref).collect();
+        let mut out = vec![Vec::new(); b];
+        let (dots, misses) = rank_cached(
+            &pruned, &items, &rows, &excl, &cached, bounds, (k, cand_k), &mut out);
+        let (mut one_dots, mut hand_dots) = (0u64, 0u64);
+        for j in 0..b {
+            let row = &rows[j * kdim..(j + 1) * kdim];
+            let mut one = [Vec::new()];
+            let (d, one_miss) = rank_cached(
+                &pruned, &items, row, &[excl[j]], &[cached[j]], bounds, (k, cand_k), &mut one);
+            one_dots += d;
+            let missed = misses.contains(&j);
+            prop_assert_eq!(one_miss.is_empty(), !missed, "user {} of {}", j, b);
+            prop_assert!(same_bits(&one[0], &out[j]), "user {} of {}: block list", j, b);
+            let (list, d, hand_miss) = rank_one_by_hand(
+                (&pruned, &items), row, excl[j], cached[j], bounds, (k, cand_k));
+            hand_dots += d;
+            prop_assert_eq!(hand_miss, missed, "user {} of {}", j, b);
+            prop_assert!(same_bits(&list, &out[j]), "user {} of {}: primitive list", j, b);
+        }
+        prop_assert!(misses.windows(2).all(|w| w[0] < w[1]), "misses {:?}", misses);
+        prop_assert_eq!(dots, one_dots, "block vs one-user dots");
+        prop_assert_eq!(dots, hand_dots, "block vs primitive dots");
     }
 }

@@ -1,18 +1,19 @@
 //! Per-user candidate caches with drift-bound validity — the serving
-//! twin of the offline incremental evaluator.
+//! twin of the offline incremental evaluator's per-user entries.
 //!
-//! A cache miss ranks the user's top-[`CAND_K`] candidates exactly (via
-//! the batched pruned scorer) and stores them as a
-//! [`Candidates`] entry built at the snapshot's cumulative drift. A later
-//! request against a newer snapshot rescores just those candidates (a
-//! few dozen dots instead of a full catalog sweep) and serves them iff
-//! [`Candidates::revalidate`] proves no outside item can have caught up
-//! — the same type, band and bound the offline
-//! [`IncrementalEvalState`](fedrec_recsys::IncrementalEvalState) uses, so
-//! the hit path inherits the offline evaluator's exactness proof: a hit
-//! serves the identical bytes a full sweep of the pinned snapshot would.
-//! NaN drift (degenerate training) fails the bound and degrades every
-//! lookup to a miss — wrong-but-fast is never an outcome.
+//! This module only stores entries: [`CandidateCache::lookup`] hands out
+//! the entry that applies to a request (same row, same exclusions, not
+//! newer than the pinned snapshot) and [`CandidateCache::install`] stores
+//! the band of a miss as a [`Candidates`] entry built at the snapshot's
+//! cumulative drift. Whether an entry may answer is decided by
+//! [`rank_cached`], the hit-or-sweep step the offline
+//! [`IncrementalEvalState`](fedrec_recsys::IncrementalEvalState) uses
+//! too: a later request rescores just the cached [`CAND_K`] candidates
+//! (a few dozen dots instead of a full catalog sweep) and serves them iff
+//! [`Candidates::revalidate`] proves no outside item can have caught up,
+//! so a hit serves the identical bytes a full sweep of the pinned
+//! snapshot would. NaN drift (degenerate training) fails the bound and
+//! degrades every lookup to a miss — wrong-but-fast is never an outcome.
 //!
 //! Entries are sharded `user id % 64` across mutexes; each shard is an
 //! id-sorted vec probed by binary search, so lookups take no allocation
@@ -23,8 +24,7 @@
 use crate::snapshot::ItemSnapshot;
 use fedrec_recsys::candidates::Candidates;
 #[cfg(doc)]
-use fedrec_recsys::candidates::CAND_K;
-use fedrec_recsys::topk::TopKHeap;
+use fedrec_recsys::candidates::{rank_cached, CAND_K};
 use std::sync::Mutex;
 
 /// Cache shards (locks); 64 keeps cross-user contention negligible at
@@ -81,43 +81,27 @@ impl CandidateCache {
         self.len() == 0
     }
 
-    /// Try to serve `user`'s exact top-`k` from cache against the pinned
-    /// `snap`. On success writes the ranked `(item, sanitized score)`
-    /// list into `out` — byte-identical to a full sweep of `snap` — and
-    /// returns `true`. Costs at most [`CAND_K`] dots; never allocates
-    /// under the shard lock beyond the entry clone-out.
-    pub fn try_serve(
+    /// `user`'s entry if it applies to a request for `row` and `exclude`
+    /// against the pinned `snap`: built for this exact row and exclusion
+    /// list, against `snap` or an older publish (drift only bounds
+    /// forward movement). Whether the entry still holds at `snap` is
+    /// [`rank_cached`]'s call, not this one. Clones the entry out, so the
+    /// shard lock is held only for the comparisons.
+    pub fn lookup(
         &self,
         user: u32,
         row: &[f32],
         exclude: &[u32],
         snap: &ItemSnapshot,
-        k: usize,
-        out: &mut Vec<(u32, f32)>,
-    ) -> bool {
-        let entry = {
-            let shard = self.shards[user as usize % SHARDS]
-                .lock()
-                .expect("cache shard poisoned");
-            match shard.binary_search_by_key(&user, |(u, _)| *u) {
-                Ok(i) => shard[i].1.clone(),
-                Err(_) => return false,
-            }
-        };
-        // A cache built against a newer publish can't serve an older
-        // pinned snapshot: drift only bounds forward movement.
-        if entry.seq_at > snap.seq || !entry.cands.same_row(row) || entry.exclude != exclude {
-            return false;
-        }
-        let mut heap = TopKHeap::new(k);
-        let valid =
-            entry
-                .cands
-                .revalidate(row, snap.items(), snap.drift, snap.vmax_seen, &mut heap);
-        if valid {
-            heap.drain_sorted_into(out);
-        }
-        valid
+    ) -> Option<Candidates> {
+        let shard = self.shards[user as usize % SHARDS]
+            .lock()
+            .expect("cache shard poisoned");
+        let i = shard.binary_search_by_key(&user, |(u, _)| *u).ok()?;
+        let entry = &shard[i].1;
+        let applies =
+            entry.seq_at <= snap.seq && entry.cands.same_row(row) && entry.exclude == exclude;
+        applies.then(|| entry.cands.clone())
     }
 
     /// Install (or refresh) `user`'s entry from a miss resolved against

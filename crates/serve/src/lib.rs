@@ -14,8 +14,11 @@
 //!   response is tagged with the epoch (and publish sequence) it was
 //!   scored against.
 //! * **Request batching** ([`service`]) — a bounded queue coalesces
-//!   requests into [`SERVE_BATCH`]-user blocks driven through the
-//!   blocked kernel over the norm-sorted pruning order
+//!   requests into [`SERVE_BATCH`]-user blocks, and every block (a
+//!   single request, inline) goes through
+//!   [`rank_cached`](fedrec_recsys::candidates::rank_cached), the
+//!   incremental evaluator's own hit-or-sweep step: its misses are
+//!   ranked by one blocked pass over the norm-sorted pruning order
 //!   ([`fedrec_recsys::scorer::top_ranked_block`]), amortizing item-tile
 //!   memory traffic across the batch exactly as the offline evaluator
 //!   does.
@@ -36,7 +39,8 @@
 //!
 //! Wall-clock instrumentation (latency histograms, [`telemetry`]) is
 //! observational only and is the sole wall-clock-exempt production code
-//! in the workspace (`fedrec-lint` pins the exemption to that one file).
+//! in the workspace (`fedrec-lint` pins the exemption to that one file):
+//! its [`Stamp`] is the one clock every production timing reads.
 
 #![warn(missing_docs)]
 

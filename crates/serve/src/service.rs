@@ -4,24 +4,24 @@
 //! Requests enter through [`Service::submit`] (asynchronous, replies on a
 //! per-request channel) or [`Service::serve_inline`] (synchronous, for
 //! tests and single-shot queries). Workers coalesce queued requests into
-//! blocks of up to [`SERVE_BATCH`] users, pin **one** snapshot for the
-//! whole block, and try each user's candidate cache; the misses are then
-//! ranked together through
-//! [`top_ranked_block`](fedrec_recsys::scorer::top_ranked_block()), which
-//! streams each norm-sorted item tile once for the whole block instead of
-//! once per user. Batching is invisible in the output: the block scorer
-//! gives each user the bytes of a one-user batch, so a response never
-//! depends on which other requests happened to share its batch — the
-//! serving determinism contract (fixed snapshot epoch, user, exclusions ⇒
-//! fixed bytes, any thread count, hit or miss) reduces to the offline
-//! evaluator's own invariants.
+//! blocks of up to [`SERVE_BATCH`] users and pin **one** snapshot for the
+//! whole block. Both entry points then look up each user's applicable
+//! cache entry and hand the block — one request, inline — to
+//! [`rank_cached`], the hit-or-sweep step the incremental evaluator uses:
+//! entries that revalidate answer, and the misses are ranked together by
+//! one pruned sweep that streams each norm-sorted item tile once for the
+//! whole block instead of once per user. Batching is invisible in the
+//! output: the block scorer gives each user the bytes of a one-user
+//! batch, so a response never depends on which other requests happened
+//! to share its batch — the serving determinism contract (fixed snapshot
+//! epoch, user, exclusions ⇒ fixed bytes, any thread count, hit or miss)
+//! reduces to the offline evaluator's own invariants.
 
 use crate::cache::CandidateCache;
 use crate::snapshot::{ItemSnapshot, SnapshotStore};
 use crate::telemetry::{ServeStats, Stamp};
 use fedrec_linalg::Matrix;
-use fedrec_recsys::candidates::CAND_K;
-use fedrec_recsys::scorer::top_ranked_block;
+use fedrec_recsys::candidates::{rank_cached, Candidates, CAND_K};
 use fedrec_recsys::UserRowSource;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -167,9 +167,20 @@ impl Service {
         let snap = self.store.current()?;
         let mut row = vec![0.0f32; snap.items().cols()];
         rows.write_user_row(user as usize, &mut row);
-        let resp = self.serve_one(&snap, user, exclude, &row);
+        let entry = self.cache.lookup(user, &row, exclude, &snap);
+        let (mut out, mut resp) = ([Vec::new()], None);
+        let cached = [entry.as_ref()];
+        self.answer(
+            &snap,
+            &[user],
+            &row,
+            &[exclude],
+            &cached,
+            &mut out,
+            |_, r| resp = Some(r),
+        );
         self.stats.latency.record_ns(queued.elapsed_ns());
-        Some(resp)
+        resp
     }
 
     /// Enqueue a request; the reply arrives on `reply` once a worker
@@ -310,118 +321,90 @@ impl Service {
         let kdim = snap.items().cols();
         let b = batch.len();
         let mut urows = vec![0.0f32; b * kdim];
+        let mut entries = Vec::with_capacity(b);
         for (j, req) in batch.iter().enumerate() {
-            rows.write_user_row(req.user as usize, &mut urows[j * kdim..(j + 1) * kdim]);
+            let row = &mut urows[j * kdim..(j + 1) * kdim];
+            rows.write_user_row(req.user as usize, row);
+            entries.push(self.cache.lookup(req.user, row, &req.exclude, &snap));
         }
-        let mut responses: Vec<Option<ServedTopK>> = Vec::with_capacity(b);
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut ranked = Vec::new();
-        for (j, req) in batch.iter().enumerate() {
-            let row = &urows[j * kdim..(j + 1) * kdim];
-            if self
-                .cache
-                .try_serve(req.user, row, &req.exclude, &snap, self.cfg.k, &mut ranked)
-            {
-                responses.push(Some(ServedTopK {
-                    user: req.user,
-                    epoch: snap.epoch,
-                    seq: snap.seq,
-                    cache_hit: true,
-                    top: std::mem::take(&mut ranked),
-                }));
-            } else {
-                responses.push(None);
-                miss_idx.push(j);
-            }
+        let users: Vec<u32> = batch.iter().map(|req| req.user).collect();
+        let excludes: Vec<&[u32]> = batch.iter().map(|req| req.exclude.as_slice()).collect();
+        let cached: Vec<Option<&Candidates>> = entries.iter().map(Option::as_ref).collect();
+        let mut out = vec![Vec::new(); b];
+        self.answer(
+            &snap,
+            &users,
+            &urows,
+            &excludes,
+            &cached,
+            &mut out,
+            |j, resp| {
+                // A dropped receiver is the requester's business, not ours.
+                let _ = batch[j].reply.send(resp);
+                self.stats.latency.record_ns(batch[j].queued.elapsed_ns());
+            },
+        );
+    }
+
+    /// Rank a block of `users` (their `rows`, `excludes` and applicable
+    /// `cached` entries) against the pinned `snap` through
+    /// [`rank_cached`] into `out`, install the band of every miss, and
+    /// hand each user's `k`-prefix to `reply` with the serving counters
+    /// updated. The heap order is total, so the prefix of a miss's band
+    /// ranking *is* its top-k.
+    #[allow(clippy::too_many_arguments)]
+    fn answer(
+        &self,
+        snap: &ItemSnapshot,
+        users: &[u32],
+        rows: &[f32],
+        excludes: &[&[u32]],
+        cached: &[Option<&Candidates>],
+        out: &mut [Vec<(u32, f32)>],
+        mut reply: impl FnMut(usize, ServedTopK),
+    ) {
+        let (k, kdim) = (self.cfg.k, snap.items().cols());
+        let cand_k = CAND_K.max(k);
+        let bounds = (snap.drift, snap.vmax_seen);
+        let (pruned, items) = (snap.pruned(), snap.items());
+        let (_, misses) = rank_cached(
+            pruned,
+            items,
+            rows,
+            excludes,
+            cached,
+            bounds,
+            (k, cand_k),
+            out,
+        );
+        for &j in &misses {
+            let row = &rows[j * kdim..(j + 1) * kdim];
+            self.cache
+                .install(users[j], row, excludes[j], snap, &out[j], cand_k);
         }
-        if !miss_idx.is_empty() {
-            // Rank all misses in one kernel-blocked pass at the cache
-            // band width, install the refreshed caches, and answer with
-            // the k-prefix (the heap order is total, so the prefix of
-            // the band ranking *is* the top-k ranking).
-            let cand_k = CAND_K.max(self.cfg.k);
-            let mut packed = vec![0.0f32; miss_idx.len() * kdim];
-            for (slot, &j) in miss_idx.iter().enumerate() {
-                packed[slot * kdim..(slot + 1) * kdim]
-                    .copy_from_slice(&urows[j * kdim..(j + 1) * kdim]);
-            }
-            let excludes: Vec<&[u32]> = miss_idx
-                .iter()
-                .map(|&j| batch[j].exclude.as_slice())
-                .collect();
-            let mut lists: Vec<Vec<(u32, f32)>> = vec![Vec::new(); miss_idx.len()];
-            top_ranked_block(snap.pruned(), &packed, &excludes, cand_k, &mut lists);
-            for (slot, &j) in miss_idx.iter().enumerate() {
-                let req = &batch[j];
-                let row = &urows[j * kdim..(j + 1) * kdim];
-                let list = &mut lists[slot];
-                self.cache
-                    .install(req.user, row, &req.exclude, &snap, list, cand_k);
-                list.truncate(self.cfg.k);
-                responses[j] = Some(ServedTopK {
-                    user: req.user,
-                    epoch: snap.epoch,
-                    seq: snap.seq,
-                    cache_hit: false,
-                    top: std::mem::take(list),
-                });
-            }
+        if !misses.is_empty() {
             self.stats.batches.fetch_add(1, Ordering::Relaxed);
         }
         let lag = self.store.latest_epoch().saturating_sub(snap.epoch);
-        for (req, resp) in batch.iter().zip(responses) {
-            let resp = resp.expect("every request answered");
+        let mut misses = misses.into_iter().peekable();
+        for (j, list) in out.iter_mut().enumerate() {
+            let cache_hit = misses.next_if_eq(&j).is_none();
             self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if resp.cache_hit {
+            if cache_hit {
                 self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             }
             self.stats.record_lag(lag);
-            // A dropped receiver is the requester's business, not ours.
-            let _ = req.reply.send(resp);
-            self.stats.latency.record_ns(req.queued.elapsed_ns());
-        }
-    }
-
-    /// Serve a single user against a pinned snapshot (shared by the
-    /// inline path; the batch path is `process_batch`). Byte-identical
-    /// to the batch path for the same (snapshot, user, exclusions).
-    fn serve_one(
-        &self,
-        snap: &Arc<ItemSnapshot>,
-        user: u32,
-        exclude: &[u32],
-        row: &[f32],
-    ) -> ServedTopK {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let lag = self.store.latest_epoch().saturating_sub(snap.epoch);
-        self.stats.record_lag(lag);
-        let mut ranked = Vec::new();
-        if self
-            .cache
-            .try_serve(user, row, exclude, snap, self.cfg.k, &mut ranked)
-        {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return ServedTopK {
-                user,
-                epoch: snap.epoch,
-                seq: snap.seq,
-                cache_hit: true,
-                top: ranked,
-            };
-        }
-        let cand_k = CAND_K.max(self.cfg.k);
-        let mut lists = vec![Vec::new()];
-        top_ranked_block(snap.pruned(), row, &[exclude], cand_k, &mut lists);
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let list = &mut lists[0];
-        self.cache.install(user, row, exclude, snap, list, cand_k);
-        list.truncate(self.cfg.k);
-        ServedTopK {
-            user,
-            epoch: snap.epoch,
-            seq: snap.seq,
-            cache_hit: false,
-            top: std::mem::take(list),
+            list.truncate(k);
+            reply(
+                j,
+                ServedTopK {
+                    user: users[j],
+                    epoch: snap.epoch,
+                    seq: snap.seq,
+                    cache_hit,
+                    top: std::mem::take(list),
+                },
+            );
         }
     }
 }

@@ -1,11 +1,16 @@
-//! Latency instrumentation for the serving layer.
+//! Latency instrumentation for the serving layer, and the workspace's
+//! one production clock.
 //!
 //! This module is the **only** place in the workspace's production crates
 //! allowed to touch the wall clock (`fedrec-lint` carves out a path
 //! exemption for it): serving latency is inherently a wall-clock quantity.
-//! The measurements are strictly observational — nothing downstream of a
-//! timestamp feeds back into scoring, ranking, or any recorded experiment
-//! byte, so the determinism contract is untouched.
+//! Every other observational timing reads the clock through [`Stamp`]
+//! too — the matrix's volatile `eval_ms` record field, the serve report's
+//! build and serve wall-times, and `repro`'s progress lines on stderr — so
+//! no other production file needs a wall-clock suppression. The
+//! measurements are strictly observational — nothing downstream of a
+//! timestamp feeds back into scoring, ranking, or any identity-gated
+//! experiment byte, so the determinism contract is untouched.
 //!
 //! The histogram is log₂-bucketed over nanoseconds with lock-free atomic
 //! counters: recording from many serving threads never serializes, and
@@ -18,7 +23,8 @@ use std::time::Instant;
 /// latency this side of a hung process.
 const BUCKETS: usize = 64;
 
-/// A monotonic timestamp taken when a request enters the system.
+/// A monotonic timestamp: when a request entered the system, or when an
+/// observational timing started.
 #[derive(Debug, Clone, Copy)]
 pub struct Stamp(Instant);
 
