@@ -17,6 +17,11 @@
 //! memory reduction; users outside the active set simply have no row
 //! ([`UserApproximator::row_of`] returns `None`) and contribute nothing
 //! to the attack loss.
+//!
+//! [`UserApproximator::refine`] is the user half of a client's BPR round:
+//! the same per-pair [`bpr::user_pair_step`], summed into one reused
+//! `k`-wide gradient, without the item gradient the attacker would
+//! discard.
 
 use crate::loss::UserRows;
 use fedrec_data::PublicView;
@@ -103,28 +108,42 @@ impl UserApproximator {
     /// Negative items are sampled from `V_i⁻″` (items the user has not
     /// *publicly* interacted with), the only negative set the attacker can
     /// construct.
+    ///
+    /// As in a client round (no regularization), a user's row stays frozen
+    /// while its pairs' gradients are summed, then takes one step.
     pub fn refine(&mut self, public: &PublicView, items: &Matrix, epochs: usize, lr: f32) {
         let m = public.num_items();
+        let k = self.u_hat.cols();
         assert_eq!(items.rows(), m, "item universe mismatch");
+        assert_eq!(items.cols(), k, "latent dimension mismatch");
         assert_eq!(self.num_users, public.num_users(), "user count mismatch");
+        let mut grad = vec![0.0f32; k];
+        let mut diff = vec![0.0f32; k];
         for _ in 0..epochs {
             for (i, &u) in self.active.iter().enumerate() {
                 let pos = public.user_items(u as usize);
                 if pos.is_empty() || pos.len() >= m {
                     continue;
                 }
-                // One negative per public positive, from V_i⁻″.
-                let pairs: Vec<(u32, u32)> = pos
-                    .iter()
-                    .map(|&p| loop {
+                grad.fill(0.0);
+                let row = self.u_hat.row(i);
+                for &p in pos {
+                    // One negative per public positive, from V_i⁻″.
+                    let v = loop {
                         let v = self.rng.below(m) as u32;
                         if pos.binary_search(&v).is_err() {
-                            return (p, v);
+                            break v;
                         }
-                    })
-                    .collect();
-                let g = bpr::user_round_grads(self.u_hat.row(i), items, &pairs, 0.0);
-                vector::axpy(-lr, &g.grad_user, self.u_hat.row_mut(i));
+                    };
+                    bpr::user_pair_step(
+                        row,
+                        items.row(p as usize),
+                        items.row(v as usize),
+                        &mut diff,
+                        &mut grad,
+                    );
+                }
+                vector::axpy(-lr, &grad, self.u_hat.row_mut(i));
             }
         }
     }
@@ -300,6 +319,94 @@ mod tests {
             a.u_hat().clone()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The refinement as it was before it shed its per-user allocations:
+    /// one sampled negative per public positive collected into a pair list,
+    /// then `∇u` taken from the full client round (`bpr::user_round_grads`).
+    fn refine_reference(
+        a: &mut UserApproximator,
+        public: &PublicView,
+        items: &Matrix,
+        epochs: usize,
+        lr: f32,
+    ) {
+        let m = public.num_items();
+        for _ in 0..epochs {
+            for (i, &u) in a.active.iter().enumerate() {
+                let pos = public.user_items(u as usize);
+                if pos.is_empty() || pos.len() >= m {
+                    continue;
+                }
+                let pairs: Vec<(u32, u32)> = pos
+                    .iter()
+                    .map(|&p| loop {
+                        let v = a.rng.below(m) as u32;
+                        if pos.binary_search(&v).is_err() {
+                            return (p, v);
+                        }
+                    })
+                    .collect();
+                let g = bpr::user_round_grads(a.u_hat.row(i), items, &pairs, 0.0);
+                vector::axpy(-lr, &g.grad_user, a.u_hat.row_mut(i));
+            }
+        }
+    }
+
+    /// The allocation-free refinement equals the pair-list reference bit
+    /// for bit — `Û` and the negative-sampling stream — at latent widths on
+    /// and off the 8-lane split, with users whose public set covers the
+    /// catalog (skipped) or holds one item, and over catalogs with
+    /// duplicate rows, ±∞ and NaN entries (NaN rows compare by `to_bits`:
+    /// both sides run the same operations in the same order).
+    #[test]
+    fn refine_matches_the_pair_list_reference() {
+        let mut rng = SeededRng::new(3901);
+        let (n, m) = (40usize, 30usize);
+        let mut tuples = Vec::new();
+        for u in 0..n as u32 {
+            let degree = match u % 5 {
+                0 => 0,
+                1 => 1,
+                2 => m,
+                _ => 2 + rng.below(12),
+            };
+            for v in rng.sample_indices(m, degree) {
+                tuples.push((u, v as u32));
+            }
+        }
+        let public = PublicView::sample(&Dataset::from_tuples(n, m, tuples), 1.0, 1);
+        let bits = |a: &UserApproximator| -> Vec<u32> {
+            a.u_hat().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        for k in [1usize, 3, 8, 16, 17] {
+            for catalog in 0..4 {
+                let mut items = Matrix::random_normal(m, k, 0.0, 0.5, &mut rng);
+                match catalog {
+                    1 => {
+                        let dup = items.row(0).to_vec();
+                        for i in (0..m).step_by(3) {
+                            items.row_mut(i).copy_from_slice(&dup);
+                        }
+                    }
+                    2 => {
+                        items.row_mut(4)[0] = f32::INFINITY;
+                        items.row_mut(9)[k - 1] = f32::NEG_INFINITY;
+                    }
+                    3 => items.row_mut(7)[k / 2] = f32::NAN,
+                    _ => {}
+                }
+                for epochs in [1usize, 3] {
+                    let mut got = UserApproximator::new(&public, k, 3902 + k as u64);
+                    let mut want = got.clone();
+                    got.refine(&public, &items, epochs, 0.05);
+                    refine_reference(&mut want, &public, &items, epochs, 0.05);
+                    let case = format!("k {k} catalog {catalog} epochs {epochs}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(got.rng_state(), want.rng_state(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

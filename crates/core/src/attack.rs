@@ -170,6 +170,13 @@ impl Adversary for FedRecAttack {
             let k = r.usize();
             let values = r.f32_vec();
             let rng_state = read_rng_state(&mut r);
+            // `k` comes from the blob: check the shape before `new`
+            // allocates an `a × k` estimate from it.
+            assert_eq!(
+                Some(values.len()),
+                self.public.active_users().len().checked_mul(k),
+                "checkpointed estimate shape mismatch"
+            );
             let mut a = UserApproximator::new(&self.public, k, self.seed);
             a.restore_state(&values, rng_state);
             Some(a)
@@ -404,6 +411,36 @@ mod tests {
             "hinge must keep pushing: {}",
             norm(&hinge.grad)
         );
+    }
+
+    /// A damaged adversary blob fails with a panic, never an abort: a
+    /// 2^40 length prefix on the stored estimate reads as truncated, and
+    /// an estimate width that does not match the stored values is refused
+    /// before it sizes an allocation.
+    #[test]
+    fn restore_refuses_oversized_prefixes() {
+        let data = SyntheticConfig::smoke().generate(28);
+        let public = PublicView::sample(&data, 0.05, 8);
+        let attack = || FedRecAttack::new(AttackConfig::new(vec![0]), public.clone(), 2);
+        let restore = |blob: Vec<u8>| {
+            let err = std::panic::catch_unwind(|| attack().restore_state(&blob))
+                .expect_err("damaged blob restored");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let mut w = ByteWriter::new();
+        w.bool(true);
+        w.usize(8);
+        w.usize(1 << 40);
+        w.u64(0);
+        assert!(restore(w.into_bytes()).contains("checkpoint truncated"));
+
+        let mut w = ByteWriter::new();
+        w.bool(true);
+        w.usize(1 << 40);
+        w.f32_slice(&[]);
+        write_rng_state(&mut w, SeededRng::new(1).full_state());
+        let msg = restore(w.into_bytes());
+        assert!(msg.contains("estimate shape mismatch"), "{msg}");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! `V_i^rec′` is the user's top-K list computed from the attacker's
 //! approximation `Û` and restricted to `V_i⁻″` (items without *public*
 //! interactions — the attacker's best guess at what is recommendable).
+//! [`attack_gradient`] ranks the users [`USER_BLOCK`] at a time through
+//! the recommender's pruned block sweep ([`top_ranked_block`]), the same
+//! exact ranking the evaluator and the online service use, and rescores
+//! the margin item and each target with [`vector::dot`]: the ranked list
+//! holds sanitized scores, the loss needs the raw ones.
 //!
 //! Gradient (hand-derived; `u_i` is a constant here because the attacker
 //! only poisons `V`): with margin item `j* = argmin …` and
@@ -26,8 +31,9 @@
 //! (§V-D): scores are pushed just past the boundary, not to infinity.
 
 use fedrec_data::PublicView;
-use fedrec_linalg::{kernel, Matrix, SeededRng};
-use fedrec_recsys::topk;
+use fedrec_linalg::{vector, Matrix};
+use fedrec_recsys::stream_eval::USER_BLOCK;
+use fedrec_recsys::{top_ranked_block, PrunedItems};
 
 /// The saturating surrogate `g` of Eq. 14.
 #[inline]
@@ -148,7 +154,6 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
     let k = items.cols();
     let mut grad = Matrix::zeros(m, k);
     let mut loss = 0.0f32;
-    let mut scores = vec![0.0f32; m];
 
     let all_users: Vec<usize>;
     let user_ids: &[usize] = match user_subset {
@@ -162,29 +167,47 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
     // The top list must contain at least one non-target even when targets
     // occupy the whole top-K, so fetch K + |targets| entries.
     let fetch = top_k + targets.len();
+    // Users without an estimate carry no signal and are skipped; the rest
+    // are ranked USER_BLOCK at a time, in the order given.
+    let estimated: Vec<(usize, &[f32])> = user_ids
+        .iter()
+        .filter_map(|&ui| users.row_of(ui).map(|u| (ui, u)))
+        .collect();
+    let pruned = PrunedItems::build(items);
+    let mut packed: Vec<f32> = Vec::with_capacity(USER_BLOCK * k);
+    let mut excludes: Vec<&[u32]> = Vec::with_capacity(USER_BLOCK);
+    let mut lists: Vec<Vec<(u32, f32)>> = vec![Vec::new(); USER_BLOCK];
+    let mut extended: Vec<u32> = Vec::with_capacity(fetch);
+    for block in estimated.chunks(USER_BLOCK) {
+        packed.clear();
+        excludes.clear();
+        for &(ui, u) in block {
+            packed.extend_from_slice(u);
+            excludes.push(public.user_items(ui));
+        }
+        let lists = &mut lists[..block.len()];
+        top_ranked_block(&pruned, &packed, &excludes, fetch, lists);
 
-    for &ui in user_ids {
-        let Some(u) = users.row_of(ui) else {
-            continue; // no estimate for this user — no signal to extract
-        };
-        kernel::score_rows(items.as_slice(), k, u, &mut scores);
-        let exclude = public.user_items(ui);
-        let extended = topk::top_k_excluding(&scores, exclude, fetch);
-        let Some(jstar) = margin_item(&extended, targets, top_k) else {
-            continue; // degenerate: fewer non-target items than K
-        };
-        let margin = scores[jstar as usize];
+        for (&(ui, u), list) in block.iter().zip(lists.iter()) {
+            extended.clear();
+            extended.extend(list.iter().map(|&(item, _)| item));
+            let Some(jstar) = margin_item(&extended, targets, top_k) else {
+                continue; // degenerate: fewer non-target items than K
+            };
+            // The list carries sanitized scores; the loss needs raw dots.
+            let margin = vector::dot(u, items.row(jstar as usize));
 
-        for &t in targets {
-            if public.contains(ui, t) {
-                continue; // (u_i, t) ∈ D′ — already interacted publicly
+            for &t in targets {
+                if public.contains(ui, t) {
+                    continue; // (u_i, t) ∈ D′ — already interacted publicly
+                }
+                let d = margin - vector::dot(u, items.row(t as usize));
+                loss += surrogate.value(d);
+                let gp = surrogate.derivative(d);
+                // ∂L/∂v_t = −g′·u ; ∂L/∂v_j* = +g′·u
+                grad.axpy_row(t as usize, -gp, u);
+                grad.axpy_row(jstar as usize, gp, u);
             }
-            let d = margin - scores[t as usize];
-            loss += surrogate.value(d);
-            let gp = surrogate.derivative(d);
-            // ∂L/∂v_t = −g′·u ; ∂L/∂v_j* = +g′·u
-            grad.axpy_row(t as usize, -gp, u);
-            grad.axpy_row(jstar as usize, gp, u);
         }
     }
     AttackGradient { grad, loss }
@@ -206,23 +229,11 @@ pub fn margin_item(extended: &[u32], targets: &[u32], top_k: usize) -> Option<u3
         .copied()
 }
 
-/// Choose a random user subset of size `max` (or all users when `max`
-/// covers them) for subsampled gradient evaluation.
-pub fn sample_user_subset(num_users: usize, max: usize, rng: &mut SeededRng) -> Vec<usize> {
-    if max >= num_users {
-        (0..num_users).collect()
-    } else {
-        let mut s = rng.sample_indices(num_users, max);
-        s.sort_unstable();
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedrec_data::Dataset;
-    use fedrec_linalg::vector;
+    use fedrec_linalg::SeededRng;
 
     #[test]
     fn margin_item_is_the_weakest_non_target_in_the_window() {
@@ -430,13 +441,174 @@ mod tests {
         assert_eq!(only0.grad.row(3)[1], 0.0);
     }
 
+    /// The gradient as it was before block ranking: per user, one dense
+    /// `kernel::score_rows` sweep and one `top_k_excluding` call, with the
+    /// margin and the targets read from the raw dense scores.
+    fn attack_gradient_reference<U: UserRows + ?Sized>(
+        users: &U,
+        items: &Matrix,
+        public: &PublicView,
+        targets: &[u32],
+        top_k: usize,
+        user_subset: Option<&[usize]>,
+        surrogate: Surrogate,
+    ) -> AttackGradient {
+        let (m, k) = (items.rows(), items.cols());
+        let mut grad = Matrix::zeros(m, k);
+        let mut loss = 0.0f32;
+        let mut scores = vec![0.0f32; m];
+        let all_users: Vec<usize> = (0..users.num_users()).collect();
+        for &ui in user_subset.unwrap_or(&all_users) {
+            let Some(u) = users.row_of(ui) else { continue };
+            fedrec_linalg::kernel::score_rows(items.as_slice(), k, u, &mut scores);
+            let extended = fedrec_recsys::topk::top_k_excluding(
+                &scores,
+                public.user_items(ui),
+                top_k + targets.len(),
+            );
+            let Some(jstar) = margin_item(&extended, targets, top_k) else {
+                continue;
+            };
+            let margin = scores[jstar as usize];
+            for &t in targets {
+                if public.contains(ui, t) {
+                    continue;
+                }
+                let d = margin - scores[t as usize];
+                loss += surrogate.value(d);
+                let gp = surrogate.derivative(d);
+                grad.axpy_row(t as usize, -gp, u);
+                grad.axpy_row(jstar as usize, gp, u);
+            }
+        }
+        AttackGradient { grad, loss }
+    }
+
+    /// An estimate for every user except the multiples of 7.
+    struct Holey(Matrix);
+
+    impl UserRows for Holey {
+        fn num_users(&self) -> usize {
+            self.0.rows()
+        }
+
+        fn row_of(&self, u: usize) -> Option<&[f32]> {
+            (!u.is_multiple_of(7)).then(|| self.0.row(u))
+        }
+    }
+
+    /// One battery catalog: the item matrix, the targets, and public sets
+    /// in which every fifth user exposes the first target and every
+    /// thirteenth exposes every non-target (so only targets stay
+    /// rankable and `margin_item` finds nothing).
+    fn battery_catalog(
+        shape: usize,
+        k: usize,
+        n: usize,
+        rng: &mut SeededRng,
+    ) -> (Matrix, Vec<u32>, PublicView) {
+        let m = [300, 300, 40, 300, 40, 6][shape];
+        let targets: Vec<u32> = if m == 6 { vec![1, 4] } else { vec![2, 5, 11] };
+        let mut items = Matrix::random_normal(m, k, 0.0, 0.5, rng);
+        match shape {
+            // Score ties: every row repeats one of 17, targets included.
+            1 => {
+                for i in 17..m {
+                    let src = items.row(i % 17).to_vec();
+                    items.row_mut(i).copy_from_slice(&src);
+                }
+            }
+            // Targets outscore everything for the (non-negative) users.
+            2 => {
+                for &t in &targets {
+                    items.row_mut(t as usize).fill(3.0);
+                }
+            }
+            // ±∞ entries, in non-targets and in one target.
+            3 => {
+                items.row_mut(3)[0] = f32::INFINITY;
+                items.row_mut(150)[0] = f32::INFINITY;
+                items.row_mut(77)[k - 1] = f32::NEG_INFINITY;
+                items.row_mut(11)[k / 2] = f32::INFINITY;
+            }
+            // NaN entries, in a non-target and in one target.
+            4 => {
+                items.row_mut(6)[0] = f32::NAN;
+                items.row_mut(5)[k - 1] = f32::NAN;
+            }
+            _ => {}
+        }
+        let mut tuples = Vec::new();
+        for u in 0..n {
+            let own: Vec<u32> = if u % 13 == 2 {
+                (0..m as u32).filter(|v| !targets.contains(v)).collect()
+            } else {
+                let degree = rng.below(m.min(12) + 1);
+                rng.sample_indices(m, degree)
+                    .into_iter()
+                    .map(|v| v as u32)
+                    .collect()
+            };
+            tuples.extend(own.into_iter().map(|v| (u as u32, v)));
+            if u % 5 == 1 {
+                tuples.push((u as u32, targets[0]));
+            }
+        }
+        let public = PublicView::sample(&Dataset::from_tuples(n, m, tuples), 1.0, 1);
+        (items, targets, public)
+    }
+
+    /// The block-ranked gradient equals the per-user reference bit for bit
+    /// (`grad` and `loss` by `to_bits`, NaN entries included) at latent
+    /// widths on and off the 8-lane split; over subsets of 0, 1, 63, 64,
+    /// 65 and 130 users (one block, a block edge, past it, three blocks)
+    /// and `None`; with users that have no estimate, targets inside public
+    /// sets, duplicate rows, targets that fill the top-K window, catalogs
+    /// smaller than K where `margin_item` finds nothing, and ±∞ / NaN
+    /// entries whose margin scores only the raw dot keeps.
     #[test]
-    fn sample_user_subset_bounds() {
-        let mut rng = SeededRng::new(1);
-        assert_eq!(sample_user_subset(5, 10, &mut rng), vec![0, 1, 2, 3, 4]);
-        let s = sample_user_subset(100, 10, &mut rng);
-        assert_eq!(s.len(), 10);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
+    fn attack_gradient_matches_the_per_user_reference() {
+        let mut rng = SeededRng::new(3701);
+        let n = 140;
+        let bits = |g: &AttackGradient| -> (Vec<u32>, u32) {
+            let grad = g.grad.as_slice().iter().map(|x| x.to_bits()).collect();
+            (grad, g.loss.to_bits())
+        };
+        for k in [1usize, 3, 8, 16, 17] {
+            for shape in 0..6 {
+                let (items, targets, public) = battery_catalog(shape, k, n, &mut rng);
+                let mut rows = Matrix::random_normal(n, k, 0.0, 0.5, &mut rng);
+                if shape == 2 {
+                    rows.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                }
+                let users = Holey(rows);
+                let mut subsets: Vec<Option<Vec<usize>>> = vec![None];
+                for size in [0usize, 1, 63, 64, 65, 130] {
+                    let mut s = rng.sample_indices(n, size);
+                    s.sort_unstable();
+                    subsets.push(Some(s));
+                }
+                for subset in &subsets {
+                    for top_k in [1usize, 2, 10] {
+                        for surrogate in [Surrogate::Saturating, Surrogate::Hinge] {
+                            let subset = subset.as_deref();
+                            let got = attack_gradient(
+                                &users, &items, &public, &targets, top_k, subset, surrogate,
+                            );
+                            let want = attack_gradient_reference(
+                                &users, &items, &public, &targets, top_k, subset, surrogate,
+                            );
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "k {k} shape {shape} subset {:?} top_k {top_k} {surrogate:?}",
+                                subset.map(<[usize]>::len)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

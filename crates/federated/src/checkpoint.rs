@@ -121,16 +121,37 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> &'a [u8] {
         assert!(
-            self.pos + n <= self.buf.len(),
+            n <= self.remaining(),
             "checkpoint truncated: wanted {n} bytes at offset {}, have {}",
             self.pos,
-            self.buf.len() - self.pos
+            self.remaining()
         );
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         s
+    }
+
+    /// Read the length prefix of a list whose elements each take at least
+    /// `min_bytes` encoded bytes. Panics with "checkpoint truncated" unless
+    /// that many elements fit in the bytes left, so a damaged prefix can
+    /// never size an allocation: every prefix-sized collect reads its
+    /// count here.
+    pub fn count(&mut self, min_bytes: usize) -> usize {
+        let n = self.usize();
+        assert!(
+            n.checked_mul(min_bytes)
+                .is_some_and(|need| need <= self.remaining()),
+            "checkpoint truncated: {n} elements of at least {min_bytes} bytes at offset {}, have {}",
+            self.pos,
+            self.remaining()
+        );
+        n
     }
 
     /// Read a `u64`.
@@ -175,13 +196,13 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed `f32` vector.
     pub fn f32_vec(&mut self) -> Vec<f32> {
-        let n = self.usize();
+        let n = self.count(4);
         (0..n).map(|_| self.f32()).collect()
     }
 
     /// Read a length-prefixed `u32` vector.
     pub fn u32_vec(&mut self) -> Vec<u32> {
-        let n = self.usize();
+        let n = self.count(4);
         (0..n).map(|_| self.u32()).collect()
     }
 
@@ -258,7 +279,8 @@ fn write_series(w: &mut ByteWriter, s: &Series) {
 }
 
 fn read_series(r: &mut ByteReader<'_>) -> Series {
-    let n = r.usize();
+    // One `usize` epoch and one `f64` value per point.
+    let n = r.count(16);
     let epochs: Vec<usize> = (0..n).map(|_| r.usize()).collect();
     let values: Vec<f64> = (0..n).map(|_| r.f64()).collect();
     Series { epochs, values }
@@ -300,11 +322,12 @@ pub fn write_history(w: &mut ByteWriter, h: &TrainingHistory) {
 
 /// Decode a history written by [`write_history`].
 pub fn read_history(r: &mut ByteReader<'_>) -> TrainingHistory {
-    let n = r.usize();
+    let n = r.count(4);
     let losses: Vec<f32> = (0..n).map(|_| r.f32()).collect();
     let hr_at_10 = read_series(r);
     let er_at_10 = read_series(r);
-    let nd = r.usize();
+    // Six `usize` counts and two `f64` rates per round.
+    let nd = r.count(64);
     let defense: Vec<RoundDefense> = (0..nd)
         .map(|_| RoundDefense {
             epoch: r.usize(),
@@ -317,7 +340,8 @@ pub fn read_history(r: &mut ByteReader<'_>) -> TrainingHistory {
             recall: r.f64(),
         })
         .collect();
-    let nf = r.usize();
+    // Seven `usize` counts and one bool per round.
+    let nf = r.count(57);
     let faults: Vec<RoundFaults> = (0..nf)
         .map(|_| RoundFaults {
             epoch: r.usize(),
@@ -445,6 +469,59 @@ mod tests {
         assert_eq!(back.er_at_10, h.er_at_10);
         assert_eq!(back.defense, h.defense);
         assert_eq!(back.faults, h.faults);
+    }
+
+    /// Run `read` over `bytes` and require the "checkpoint truncated" panic.
+    fn assert_truncated(what: &str, bytes: &[u8], read: fn(&mut ByteReader<'_>)) {
+        let err = std::panic::catch_unwind(|| read(&mut ByteReader::new(bytes)))
+            .expect_err(&format!("{what} accepted a damaged blob"));
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("checkpoint truncated"), "{what}: {msg}");
+    }
+
+    /// A length prefix of 2^40 in a 16-byte blob fails as a truncated
+    /// checkpoint before any collect reserves it; without the count bound
+    /// each read aborts the process on a multi-terabyte allocation. The
+    /// prefix is placed at every list the readers size from the blob, and a
+    /// blob length near `usize::MAX` must not wrap the bounds check in
+    /// `take`.
+    #[test]
+    fn oversized_length_prefixes_panic_as_truncated() {
+        let blob = |head: &[u64]| {
+            let mut w = ByteWriter::new();
+            head.iter().for_each(|&v| w.u64(v));
+            w.usize(1 << 40);
+            w.u64(0);
+            w.into_bytes()
+        };
+        assert_truncated("f32_vec", &blob(&[]), |r| {
+            let _ = r.f32_vec();
+        });
+        assert_truncated("u32_vec", &blob(&[]), |r| {
+            let _ = r.u32_vec();
+        });
+        // read_grad: the id list, then the row values.
+        for head in [&[4][..], &[4, 0]] {
+            assert_truncated("read_grad", &blob(head), |r| {
+                let _ = read_grad(r);
+            });
+        }
+        // read_history: losses, both series, defense rounds, fault rounds.
+        for head in [&[][..], &[0], &[0, 0], &[0, 0, 0], &[0, 0, 0, 0]] {
+            assert_truncated("read_history", &blob(head), |r| {
+                let _ = read_history(r);
+            });
+        }
+        let mut w = ByteWriter::new();
+        w.usize(usize::MAX - 3);
+        w.u64(0);
+        assert_truncated("bytes", &w.into_bytes(), |r| {
+            let _ = r.bytes();
+        });
     }
 
     #[test]

@@ -904,7 +904,7 @@ impl Simulation {
             "checkpoint shared-block length mismatch"
         );
         self.shared = shared;
-        let nt = r.usize();
+        let nt = r.count(8);
         let touched_ids: Vec<usize> = (0..nt).map(|_| r.usize()).collect();
         self.touched.fill(false);
         for &id in &touched_ids {
@@ -921,7 +921,9 @@ impl Simulation {
             let rng_state = read_rng_state(&mut r);
             c.restore_state(&user_vec, rng_state);
         }
-        let np = r.usize();
+        // Four `usize` fields, a gradient (`k` and two empty lists) and an
+        // empty shared block per pending upload.
+        let np = r.count(4 * 8 + 3 * 8 + 8);
         self.pending = (0..np)
             .map(|_| PendingUpload {
                 due_round: r.usize(),

@@ -79,6 +79,28 @@ pub fn user_round_grads(
     }
 }
 
+/// The user side of one pair `(v_j⁺, v_k⁻)`: writes `v_j − v_k` into
+/// `diff`, adds `∂L/∂u = −σ(−d)·(v_j − v_k)` into `grad_user`, and returns
+/// `d = u·(v_j − v_k)` and `∂L/∂d = −σ(−d)`.
+///
+/// Every BPR user gradient goes through this step: the client round
+/// ([`user_round_grads_into`]) and the attacker's user-only refinement of
+/// `Û`, which must reproduce the client arithmetic bit for bit.
+#[inline]
+pub fn user_pair_step(
+    u: &[f32],
+    vj: &[f32],
+    vk: &[f32],
+    diff: &mut [f32],
+    grad_user: &mut [f32],
+) -> (f32, f32) {
+    vector::sub(vj, vk, diff);
+    let d = vector::dot(u, diff);
+    let coeff = -vector::sigmoid(-d);
+    vector::axpy(coeff, diff, grad_user);
+    (d, coeff)
+}
+
 /// Allocation-free core of [`user_round_grads`]: writes `∇u_i` into
 /// `scratch.grad_user` and `∇V_i` into `grad_items` (cleared first, `k`
 /// preserved), returning the loss.
@@ -100,12 +122,8 @@ pub fn user_round_grads_into(
     for &(pos, neg) in pairs {
         let vj = items.row(pos as usize);
         let vk = items.row(neg as usize);
-        vector::sub(vj, vk, &mut scratch.diff);
-        let d = vector::dot(u, &scratch.diff);
+        let (d, coeff) = user_pair_step(u, vj, vk, &mut scratch.diff, &mut scratch.grad_user);
         loss += -vector::log_sigmoid(d);
-        // coeff = ∂L/∂d = -σ(-d)
-        let coeff = -vector::sigmoid(-d);
-        vector::axpy(coeff, &scratch.diff, &mut scratch.grad_user);
         grad_items.accumulate(pos, coeff, u);
         grad_items.accumulate(neg, -coeff, u);
         if l2_reg > 0.0 {

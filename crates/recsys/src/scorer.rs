@@ -25,7 +25,8 @@
 //! and skips whole norm blocks once the Cauchy–Schwarz bound
 //! `u·v ≤ ‖u‖·‖v‖` proves no remaining item can enter a user's heap (see
 //! the soundness notes on [`PrunedItems`]). The evaluator runs it per
-//! user block, the serving layer per request batch, and
+//! user block, the serving layer per request batch, the MF attacker per
+//! block of its sampled users, and
 //! [`PrunedScores`] is its one-user case for callers that rank a single
 //! user. The candidate rule itself — heap order and the group pre-screen
 //! — lives in [`crate::topk`]; this module only decides which items to

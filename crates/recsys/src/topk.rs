@@ -2,8 +2,11 @@
 //!
 //! §III-C: "for each user `u_i`, the recommender system recommends K items
 //! in `V_i⁻` with the top-K predicted scores" — i.e. already-interacted
-//! items are excluded. The same routine with the *public* exclusion set
-//! `V_i⁻″` produces the attacker's approximate lists `V_i^rec′` (Eq. 15).
+//! items are excluded. The same ranking with the *public* exclusion set
+//! `V_i⁻″` produces the attacker's approximate lists `V_i^rec′` (Eq. 15):
+//! the MF attack ranks user blocks through the pruned sweep
+//! ([`crate::scorer::top_ranked_block`]); the dense [`top_k_excluding`]
+//! builds only the NCF attacker's lists.
 //!
 //! Every ranking in the workspace — the metrics, the attacker's lists and
 //! the online service — selects through [`TopKHeap`], and this module is
