@@ -1,15 +1,11 @@
-//! Overhead of the deterministic fault layer on the round loop, plus the
-//! cost of the crash-resume checkpoint path, on one federated round over
-//! 1,000 clients, 2,000 items at k = 32. Measured numbers are recorded in
-//! BENCH_faults.json at the repository root.
+//! Cost of the crash-resume checkpoint path on a mid-run faulted
+//! simulation over 1,000 clients, 2,000 items at k = 32. Measured numbers
+//! are recorded in BENCH_faults.json at the repository root. The faulted
+//! round itself is timed end to end by the repository benchmark
+//! (`perfbench/`, the `mf-fedrecattack-krum` workload).
 //!
-//! Four arms:
+//! Two arms:
 //!
-//! * `round_clean` — one full federated round with no injector attached
-//!   (the baseline; the per-round fault branch is a single `Option` test);
-//! * `round_faulted` — the same round under [`FaultPlan::smoke`]:
-//!   per-client fault sampling, dropout/straggler bookkeeping, payload
-//!   corruption and the server-side validation gate;
 //! * `checkpoint_encode` — serializing a mid-run simulation (server item
 //!   matrix, RNG states, touched client rows, pending late uploads,
 //!   adversary state, history prefix) to the resume blob;
@@ -48,37 +44,6 @@ fn cfg() -> FedConfig {
     }
 }
 
-/// One full round, clean versus faulted, over the same population.
-fn bench_round(c: &mut Criterion) {
-    let data = dataset();
-    let mut g = c.benchmark_group("fault_overhead");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(5));
-
-    let mut clean = Simulation::new(&data, cfg(), Box::new(NoAttack), 0);
-    let mut epoch = 0usize;
-    g.bench_function("round_clean", |b| {
-        b.iter(|| {
-            let loss = clean.step_faulted(epoch).0;
-            epoch += 1;
-            black_box(loss)
-        })
-    });
-
-    let mut faulted = Simulation::new(&data, cfg(), Box::new(NoAttack), 0);
-    faulted.enable_faults(FaultPlan::smoke(), 0xFA17);
-    let mut epoch = 0usize;
-    g.bench_function("round_faulted", |b| {
-        b.iter(|| {
-            let loss = faulted.step_faulted(epoch).0;
-            epoch += 1;
-            black_box(loss)
-        })
-    });
-    g.finish();
-}
-
 /// Checkpoint blob encode/restore of a mid-run faulted simulation —
 /// the fixed cost a crash-resume cycle adds on top of the rounds.
 fn bench_checkpoint(c: &mut Criterion) {
@@ -104,5 +69,5 @@ fn bench_checkpoint(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_round, bench_checkpoint);
+criterion_group!(benches, bench_checkpoint);
 criterion_main!(benches);

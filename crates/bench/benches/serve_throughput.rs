@@ -1,17 +1,14 @@
-//! Serving throughput: the online top-K service (`fedrec-serve`) from
-//! the cache-hit fast path up to the full closed-loop million-preset
-//! workload. The served bytes are identical to the offline evaluator on
-//! the pinned snapshot (gated by the serve identity proptests and the
-//! `repro matrix --smoke` serve gate); these benches measure only how
-//! fast the service answers. Measured numbers are recorded in
-//! BENCH_serve.json at the repository root.
-//!
-//! CI runs the smoke-form group only (`cargo bench -p fedrec-bench
-//! --bench serve_throughput -- serve_smoke`); the million group is the
-//! acceptance measurement.
+//! Serving kernel: one inline cache hit and one inline cache miss of the
+//! online top-K service (`fedrec-serve`), in isolation. The served bytes
+//! are identical to the offline evaluator on the pinned snapshot (gated
+//! by the serve identity proptests and the `repro matrix --smoke` serve
+//! gate); this bench measures only how fast one request is answered.
+//! End-to-end serving throughput and latency — every cell's inline
+//! serving phase and the queued `serve-million` workload — are measured
+//! by the repository benchmark (`perfbench/`). Measured numbers are
+//! recorded in BENCH_serve.json at the repository root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedrec_experiments::{run_serve, ServeSpec};
 use fedrec_linalg::{Matrix, SeededRng};
 use fedrec_serve::{ServeConfig, Service};
 use std::hint::black_box;
@@ -75,34 +72,5 @@ fn bench_serve_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// The CI-sized closed-loop workload: queue, batching, workers, rolling
-/// publishes, hot/cold request mix — end to end (`ServeSpec::smoke`).
-fn bench_smoke(c: &mut Criterion) {
-    let mut g = c.benchmark_group("serve_smoke");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(3));
-    let spec = ServeSpec::smoke();
-    g.bench_function("closed_loop_30k_requests", |b| {
-        b.iter(|| black_box(run_serve(black_box(&spec))))
-    });
-    g.finish();
-}
-
-/// The acceptance measurement: the full million preset (300k requests
-/// over 1M lazy users / 100k items, publish every 50k). Mirrors
-/// `repro serve`; the numbers land in BENCH_serve.json.
-fn bench_million(c: &mut Criterion) {
-    let mut g = c.benchmark_group("serve_million");
-    g.sample_size(3);
-    g.warm_up_time(Duration::from_millis(1));
-    g.measurement_time(Duration::from_secs(1));
-    let spec = ServeSpec::million();
-    g.bench_function("closed_loop_300k_requests", |b| {
-        b.iter(|| black_box(run_serve(black_box(&spec))))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_serve_kernel, bench_smoke, bench_million);
+criterion_group!(benches, bench_serve_kernel);
 criterion_main!(benches);

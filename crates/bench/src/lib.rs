@@ -1,51 +1,10 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Criterion benchmarks of isolated kernels, one target per file in
+//! `benches/`: the eval sweeps (`eval_throughput`), the serve hit/miss
+//! path (`serve_throughput`), checkpoint encode/restore
+//! (`fault_overhead`) and the smoke scenario-matrix fan-out
+//! (`scenario_matrix`). Each records its numbers in a `BENCH_*.json` at
+//! the repository root. End-to-end cells, rounds and serving are measured
+//! by the repository benchmark (`perfbench/`).
 //!
-//! Each bench target in `benches/` regenerates one table or figure of the
-//! paper (at smoke scale — the point of the benches is tracking the cost
-//! and the qualitative result of each experiment, not re-running the
-//! full 200-epoch protocol under Criterion's repetition). This crate
-//! hosts the tiny shared setup helpers so the bench files stay readable.
-
-#![warn(missing_docs)]
-
-use fedrec_data::split::{leave_one_out, TestSet};
-use fedrec_data::synthetic::SyntheticConfig;
-use fedrec_data::Dataset;
-
-/// A prepared smoke-scale dataset: `(train, test, targets)`.
-pub fn smoke_fixture(seed: u64) -> (Dataset, TestSet, Vec<u32>) {
-    let full = SyntheticConfig::smoke().generate(seed);
-    let (train, test) = leave_one_out(&full, seed ^ 0x10);
-    let targets = train.coldest_items(1);
-    (train, test, targets)
-}
-
-/// A smaller fixture for micro-benchmarks (per-round costs).
-pub fn micro_fixture(seed: u64) -> (Dataset, TestSet, Vec<u32>) {
-    let cfg = SyntheticConfig {
-        name: "micro",
-        num_users: 60,
-        num_items: 120,
-        num_interactions: 1_200,
-        zipf_exponent: 0.9,
-        user_activity_exponent: 0.7,
-    };
-    let full = cfg.generate(seed);
-    let (train, test) = leave_one_out(&full, seed ^ 0x10);
-    let targets = train.coldest_items(1);
-    (train, test, targets)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_well_formed() {
-        let (train, test, targets) = smoke_fixture(1);
-        assert_eq!(test.len(), train.num_users());
-        assert_eq!(targets.len(), 1);
-        let (train, _, _) = micro_fixture(1);
-        assert_eq!(train.num_users(), 60);
-    }
-}
+//! The library itself is empty: Cargo needs a lib or bin target to host
+//! the bench targets.

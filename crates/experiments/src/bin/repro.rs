@@ -19,8 +19,6 @@
 //!       [--eval-every N] [--eval-mode full|pruned|incremental]
 //!       [--eval-threads N] [--out FILE]
 //! repro report --dir DIR [--csv] [--out FILE]
-//! repro serve [--users N] [--items N] [--requests N] [--threads N]
-//!       [--publish-every N] [--k N] [--seed N] [--smoke] [--out FILE]
 //! repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]
 //! ```
 //!
@@ -48,14 +46,6 @@
 //! caching with drift bounds). All three produce byte-identical metrics;
 //! only `eval_mode`/`items_scored`/`items_skipped` differ in the records.
 //!
-//! `serve` drives the online top-K serving layer (`fedrec-serve`) in a
-//! closed loop at the million-user preset — 300k requests over 1M lazy
-//! users / 100k items with a snapshot publish every 50k — and reports
-//! req/s, p50/p99 latency, cache hit rate and epochs-behind as JSON
-//! (the `BENCH_serve.json` generator). `serve --smoke` is the CI-sized
-//! shrink that gates the machine-independent invariants (every request
-//! answered, caches engaging, zero user rows materialized by serving).
-//!
 //! `lint` runs the `fedrec-lint` determinism & checkpoint-safety static
 //! pass over the workspace sources (same engine as
 //! `cargo run -p fedrec-lint`) and exits nonzero on any violation that is
@@ -69,9 +59,9 @@ use fedrec_experiments::matrix::{
 };
 use fedrec_experiments::record::{project, Mask, Record};
 use fedrec_experiments::{
-    fig3_side_effects, run_serve, serve_smoke, table2_datasets, table3_xi_sweep, table4_rho_sweep,
-    table5_kappa_sweep, table6_data_poisoning, table7_effectiveness, table8_model_poisoning,
-    table9_ablation, DatasetId, Scale, ServeSpec, Table,
+    fig3_side_effects, table2_datasets, table3_xi_sweep, table4_rho_sweep, table5_kappa_sweep,
+    table6_data_poisoning, table7_effectiveness, table8_model_poisoning, table9_ablation,
+    DatasetId, Scale, Table,
 };
 use fedrec_federated::StoreBackend;
 use fedrec_recsys::EvalMode;
@@ -107,13 +97,6 @@ struct Args {
     eval_mode: Option<EvalMode>,
     eval_threads: Option<usize>,
     serve: bool,
-    // serve options
-    users: Option<usize>,
-    items: Option<usize>,
-    requests: Option<usize>,
-    threads: Option<usize>,
-    publish_every: Option<usize>,
-    k: Option<usize>,
 }
 
 fn usage() -> ! {
@@ -130,8 +113,6 @@ fn usage() -> ! {
          \x20 repro cell --attack A --defense D --rho R [--model mf|ncf]\n\
          \x20      [--out FILE] [shared flags]\n\
          \x20 repro report --dir DIR [--csv] [--out FILE]\n\
-         \x20 repro serve [--users N] [--items N] [--requests N] [--threads N]\n\
-         \x20      [--publish-every N] [--k N] [--seed N] [--smoke] [--out FILE]\n\
          \x20 repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]"
     );
     std::process::exit(2);
@@ -165,12 +146,6 @@ fn parse_args() -> Args {
         eval_mode: None,
         eval_threads: None,
         serve: false,
-        users: None,
-        items: None,
-        requests: None,
-        threads: None,
-        publish_every: None,
-        k: None,
     };
     // fedrec-lint: allow(wall-clock) — CLI entry point: argv selects the experiment, it never feeds simulation state
     let mut it = std::env::args().skip(1);
@@ -206,8 +181,6 @@ fn parse_args() -> Args {
             "--out-dir" => args.out_dir = Some(PathBuf::from(next())),
             "--dir" => args.dir = Some(PathBuf::from(next())),
             "--smoke" => args.smoke = true,
-            "--users" => args.users = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--items" => args.items = Some(next().parse().unwrap_or_else(|_| usage())),
             "--eval-users" => args.eval_users = Some(next().parse().unwrap_or_else(|_| usage())),
             "--backend" => match next().to_ascii_lowercase().as_str() {
                 "dense" => args.backend_dense = Some(true),
@@ -232,24 +205,6 @@ fn parse_args() -> Args {
                 args.eval_threads = Some(v);
             }
             "--serve" => args.serve = true,
-            "--requests" => args.requests = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--threads" => {
-                let v: usize = next().parse().unwrap_or_else(|_| usage());
-                if v == 0 {
-                    usage()
-                }
-                args.threads = Some(v);
-            }
-            "--publish-every" => {
-                args.publish_every = Some(next().parse().unwrap_or_else(|_| usage()))
-            }
-            "--k" => {
-                let v: usize = next().parse().unwrap_or_else(|_| usage());
-                if v == 0 {
-                    usage()
-                }
-                args.k = Some(v);
-            }
             _ => usage(),
         }
     }
@@ -750,63 +705,6 @@ fn cmd_cell(args: &Args) {
     }
 }
 
-fn cmd_serve(args: &Args) {
-    if args.smoke {
-        match serve_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => fail(&format!("serve smoke failed: {e}")),
-        }
-        return;
-    }
-    let mut spec = ServeSpec::million();
-    if let Some(u) = args.users {
-        if u == 0 {
-            fail("--users must be positive");
-        }
-        spec.users = u;
-        spec.hot_users = spec.hot_users.min(u);
-    }
-    if let Some(m) = args.items {
-        if m == 0 {
-            fail("--items must be positive");
-        }
-        spec.items = m;
-    }
-    if let Some(r) = args.requests {
-        spec.requests = r;
-    }
-    if let Some(t) = args.threads {
-        spec.threads = t;
-    }
-    if let Some(p) = args.publish_every {
-        spec.publish_every = p;
-    }
-    if let Some(k) = args.k {
-        spec.top_k = k;
-    }
-    spec.seed = args.seed;
-    let report = run_serve(&spec);
-    let rendered = format!("{}\n", report.to_json());
-    emit(&rendered, args, 1);
-    eprintln!(
-        "serve run: {} requests over {} users / {} items at {:.0} req/s \
-         ({} threads), p50 {:.1} us, p99 {:.1} us, hit rate {:.3}, \
-         {} publishes, mean epoch lag {:.2} ({:.1}s build, {:.1}s serve)",
-        report.requests,
-        report.users,
-        report.items,
-        report.req_per_sec,
-        report.threads,
-        report.p50_us,
-        report.p99_us,
-        report.hit_rate,
-        report.publishes,
-        report.mean_epoch_lag,
-        report.build_secs,
-        report.serve_secs
-    );
-}
-
 fn cmd_report(args: &Args) {
     let dir = args.dir.clone().unwrap_or_else(|| usage());
     let table = matrix_report(&dir).unwrap_or_else(|e| fail(&format!("report failed: {e}")));
@@ -886,7 +784,6 @@ fn main() {
         "matrix" => return cmd_matrix(&args),
         "cell" => return cmd_cell(&args),
         "report" => return cmd_report(&args),
-        "serve" => return cmd_serve(&args),
         _ => {}
     }
     // Progress timing on stderr only; table bytes never include it.

@@ -33,7 +33,6 @@ pub mod record;
 pub mod report;
 pub mod runner;
 pub mod scale;
-pub mod serve_run;
 pub mod tables;
 
 pub use detection::extension_detection;
@@ -45,7 +44,6 @@ pub use matrix::{
 pub use report::Table;
 pub use runner::{run_experiment, ExperimentSpec, Outcome};
 pub use scale::{DatasetId, Scale};
-pub use serve_run::{run_serve, serve_smoke, ServeReport, ServeSpec};
 pub use tables::{
     table2_datasets, table3_xi_sweep, table4_rho_sweep, table5_kappa_sweep, table6_data_poisoning,
     table7_effectiveness, table8_model_poisoning, table9_ablation,

@@ -45,9 +45,13 @@ impl Matrix {
     }
 
     /// Build from an explicit row-major buffer. Panics if the buffer length
-    /// is not `rows * cols`.
+    /// is not `rows * cols` (a product that overflows `usize` never
+    /// matches).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "from_vec: wrong buffer length");
+        assert!(
+            rows.checked_mul(cols) == Some(data.len()),
+            "from_vec: wrong buffer length"
+        );
         Self { data, rows, cols }
     }
 
@@ -171,6 +175,14 @@ mod tests {
     #[should_panic(expected = "wrong buffer length")]
     fn from_vec_rejects_bad_length() {
         let _ = Matrix::from_vec(2, 2, vec![1.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from_vec: wrong buffer length")]
+    fn from_vec_rejects_a_shape_whose_product_wraps() {
+        // 2 × 2^(w−1) wraps to 0 in a wrapping multiply: an empty buffer
+        // must not pass for a matrix with a huge row width.
+        let _ = Matrix::from_vec(2, usize::MAX / 2 + 1, Vec::new());
     }
 
     #[test]

@@ -122,11 +122,11 @@ fn crate_of(rel_path: &str) -> String {
 const CLOCK_EXEMPT_CRATES: &[&str] = &["bench", "devtools", "lint"];
 
 /// Individual production files allowed to read the wall clock (and only
-/// that — `thread-id` still applies). The serving layer's latency
-/// telemetry is inherently a wall-clock quantity; confining the exemption
-/// to one file keeps every other serving path (scoring, caching, snapshot
-/// publication) under the rule, so timestamps can never leak into ranked
-/// output or recorded experiment bytes.
+/// that — `thread-id` still applies). The file holds `Stamp`, the one
+/// clock every observational production timing reads; confining the
+/// exemption to one file keeps every serving path (scoring, caching,
+/// snapshot publication) under the rule, so timestamps can never leak
+/// into ranked output or recorded experiment bytes.
 const CLOCK_EXEMPT_PATHS: &[&str] = &["crates/serve/src/telemetry.rs"];
 
 /// Files allowed to perform float reductions in (or for use by) threaded

@@ -509,6 +509,32 @@ mod tests {
         );
     }
 
+    /// A blob whose estimate width `k` makes `users × k` wrap to 0 must
+    /// not restore an empty `Û` claiming `k` columns.
+    #[test]
+    #[should_panic(expected = "from_vec: wrong buffer length")]
+    fn restore_refuses_a_wrapping_estimate_shape() {
+        let (train, _, targets) = fixture();
+        let public = PublicView::sample(&train, 0.05, 2);
+        let n = public.num_users();
+        assert!(
+            n.is_multiple_of(2),
+            "the wrap needs an even population, got {n}"
+        );
+        // n = 2^a·odd and k = 2^(w−a): n·k is a multiple of 2^w.
+        let k = 1usize << (usize::BITS - n.trailing_zeros());
+        let mut attack = NcfFedRecAttack::new(targets, public, 2, 7);
+        let mut w = ByteWriter::new();
+        w.bool(true);
+        w.usize(k);
+        w.f32_slice(&[]);
+        w.usize(2);
+        w.bool(false);
+        w.bool(false);
+        write_rng(&mut w, &SeededRng::new(1));
+        attack.restore_state(&w.into_bytes());
+    }
+
     #[test]
     fn ncf_attacks_resume_byte_identically() {
         // NcfFedRecAttack carries Û, its item sets and its own RNG through

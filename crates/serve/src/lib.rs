@@ -37,10 +37,11 @@
 //! derivation goes through the same [`UserRowSource`] the evaluator
 //! uses.
 //!
-//! Wall-clock instrumentation (latency histograms, [`telemetry`]) is
-//! observational only and is the sole wall-clock-exempt production code
-//! in the workspace (`fedrec-lint` pins the exemption to that one file):
-//! its [`Stamp`] is the one clock every production timing reads.
+//! The service does not time itself: serving throughput and latency are
+//! measured from outside, by the repository benchmark (`perfbench/`).
+//! [`telemetry`] holds [`Stamp`], the one clock every observational
+//! production timing reads and the sole wall-clock-exempt production
+//! code in the workspace (`fedrec-lint` pins the exemption to that file).
 
 #![warn(missing_docs)]
 
@@ -52,7 +53,7 @@ pub mod telemetry;
 pub use cache::CandidateCache;
 pub use service::{ServeConfig, ServedTopK, Service, SERVE_BATCH};
 pub use snapshot::{ItemSnapshot, SnapshotStore};
-pub use telemetry::{LatencyHistogram, ServeStats, Stamp};
+pub use telemetry::Stamp;
 
 #[cfg(doc)]
 use fedrec_recsys::UserRowSource;

@@ -19,12 +19,10 @@
 
 use crate::cache::CandidateCache;
 use crate::snapshot::{ItemSnapshot, SnapshotStore};
-use crate::telemetry::{ServeStats, Stamp};
 use fedrec_linalg::Matrix;
 use fedrec_recsys::candidates::{rank_cached, Candidates, CAND_K};
 use fedrec_recsys::UserRowSource;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -75,7 +73,6 @@ struct Request {
     user: u32,
     exclude: Vec<u32>,
     reply: Sender<ServedTopK>,
-    queued: Stamp,
 }
 
 #[derive(Default)]
@@ -96,7 +93,6 @@ pub struct Service {
     queue: Mutex<QueueInner>,
     not_empty: Condvar,
     not_full: Condvar,
-    stats: ServeStats,
 }
 
 impl Service {
@@ -114,7 +110,6 @@ impl Service {
             queue: Mutex::new(QueueInner::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            stats: ServeStats::new(),
         }
     }
 
@@ -123,18 +118,12 @@ impl Service {
         &self.cfg
     }
 
-    /// Serving-side counters and latency histogram.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
     /// Publish `items` as the serving snapshot for `epoch` (called by
     /// the training loop between rounds). Readers currently scoring
     /// against the previous snapshot keep their pinned `Arc`; new
     /// batches pick up this one.
     pub fn publish(&self, epoch: u64, items: &Matrix) {
         self.store.publish(epoch, items);
-        self.stats.publishes.fetch_add(1, Ordering::Relaxed);
         // Wake workers that were parked waiting for the first snapshot.
         self.not_empty.notify_all();
     }
@@ -163,7 +152,6 @@ impl Service {
         exclude: &[u32],
         rows: &dyn UserRowSource,
     ) -> Option<ServedTopK> {
-        let queued = Stamp::now();
         let snap = self.store.current()?;
         let mut row = vec![0.0f32; snap.items().cols()];
         rows.write_user_row(user as usize, &mut row);
@@ -179,7 +167,6 @@ impl Service {
             &mut out,
             |_, r| resp = Some(r),
         );
-        self.stats.latency.record_ns(queued.elapsed_ns());
         resp
     }
 
@@ -199,7 +186,6 @@ impl Service {
             user,
             exclude,
             reply,
-            queued: Stamp::now(),
         });
         drop(q);
         self.not_empty.notify_one();
@@ -341,7 +327,6 @@ impl Service {
             |j, resp| {
                 // A dropped receiver is the requester's business, not ours.
                 let _ = batch[j].reply.send(resp);
-                self.stats.latency.record_ns(batch[j].queued.elapsed_ns());
             },
         );
     }
@@ -349,9 +334,8 @@ impl Service {
     /// Rank a block of `users` (their `rows`, `excludes` and applicable
     /// `cached` entries) against the pinned `snap` through
     /// [`rank_cached`] into `out`, install the band of every miss, and
-    /// hand each user's `k`-prefix to `reply` with the serving counters
-    /// updated. The heap order is total, so the prefix of a miss's band
-    /// ranking *is* its top-k.
+    /// hand each user's `k`-prefix to `reply`. The heap order is total,
+    /// so the prefix of a miss's band ranking *is* its top-k.
     #[allow(clippy::too_many_arguments)]
     fn answer(
         &self,
@@ -382,18 +366,9 @@ impl Service {
             self.cache
                 .install(users[j], row, excludes[j], snap, &out[j], cand_k);
         }
-        if !misses.is_empty() {
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        }
-        let lag = self.store.latest_epoch().saturating_sub(snap.epoch);
         let mut misses = misses.into_iter().peekable();
         for (j, list) in out.iter_mut().enumerate() {
             let cache_hit = misses.next_if_eq(&j).is_none();
-            self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if cache_hit {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            self.stats.record_lag(lag);
             list.truncate(k);
             reply(
                 j,
