@@ -52,7 +52,7 @@ fn bench_checkpoint(c: &mut Criterion) {
     sim.enable_faults(FaultPlan::smoke(), 0xFA17);
     let mut history = TrainingHistory::new();
     // Mid-run state: touched clients, possibly pending late uploads.
-    sim.run_segment(None, &mut history, 4);
+    sim.run_segment(&mut history, 4);
 
     let mut g = c.benchmark_group("fault_checkpoint");
     g.sample_size(10);

@@ -218,7 +218,7 @@ mod tests {
             ..FedConfig::smoke()
         };
         let mut sim = Simulation::new(&train, fed, Box::new(attack), num_malicious);
-        sim.run(None);
+        sim.run();
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         (rep.attack.er_at_10, rep.attack.ndcg_at_10, rep.hr_at_10)
     }
@@ -257,7 +257,7 @@ mod tests {
         };
 
         let mut clean = Simulation::new(&train, fed, Box::new(fedrec_federated::NoAttack), 0);
-        clean.run(None);
+        clean.run();
         let clean_hr = evaluator
             .evaluate(clean.items(), clean.user_rows(), &train, &test)
             .hr_at_10;
@@ -265,7 +265,7 @@ mod tests {
         let public = PublicView::sample(&train, 0.05, 8);
         let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, 6);
         let mut sim = Simulation::new(&train, fed, Box::new(attack), 6);
-        sim.run(None);
+        sim.run();
         let attacked_hr = evaluator
             .evaluate(sim.items(), sim.user_rows(), &train, &test)
             .hr_at_10;

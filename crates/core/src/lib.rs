@@ -36,7 +36,7 @@
 //! let attack = FedRecAttack::new(AttackConfig::new(targets), public, num_malicious);
 //! let fed = FedConfig { epochs: 5, ..FedConfig::smoke() };
 //! let mut sim = Simulation::new(&data, fed, Box::new(attack), num_malicious);
-//! sim.run(None);
+//! sim.run();
 //! ```
 
 #![deny(missing_docs)]

@@ -22,9 +22,9 @@
 //! amortized as soon as repeated sampling revisits shards (at the default
 //! fractions every shard is warm within a few rounds). Since each user's
 //! stream is a pure function of `(seed, user)`, a per-user generation
-//! path with no shard retention is possible and tracked as a ROADMAP
-//! item; shrink [`ScaleFreeConfig::shard_rows`] in the meantime if
-//! first-touch cost matters more than per-shard overhead.
+//! path with no shard retention would be possible; until one exists,
+//! shrink [`ScaleFreeConfig::shard_rows`] if first-touch cost matters more
+//! than per-shard overhead.
 
 use crate::dataset::InteractionSource;
 use fedrec_linalg::rng::ZipfTable;

@@ -19,7 +19,7 @@
 //!       [--eval-every N] [--eval-mode full|pruned|incremental]
 //!       [--eval-threads N] [--out FILE]
 //! repro report --dir DIR [--csv] [--out FILE]
-//! repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]
+//! repro lint [--json] [--rules] [--root DIR]
 //! ```
 //!
 //! `--scale smoke` (default) runs in seconds on miniature datasets;
@@ -28,16 +28,17 @@
 //! population through the sharded client store (malicious users
 //! materialize as rows of the adversary's shard store on first
 //! participation; ~500 participants per round). `matrix --smoke` runs
-//! the {MF, NCF} × attack × defense grid on the 50k-user scale-free
-//! preset (the NCF half over a representative attack/defense subset),
-//! checks every record's schema and that the report has a row per cell,
-//! asserts the lazy-store invariant
-//! (`rows_materialized ≤ participants_touched`, and fewer rows than the
-//! population on the sharded backend), reruns the grid on the
-//! dense backend to assert dense-vs-sharded byte-identity, reruns one
-//! cell standalone to assert byte-identical output, and reruns a probe
-//! cell under `--eval-mode pruned` and `incremental` to assert the eval
-//! fast paths reproduce the full sweep's records byte-identically
+//! the {MF, NCF} × attack × defense grid on the scale-free preset
+//! `--population` names (`smoke50k` by default, the CI gate; `tiny` runs
+//! the same gate in seconds; a dense population is a usage error), the
+//! NCF half over a representative attack/defense subset. It checks every
+//! record's schema and that the report has a row per cell, asserts the
+//! lazy-store invariant (`rows_materialized ≤ participants_touched`, and
+//! fewer rows than the population on the sharded backend), reruns the
+//! grid on the dense backend to assert dense-vs-sharded byte-identity,
+//! reruns one cell standalone to assert byte-identical output, and reruns
+//! a probe cell under `--eval-mode pruned` and `incremental` to assert the
+//! eval fast paths reproduce the full sweep's records byte-identically
 //! (modulo the mode bookkeeping fields) — the CI determinism gate.
 //!
 //! `--eval-mode` selects the streamed-evaluation strategy for MF cells:
@@ -49,13 +50,12 @@
 //! `lint` runs the `fedrec-lint` determinism & checkpoint-safety static
 //! pass over the workspace sources (same engine as
 //! `cargo run -p fedrec-lint`) and exits nonzero on any violation that is
-//! neither suppressed in-source with a justification nor absorbed by the
-//! checked-in `lint-baseline.json`.
+//! not suppressed in-source with a justification.
 
 use fedrec_baselines::registry::AttackMethod;
 use fedrec_experiments::matrix::{
     self, matrix_report, matrix_report_from, run_cell_into, run_matrix, CellSpec, DefenseKind,
-    MatrixConfig, ModelKind, Population,
+    MatrixConfig, ModelKind, Population, ScalePreset,
 };
 use fedrec_experiments::record::{project, Mask, Record};
 use fedrec_experiments::{
@@ -113,7 +113,7 @@ fn usage() -> ! {
          \x20 repro cell --attack A --defense D --rho R [--model mf|ncf]\n\
          \x20      [--out FILE] [shared flags]\n\
          \x20 repro report --dir DIR [--csv] [--out FILE]\n\
-         \x20 repro lint [--json] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]"
+         \x20 repro lint [--json] [--rules] [--root DIR]"
     );
     std::process::exit(2);
 }
@@ -244,7 +244,11 @@ fn parse_rhos(s: &str) -> Vec<f64> {
 
 fn matrix_config(args: &Args) -> MatrixConfig {
     let mut cfg = if args.smoke {
-        MatrixConfig::smoke(args.seed)
+        match args.population {
+            None => MatrixConfig::smoke(ScalePreset::Smoke50k, args.seed),
+            Some(Population::ScaleFree(preset)) => MatrixConfig::smoke(preset, args.seed),
+            Some(Population::Dense(_)) => usage(),
+        }
     } else {
         match args.population {
             // `--population million|smoke50k|tiny` turns on the tuned
@@ -334,9 +338,6 @@ fn cmd_matrix(args: &Args) {
             "matrix-out"
         })
     });
-    if args.smoke {
-        let _ = std::fs::remove_dir_all(&out_dir);
-    }
     // Progress timing on stderr only; record bytes never include it.
     let started = Stamp::now();
     let outcomes =
@@ -369,9 +370,9 @@ fn cmd_matrix(args: &Args) {
     }
 }
 
-/// The CI gate behind `matrix --smoke`, on the 50k-user scale-free
-/// preset through the sharded store, with the [`FaultPlan::smoke`]
-/// preset active on every cell:
+/// The gate behind `matrix --smoke`, on the run's scale-free preset (50k
+/// users in CI, the tiny one in tier-1 tests) through the sharded store,
+/// with the [`FaultPlan::smoke`] preset active on every cell:
 ///
 /// 1. every record parses against the schema ([`Record::parse`]), and
 ///    the report rendered over the run's cell files has one row per cell

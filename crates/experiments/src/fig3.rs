@@ -2,7 +2,7 @@
 //! epoch, with and without the attack.
 
 use crate::report::Table;
-use crate::runner::{default_targets, malicious_count, run_experiment, ExperimentSpec};
+use crate::runner::{default_targets, run_experiment, ExperimentSpec};
 use crate::scale::{DatasetId, Scale};
 use crate::tables::NUM_TARGETS;
 use fedrec_baselines::AttackMethod;
@@ -55,18 +55,8 @@ pub fn fig3_side_effects(scale: Scale, id: DatasetId, eval_every: usize, seed: u
             seed,
             eval_every: Some(eval_every),
         };
-        let _ = malicious_count(train.num_users(), rho); // (documented derivation)
         let out = run_experiment(&spec);
-        let mut hr_at: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        for (e, v) in out
-            .history
-            .hr_at_10
-            .epochs
-            .iter()
-            .zip(out.history.hr_at_10.values.iter())
-        {
-            hr_at.insert(*e, *v);
-        }
+        let hr_at: std::collections::BTreeMap<usize, f64> = out.hr_series.into_iter().collect();
         for (epoch, loss) in out.history.losses.iter().enumerate() {
             let hr = hr_at
                 .get(&(epoch + 1))

@@ -51,9 +51,10 @@
 //! ([`Mask::VOLATILE`]) — regardless of worker count or which other cells
 //! ran. Dense and sharded backends are bit-identical too: a record
 //! differs only in its `backend` and `rows_materialized` fields
-//! ([`Mask::BACKEND`]). `repro matrix --smoke` asserts both on the
-//! 50k-user scale-free smoke preset. [`Record`] is the record's schema,
-//! and [`project`] the projection every gate compares under.
+//! ([`Mask::BACKEND`]). `repro matrix --smoke` asserts both on a
+//! scale-free preset (50k users in CI, the tiny one in tier-1 tests).
+//! [`Record`] is the record's schema, and [`project`] the projection
+//! every gate compares under.
 //!
 //! [`Mask::VOLATILE`]: crate::record::Mask::VOLATILE
 //! [`Mask::BACKEND`]: crate::record::Mask::BACKEND
@@ -85,7 +86,6 @@ use fedrec_defense::{Krum, NormBound, NormDetector, SimilarityDetector, TrimmedM
 use fedrec_federated::defense::{DefensePipeline, Detector};
 use fedrec_federated::history::TrainingHistory;
 use fedrec_federated::server::SumAggregator;
-use fedrec_federated::simulation::Snapshot;
 use fedrec_federated::{ClientModel, FaultPlan, MfClientModel, Simulation, StoreBackend};
 use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
 use fedrec_recsys::eval::Evaluator;
@@ -504,19 +504,21 @@ impl MatrixConfig {
         }
     }
 
-    /// The CI gate behind `repro matrix --smoke`: the full attack roster
+    /// The grid behind `repro matrix --smoke`: the full attack roster
     /// (minus the full-knowledge data-poisoning pair, whose surrogate
     /// training dominates a CI budget) × every defense × the tiny-ρ arms,
-    /// on the 50k-user scale-free preset through the sharded store — under
-    /// the [`FaultPlan::smoke`] fault preset, so the gate exercises
-    /// dropouts, stragglers and quarantined corruption on every cell —
-    /// with the live serving probe on, so every cell also serves verified
-    /// mid-training top-K traffic. The NCF half of the grid runs a
-    /// representative attack × defense subset (rather than the full
-    /// roster) so the gate stays inside its CI wall-clock budget; NCF
-    /// cells skip the serving probe (its offline verifier is MF
-    /// dot-product math) and always evaluate in `full` mode.
-    pub fn smoke(seed: u64) -> Self {
+    /// on the `preset` scale-free population (CI gates at
+    /// [`ScalePreset::Smoke50k`], tier-1 tests at [`ScalePreset::Tiny`])
+    /// through the sharded store — under the [`FaultPlan::smoke`] fault
+    /// preset, so the gate exercises dropouts, stragglers and quarantined
+    /// corruption on every cell — with the live serving probe on, so
+    /// every cell also serves verified mid-training top-K traffic. The NCF
+    /// half of the grid runs a representative attack × defense subset
+    /// (rather than the full roster) so the gate stays inside its CI
+    /// wall-clock budget; NCF cells skip the serving probe (its offline
+    /// verifier is MF dot-product math) and always evaluate in `full`
+    /// mode.
+    pub fn smoke(preset: ScalePreset, seed: u64) -> Self {
         Self {
             faults: Some(FaultPlan::smoke()),
             serve: true,
@@ -543,7 +545,7 @@ impl MatrixConfig {
             ],
             eval_every: 4,
             workers: 2,
-            ..Self::at_scale(ScalePreset::Smoke50k, seed)
+            ..Self::at_scale(preset, seed)
         }
     }
 
@@ -683,18 +685,16 @@ struct CellEval<'w> {
     ncf: bool,
     /// Cross-epoch candidate caches for [`EvalMode::Incremental`]; lives
     /// for the cell's lifetime (one eval per epoch snapshot warms the
-    /// next). A mutex only for interior mutability behind the harness's
-    /// shared borrow — evals within one cell run strictly sequentially.
-    /// Note: this state is *not* checkpointed; a crash-resumed cell
+    /// next). Note: this state is *not* checkpointed; a crash-resumed cell
     /// re-evaluates cold, which changes `items_scored` but — by the
     /// exactness guarantee — never a metric byte.
-    inc: Mutex<IncrementalEvalState>,
+    inc: IncrementalEvalState,
 }
 
 impl CellEval<'_> {
     /// Evaluate one model state into `rec`'s metric and eval fields.
     fn run(
-        &self,
+        &mut self,
         items: &fedrec_linalg::Matrix,
         shared: &[f32],
         users: &dyn fedrec_recsys::UserRowSource,
@@ -720,8 +720,7 @@ impl CellEval<'_> {
             );
             (rep, counters, EvalMode::Full)
         } else {
-            let mut inc = self.inc.lock().expect("eval state poisoned");
-            let state = (self.mode == EvalMode::Incremental).then_some(&mut *inc);
+            let state = (self.mode == EvalMode::Incremental).then_some(&mut self.inc);
             let (rep, counters) = self.evaluator.evaluate_user_range_mode(
                 items,
                 users,
@@ -771,33 +770,31 @@ struct CellServe {
 
 /// Everything a prepared cell carries besides the simulation itself:
 /// the evaluation harness, the record template, and the streaming
-/// cadence. Split from [`Simulation`] so record-emitting hooks can borrow
-/// it while the simulation is mutably driven.
+/// cadence.
 struct CellHarness<'w> {
     eval: CellEval<'w>,
     /// The cell's identity fields over neutral defaults; every record the
     /// cell emits starts as a copy.
     base: Record,
-    epochs: usize,
     eval_every: usize,
     /// Live serving probe; `None` unless [`MatrixConfig::serve`] is on.
-    /// A mutex for interior mutability behind the hooks' shared borrow —
-    /// ticks within one cell run strictly sequentially.
-    serve: Option<Mutex<CellServe>>,
+    serve: Option<CellServe>,
 }
 
 impl CellHarness<'_> {
-    /// Complete `rec` (whose epoch, loss and store counters are set) from
-    /// one model state: tick the serve probe, evaluate, and copy in the
-    /// run's defense and fault counters.
-    fn line(
-        &self,
-        mut rec: Record,
-        items: &fedrec_linalg::Matrix,
-        shared: &[f32],
-        users: &dyn fedrec_recsys::UserRowSource,
-        hist: &TrainingHistory,
-    ) -> String {
+    /// The record of `sim`'s current state, `sim.next_epoch()` epochs in:
+    /// tick the serve probe, evaluate, and copy in the last round's loss,
+    /// the store counters and the run's defense and fault counters.
+    fn line(&mut self, sim: &Simulation, hist: &TrainingHistory, is_final: bool) -> String {
+        let (items, shared, users) = (sim.items(), sim.shared(), sim.user_rows());
+        let mut rec = Record {
+            epoch: sim.next_epoch(),
+            is_final,
+            loss: hist.losses.last().copied().unwrap_or(0.0) as f64,
+            rows_materialized: sim.rows_materialized(),
+            participants_touched: sim.participants_touched(),
+            ..self.base.clone()
+        };
         (rec.serve_publishes, rec.served_epoch_lag) = self.serve_tick(rec.epoch, items, users);
         self.eval.run(items, shared, users, &mut rec);
         if let Some(d) = hist.defense.last() {
@@ -819,36 +816,6 @@ impl CellHarness<'_> {
         rec.to_line()
     }
 
-    /// The mid-run record for an epoch snapshot, if this epoch emits one
-    /// (the final epoch is covered by the summary record instead).
-    fn snapshot_line(&self, snap: &Snapshot<'_>, hist: &TrainingHistory) -> Option<String> {
-        let done = snap.epoch + 1;
-        if self.eval_every == 0 || !done.is_multiple_of(self.eval_every) || done == self.epochs {
-            return None;
-        }
-        let rec = Record {
-            epoch: done,
-            loss: snap.loss as f64,
-            rows_materialized: snap.rows_materialized,
-            participants_touched: snap.participants_touched,
-            ..self.base.clone()
-        };
-        Some(self.line(rec, snap.items, snap.shared, snap.users, hist))
-    }
-
-    /// The summary record for a finished run.
-    fn final_line(&self, sim: &Simulation, history: &TrainingHistory) -> String {
-        let rec = Record {
-            epoch: self.epochs,
-            is_final: true,
-            loss: history.losses.last().copied().unwrap_or(0.0) as f64,
-            rows_materialized: sim.rows_materialized(),
-            participants_touched: sim.participants_touched(),
-            ..self.base.clone()
-        };
-        self.line(rec, sim.items(), sim.shared(), sim.user_rows(), history)
-    }
-
     /// One live-serving step at an emitting epoch (`done` epochs have
     /// finished): drain the probe requests queued at the previous tick —
     /// verifying every response byte-identical to offline evaluation of
@@ -857,15 +824,14 @@ impl CellHarness<'_> {
     /// fresh probes against it. Returns the `(serve_publishes,
     /// served_epoch_lag)` record fields; `(0, 0)` when serving is off.
     fn serve_tick(
-        &self,
+        &mut self,
         done: usize,
         items: &fedrec_linalg::Matrix,
         users: &dyn fedrec_recsys::UserRowSource,
     ) -> (u64, u64) {
-        let Some(state) = &self.serve else {
+        let Some(st) = &mut self.serve else {
             return (0, 0);
         };
-        let mut st = state.lock().expect("serve state poisoned");
         let k = st.svc.config().k;
         if let Some((prev_tag, prev_items)) = st.published.take() {
             let served = st.svc.drain_now(users, 1);
@@ -1045,10 +1011,9 @@ fn prepare_cell<'w>(
             mode: cfg.eval_mode,
             threads: cfg.eval_threads.max(1),
             ncf: cell.model == ModelKind::Ncf,
-            inc: Mutex::new(IncrementalEvalState::new()),
+            inc: IncrementalEvalState::new(),
         },
         base,
-        epochs: fed.epochs,
         eval_every: cfg.eval_every,
         // The serve probe verifies responses against offline MF
         // dot-product evaluation (`PrunedScores`), which does not apply
@@ -1056,36 +1021,34 @@ fn prepare_cell<'w>(
         // report the zero serve fields.
         serve: (cfg.serve && cell.model == ModelKind::Mf).then(|| {
             let (tx, rx) = mpsc::channel();
-            Mutex::new(CellServe {
+            CellServe {
                 svc: Service::new(ServeConfig::default()),
                 tx,
                 rx,
                 published: None,
                 lag_max: 0,
-            })
+            }
         }),
     };
     (sim, harness)
 }
 
 /// Train `sim` up to (exclusive) epoch `stop`, one epoch at a time,
-/// handing each mid-run record to `emit`; stops at the first error.
+/// handing the record of every emitting epoch to `emit` (the final epoch
+/// is covered by the summary record instead); stops at the first error.
 fn run_to(
     sim: &mut Simulation,
-    harness: &CellHarness<'_>,
+    harness: &mut CellHarness<'_>,
     history: &mut TrainingHistory,
     stop: usize,
     emit: &mut dyn FnMut(String) -> io::Result<()>,
 ) -> io::Result<()> {
     while sim.next_epoch() < stop {
-        let next = sim.next_epoch() + 1;
-        let mut line = None;
-        let mut hook = |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-            line = harness.snapshot_line(snap, hist);
-        };
-        sim.run_segment(Some(&mut hook), history, next);
-        if let Some(line) = line {
-            emit(line)?;
+        let done = sim.next_epoch() + 1;
+        sim.run_segment(history, done);
+        let every = harness.eval_every;
+        if every > 0 && done.is_multiple_of(every) && done != sim.config().epochs {
+            emit(harness.line(sim, history, false))?;
         }
     }
     Ok(())
@@ -1107,15 +1070,16 @@ fn drive(
     let (mut sim, mut harness) = prepare_cell(cfg, world, cell, threads);
     let mut history = TrainingHistory::new();
     if let Some(kill) = kill_after {
-        let stop = kill.min(harness.epochs);
-        run_to(&mut sim, &harness, &mut history, stop, emit)?;
+        let stop = kill.min(sim.config().epochs);
+        run_to(&mut sim, &mut harness, &mut history, stop, emit)?;
         let blob = sim.checkpoint(&history);
         drop(sim); // the "crash"
         (sim, harness) = prepare_cell(cfg, world, cell, threads);
         history = sim.restore(&blob);
     }
-    run_to(&mut sim, &harness, &mut history, harness.epochs, emit)?;
-    emit(harness.final_line(&sim, &history))?;
+    let epochs = sim.config().epochs;
+    run_to(&mut sim, &mut harness, &mut history, epochs, emit)?;
+    emit(harness.line(&sim, &history, true))?;
     Ok(items_digest(sim.items()))
 }
 
@@ -1435,7 +1399,7 @@ mod tests {
         };
         let lines = run_cell(&cfg, &cell);
         // 4 epochs, eval every 2, final epoch folded into the summary
-        // record: epochs 2 (hook) and 4 (final).
+        // record: epochs 2 (mid-run) and 4 (final).
         assert_eq!(lines.len(), 2);
         let recs: Vec<Record> = lines.iter().map(|l| rec(l)).collect();
         assert!(!recs[0].is_final && recs[1].is_final);
@@ -1570,7 +1534,7 @@ mod tests {
 
     #[test]
     fn smoke_grid_runs_on_the_sharded_scale_free_preset() {
-        let cfg = MatrixConfig::smoke(1);
+        let cfg = MatrixConfig::smoke(ScalePreset::Smoke50k, 1);
         assert_eq!(cfg.population, Population::ScaleFree(ScalePreset::Smoke50k));
         assert_eq!(cfg.backend, StoreBackend::sharded());
         assert!(cfg.attacks.len() >= 9, "full attack roster (minus P1/P2)");
@@ -1947,7 +1911,7 @@ mod tests {
 
     #[test]
     fn smoke_grid_carries_an_ncf_arm() {
-        let cfg = MatrixConfig::smoke(1);
+        let cfg = MatrixConfig::smoke(ScalePreset::Smoke50k, 1);
         assert_eq!(cfg.ncf_attacks.len(), 3);
         assert_eq!(cfg.ncf_defenses.len(), 3);
         let cells = cfg.cells();

@@ -1,11 +1,12 @@
 //! The central experiment runner: one federated training run under one
-//! attack, evaluated with the paper's metrics.
+//! attack, evaluated with the paper's metrics. With an evaluation cadence
+//! the run steps the simulation to each evaluation epoch and measures
+//! HR@10 between rounds (Fig. 3).
 
 use fedrec_baselines::registry::{build_adversary, AttackEnv, AttackMethod};
 use fedrec_data::split::TestSet;
 use fedrec_data::Dataset;
 use fedrec_federated::history::TrainingHistory;
-use fedrec_federated::simulation::Snapshot;
 use fedrec_federated::{FedConfig, Simulation};
 use fedrec_recsys::eval::Evaluator;
 
@@ -30,8 +31,8 @@ pub struct ExperimentSpec<'a> {
     pub targets: Vec<u32>,
     /// Master seed for attack construction and splits.
     pub seed: u64,
-    /// Record HR@10/ER@10 series every this many epochs (None = only at
-    /// the end). Powers Fig. 3.
+    /// Measure HR@10 every this many epochs (None = only at the end).
+    /// Powers Fig. 3.
     pub eval_every: Option<usize>,
 }
 
@@ -46,7 +47,10 @@ pub struct Outcome {
     pub ndcg10: f64,
     /// HR@10 at the end of training.
     pub hr10: f64,
-    /// Loss + metric series.
+    /// `(epochs done, HR@10)` at every evaluation epoch of
+    /// [`ExperimentSpec::eval_every`]; empty without one.
+    pub hr_series: Vec<(usize, f64)>,
+    /// What the rounds recorded.
     pub history: TrainingHistory,
 }
 
@@ -75,22 +79,16 @@ pub fn run_experiment(spec: &ExperimentSpec<'_>) -> Outcome {
     let mut sim = Simulation::new(spec.train, spec.fed, adversary, num_malicious);
 
     let evaluator = Evaluator::new(spec.train, spec.test, &spec.targets, spec.seed ^ 0xE7);
-    let history = match spec.eval_every {
-        Some(every) if every > 0 => {
-            let train = spec.train;
-            let test = spec.test;
-            let eval = &evaluator;
-            let mut hook = move |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-                if (snap.epoch + 1).is_multiple_of(every) {
-                    let rep = eval.evaluate(snap.items, snap.users, train, test);
-                    hist.hr_at_10.push(snap.epoch + 1, rep.hr_at_10);
-                    hist.er_at_10.push(snap.epoch + 1, rep.attack.er_at_10);
-                }
-            };
-            sim.run(Some(&mut hook))
+    let mut history = TrainingHistory::new();
+    let mut hr_series = Vec::new();
+    if let Some(every) = spec.eval_every.filter(|&e| e > 0) {
+        for done in (every..=spec.fed.epochs).step_by(every) {
+            sim.run_segment(&mut history, done);
+            let rep = evaluator.evaluate(sim.items(), sim.user_rows(), spec.train, spec.test);
+            hr_series.push((done, rep.hr_at_10));
         }
-        _ => sim.run(None),
-    };
+    }
+    sim.run_segment(&mut history, spec.fed.epochs);
 
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), spec.train, spec.test);
     Outcome {
@@ -98,6 +96,7 @@ pub fn run_experiment(spec: &ExperimentSpec<'_>) -> Outcome {
         er10: rep.attack.er_at_10,
         ndcg10: rep.attack.ndcg_at_10,
         hr10: rep.hr_at_10,
+        hr_series,
         history,
     }
 }
@@ -165,8 +164,8 @@ mod tests {
         let mut spec = spec_base(&train, &test);
         spec.eval_every = Some(5);
         let out = run_experiment(&spec);
-        assert_eq!(out.history.hr_at_10.len(), 4, "20 epochs / every 5");
-        assert_eq!(out.history.er_at_10.len(), 4);
+        let epochs: Vec<usize> = out.hr_series.iter().map(|&(e, _)| e).collect();
+        assert_eq!(epochs, [5, 10, 15, 20], "20 epochs / every 5");
         assert_eq!(out.history.losses.len(), 20);
     }
 

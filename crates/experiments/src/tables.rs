@@ -339,7 +339,7 @@ pub fn extension_defenses(scale: Scale, seed: u64) -> Table {
         let adversary = build_adversary(AttackMethod::FedRecAttack, &env);
         let plain = DefensePipeline::plain(agg);
         let mut sim = Simulation::with_defense(&train, fed, adversary, num_malicious, plain);
-        sim.run(None);
+        sim.run();
         let evaluator = Evaluator::new(&train, &test, &targets, seed ^ 0xE7);
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         t.push_row(vec![

@@ -3,7 +3,8 @@
 //! an unwritable output path, an unreadable cell file or a report
 //! directory without cell files with a `repro:` error and exit code 1 —
 //! never an allocation abort, a panic, a silently run nonsense cell or a
-//! silently dropped report row.
+//! silently dropped report row. And `repro matrix --smoke` runs its whole
+//! gate on the tiny preset.
 
 use std::process::{Command, Output};
 
@@ -137,5 +138,39 @@ fn report_fails_on_a_cell_file_without_a_final_record() {
         assert!(stderr.contains("last rejected line"), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `repro matrix --smoke --population tiny` runs the gate CI runs at 50k
+/// users — schema, lazy-store invariant, dense-vs-sharded identity,
+/// standalone rerun, eval-mode identity, serve gate, crash-resume — and
+/// leaves files it did not write in `--out-dir`. A dense population has
+/// no smoke grid and is a usage error.
+#[test]
+fn tiny_smoke_gate_passes_and_keeps_the_out_dir() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sentinel = dir.join("keep.txt");
+    std::fs::write(&sentinel, "not a cell\n").unwrap();
+    let dir_arg = dir.to_str().unwrap();
+    let got = repro(&[
+        "matrix",
+        "--smoke",
+        "--population",
+        "tiny",
+        "--out-dir",
+        dir_arg,
+    ]);
+    let stderr = String::from_utf8_lossy(&got.stderr);
+    assert_eq!(got.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&got.stdout);
+    assert!(stdout.starts_with("smoke OK"), "{stdout}");
+    assert!(
+        sentinel.is_file(),
+        "the smoke run deleted {}",
+        sentinel.display()
+    );
+    let dense = repro(&["matrix", "--smoke", "--population", "ml100k"]);
+    assert_usage_error(&dense, "--smoke --population ml100k");
     std::fs::remove_dir_all(&dir).unwrap();
 }

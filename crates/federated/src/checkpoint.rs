@@ -13,7 +13,7 @@
 //! Box–Muller spare, [`crate::history::TrainingHistory`]); the simulation-level
 //! layout lives in [`crate::Simulation::checkpoint`].
 
-use crate::history::{RoundDefense, RoundFaults, Series, TrainingHistory};
+use crate::history::{RoundDefense, RoundFaults, TrainingHistory};
 use fedrec_linalg::{SeededRng, SparseGrad};
 
 /// Appends checkpoint fields to a byte buffer.
@@ -268,24 +268,6 @@ pub fn read_grad(r: &mut ByteReader<'_>) -> SparseGrad {
     SparseGrad::from_sorted_rows(k, items, rows)
 }
 
-fn write_series(w: &mut ByteWriter, s: &Series) {
-    w.usize(s.epochs.len());
-    for &e in &s.epochs {
-        w.usize(e);
-    }
-    for &v in &s.values {
-        w.f64(v);
-    }
-}
-
-fn read_series(r: &mut ByteReader<'_>) -> Series {
-    // One `usize` epoch and one `f64` value per point.
-    let n = r.count(16);
-    let epochs: Vec<usize> = (0..n).map(|_| r.usize()).collect();
-    let values: Vec<f64> = (0..n).map(|_| r.f64()).collect();
-    Series { epochs, values }
-}
-
 /// Encode a full training history (the prefix recorded up to the
 /// checkpointed round, so a resumed run appends to exactly the same
 /// record a straight-through run would hold).
@@ -294,8 +276,6 @@ pub fn write_history(w: &mut ByteWriter, h: &TrainingHistory) {
     for &l in &h.losses {
         w.f32(l);
     }
-    write_series(w, &h.hr_at_10);
-    write_series(w, &h.er_at_10);
     w.usize(h.defense.len());
     for d in &h.defense {
         w.usize(d.epoch);
@@ -324,8 +304,6 @@ pub fn write_history(w: &mut ByteWriter, h: &TrainingHistory) {
 pub fn read_history(r: &mut ByteReader<'_>) -> TrainingHistory {
     let n = r.count(4);
     let losses: Vec<f32> = (0..n).map(|_| r.f32()).collect();
-    let hr_at_10 = read_series(r);
-    let er_at_10 = read_series(r);
     // Six `usize` counts and two `f64` rates per round.
     let nd = r.count(64);
     let defense: Vec<RoundDefense> = (0..nd)
@@ -356,8 +334,6 @@ pub fn read_history(r: &mut ByteReader<'_>) -> TrainingHistory {
         .collect();
     TrainingHistory {
         losses,
-        hr_at_10,
-        er_at_10,
         defense,
         faults,
     }
@@ -438,8 +414,6 @@ mod tests {
     fn history_round_trip() {
         let mut h = TrainingHistory::new();
         h.losses.extend([3.0, 2.5, 2.1]);
-        h.hr_at_10.push(1, 0.4);
-        h.er_at_10.push(1, 0.02);
         h.defense.push(RoundDefense {
             epoch: 2,
             inspected: 8,
@@ -465,8 +439,6 @@ mod tests {
         let bytes = w.into_bytes();
         let back = read_history(&mut ByteReader::new(&bytes));
         assert_eq!(back.losses, h.losses);
-        assert_eq!(back.hr_at_10, h.hr_at_10);
-        assert_eq!(back.er_at_10, h.er_at_10);
         assert_eq!(back.defense, h.defense);
         assert_eq!(back.faults, h.faults);
     }
@@ -510,8 +482,8 @@ mod tests {
                 let _ = read_grad(r);
             });
         }
-        // read_history: losses, both series, defense rounds, fault rounds.
-        for head in [&[][..], &[0], &[0, 0], &[0, 0, 0], &[0, 0, 0, 0]] {
+        // read_history: losses, defense rounds, fault rounds.
+        for head in [&[][..], &[0], &[0, 0]] {
             assert_truncated("read_history", &blob(head), |r| {
                 let _ = read_history(r);
             });

@@ -1,44 +1,13 @@
-//! Training history — the raw material for Fig. 3.
+//! Training history — what the round loop records.
 //!
 //! The paper's stealthiness analysis (§V-D) plots training loss and HR@10
 //! per epoch under attack and without. The simulation records the loss
-//! series itself; accuracy/exposure series are appended by evaluation
-//! hooks at whatever cadence the experiment wants. When a defense
-//! pipeline with a detector is attached, the simulation also records one
-//! [`RoundDefense`] per round, so experiments can plot detector
-//! precision/recall trajectories next to ER@K/HR@K.
-
-/// A metric series sampled at specific epochs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Series {
-    /// Epoch indices at which values were recorded.
-    pub epochs: Vec<usize>,
-    /// Recorded values (same length as `epochs`).
-    pub values: Vec<f64>,
-}
-
-impl Series {
-    /// Append one sample.
-    pub fn push(&mut self, epoch: usize, value: f64) {
-        self.epochs.push(epoch);
-        self.values.push(value);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Last recorded value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.values.last().copied()
-    }
-}
+//! of every round; a caller that wants accuracy or exposure per epoch
+//! steps the simulation one epoch at a time and evaluates the model in
+//! between. When a defense pipeline with a detector is attached, the
+//! simulation also records one [`RoundDefense`] per round, so experiments
+//! can plot detector precision/recall trajectories next to ER@K/HR@K, and
+//! with a fault plan attached one [`RoundFaults`] per round.
 
 /// One round's outcome of the in-loop defense pipeline, scored against
 /// the simulation's ground truth (which upload slots were malicious).
@@ -98,11 +67,6 @@ pub struct RoundFaults {
 pub struct TrainingHistory {
     /// Total benign BPR loss per epoch (Fig. 3 left column).
     pub losses: Vec<f32>,
-    /// HR@10 per evaluated epoch (Fig. 3 right column).
-    pub hr_at_10: Series,
-    /// ER@10 per evaluated epoch (attack progress, used by extension
-    /// analyses).
-    pub er_at_10: Series,
     /// One record per round when the defense pipeline has a detector,
     /// in round order; empty otherwise.
     pub defense: Vec<RoundDefense>,
@@ -157,23 +121,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_push_and_access() {
-        let mut s = Series::default();
-        assert!(s.is_empty());
-        assert_eq!(s.last(), None);
-        s.push(10, 0.5);
-        s.push(20, 0.6);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some(0.6));
-        assert_eq!(s.epochs, vec![10, 20]);
-    }
-
-    #[test]
     fn history_default_is_empty() {
         let h = TrainingHistory::new();
         assert!(h.losses.is_empty());
-        assert!(h.hr_at_10.is_empty());
-        assert!(h.er_at_10.is_empty());
         assert!(h.defense.is_empty());
         assert_eq!(h.mean_detector_precision(), None);
         assert_eq!(h.mean_detector_recall(), None);

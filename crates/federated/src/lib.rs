@@ -27,7 +27,7 @@
 //! let data = SyntheticConfig::smoke().generate(1);
 //! let cfg = FedConfig { epochs: 3, ..FedConfig::default() };
 //! let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-//! let history = sim.run(None);
+//! let history = sim.run();
 //! assert_eq!(history.losses.len(), 3);
 //! ```
 

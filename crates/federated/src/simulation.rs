@@ -75,7 +75,8 @@ const CHECKPOINT_MAGIC: u64 = 0x4645_4443_4B50_5400;
 /// v2: model-seam fingerprint (model name + shared length), the flat
 /// shared-parameter block after `V`, and per-pending-upload shared
 /// gradients.
-const CHECKPOINT_VERSION: u64 = 2;
+/// v3: the history block lost its HR@10 and ER@10 lists.
+const CHECKPOINT_VERSION: u64 = 3;
 
 /// A benign upload in flight: produced in `produced_round` against that
 /// round's item matrix, due to arrive (staleness-downweighted) in
@@ -108,34 +109,6 @@ struct RoundEngine {
     /// Loss slot per selected benign client; `None` = nothing to train on.
     losses: Vec<Option<f32>>,
 }
-
-/// A read-only view of the federation state handed to evaluation hooks.
-pub struct Snapshot<'a> {
-    /// 0-based epoch that just finished.
-    pub epoch: usize,
-    /// The shared item matrix `V` after this epoch's update.
-    pub items: &'a Matrix,
-    /// Current benign user rows (readable for *measurement*; the simulated
-    /// server never looks at them). Reading derives untouched lazy rows
-    /// without materializing them.
-    pub users: &'a dyn UserRowSource,
-    /// The flat shared-parameter block `Θ` after this epoch's update
-    /// (empty for MF — `V` is then the only shared state).
-    pub shared: &'a [f32],
-    /// Total benign loss of this epoch.
-    pub loss: f32,
-    /// Benign client rows currently materialized in the store (`n` for the
-    /// dense backend; exactly the ever-selected clients for the sharded
-    /// one). Lets per-epoch hooks record the `materialized ≤ touched`
-    /// scale invariant without reaching into the simulation.
-    pub rows_materialized: usize,
-    /// Distinct benign clients selected in at least one round so far.
-    pub participants_touched: usize,
-}
-
-/// Called after every epoch; lets experiments record accuracy/exposure
-/// curves (Fig. 3) without the simulation knowing about metrics.
-pub type EvalHook<'h> = dyn FnMut(&Snapshot<'_>, &mut TrainingHistory) + 'h;
 
 /// A federated recommendation deployment under (possible) attack and
 /// (possible) defense.
@@ -383,30 +356,26 @@ impl Simulation {
         &self.defense
     }
 
-    /// Run the full training loop; `hook` (if given) fires after every
-    /// epoch to record evaluation series into the returned history. The
-    /// round's [`RoundDefense`] (if a detector is attached) is pushed
-    /// *before* the hook fires, so hooks can read
-    /// `history.defense.last()` for the round they observe.
-    pub fn run(&mut self, hook: Option<&mut EvalHook<'_>>) -> TrainingHistory {
+    /// Run the full training loop and return what the rounds recorded.
+    pub fn run(&mut self) -> TrainingHistory {
         let mut history = TrainingHistory::new();
-        self.run_segment(hook, &mut history, self.cfg.epochs);
+        self.run_segment(&mut history, self.cfg.epochs);
         history
     }
 
     /// Drive rounds from the internal resume cursor up to (exclusive)
-    /// `stop_after`, appending to `history` — the primitive both
-    /// [`Simulation::run`] and checkpoint-resumed continuation use. A
+    /// `stop_after`, appending each round's loss, [`RoundDefense`] (when
+    /// a detector is attached) and [`RoundFaults`] (when a fault plan is
+    /// attached) to `history` — the primitive behind [`Simulation::run`],
+    /// checkpoint-resumed continuation and per-epoch measurement: a caller
+    /// that evaluates between rounds steps one epoch at a time and reads
+    /// [`Simulation::items`], [`Simulation::user_rows`],
+    /// [`Simulation::shared`] and the store counters in between. A
     /// straight-through run and a run split into segments (with a
     /// [`Simulation::checkpoint`] / [`Simulation::restore`] round-trip in
     /// between) record byte-identical histories and end in byte-identical
     /// states.
-    pub fn run_segment(
-        &mut self,
-        mut hook: Option<&mut EvalHook<'_>>,
-        history: &mut TrainingHistory,
-        stop_after: usize,
-    ) {
+    pub fn run_segment(&mut self, history: &mut TrainingHistory, stop_after: usize) {
         assert!(
             stop_after <= self.cfg.epochs,
             "stop_after {} exceeds configured epochs {}",
@@ -422,18 +391,6 @@ impl Simulation {
             }
             if let Some(f) = faults {
                 history.faults.push(f);
-            }
-            if let Some(h) = hook.as_deref_mut() {
-                let snap = Snapshot {
-                    epoch,
-                    items: self.server.items(),
-                    users: self.store.as_user_rows(),
-                    shared: &self.shared,
-                    loss,
-                    rows_materialized: self.store.materialized(),
-                    participants_touched: self.touched_count,
-                };
-                h(&snap, history);
             }
             self.next_epoch = epoch + 1;
         }
@@ -879,9 +836,9 @@ impl Simulation {
                 panic!("checkpoint fault configuration mismatch")
             }
         }
-        self.next_epoch = r.usize();
-        self.rng = read_rng(&mut r);
-        self.adv_rng = read_rng(&mut r);
+        let next_epoch = r.usize();
+        let rng = read_rng(&mut r);
+        let adv_rng = read_rng(&mut r);
         let rows = r.usize();
         let cols = r.usize();
         assert_eq!(
@@ -896,16 +853,28 @@ impl Simulation {
                 *x = r.f32();
             }
         }
-        self.server = Server::new(v, self.cfg.lr);
         let shared = r.f32_vec();
         assert_eq!(
             shared.len(),
             self.shared.len(),
             "checkpoint shared-block length mismatch"
         );
-        self.shared = shared;
         let nt = r.count(8);
         let touched_ids: Vec<usize> = (0..nt).map(|_| r.usize()).collect();
+        // `touched` is indexed by these ids and `selected_mut` requires them
+        // sorted and distinct: check before the first write, so a damaged
+        // list leaves this simulation as it was.
+        let n = self.num_benign();
+        assert!(
+            touched_ids.windows(2).all(|w| w[0] < w[1])
+                && touched_ids.last().is_none_or(|&id| id < n),
+            "checkpoint touched ids are not strictly increasing below the population {n}"
+        );
+        self.next_epoch = next_epoch;
+        self.rng = rng;
+        self.adv_rng = adv_rng;
+        self.server = Server::new(v, self.cfg.lr);
+        self.shared = shared;
         self.touched.fill(false);
         for &id in &touched_ids {
             self.touched[id] = true;
@@ -961,7 +930,7 @@ mod tests {
     fn loss_decreases_without_attack() {
         let data = SyntheticConfig::smoke().generate(1);
         let mut sim = Simulation::new(&data, smoke_cfg(), Box::new(NoAttack), 0);
-        let h = sim.run(None);
+        let h = sim.run();
         assert_eq!(h.losses.len(), 10);
         assert!(
             h.losses[9] < h.losses[0],
@@ -975,7 +944,7 @@ mod tests {
         let data = SyntheticConfig::smoke().generate(2);
         let run = || {
             let mut sim = Simulation::new(&data, smoke_cfg(), Box::new(NoAttack), 5);
-            let h = sim.run(None);
+            let h = sim.run();
             (h.losses, sim.items().clone())
         };
         let (l1, v1) = run();
@@ -993,7 +962,7 @@ mod tests {
                 ..smoke_cfg()
             };
             let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-            let h = sim.run(None);
+            let h = sim.run();
             (h.losses, sim.items().clone())
         };
         let (l1, v1) = result(1);
@@ -1017,20 +986,6 @@ mod tests {
             lp < lf * 0.5,
             "quarter participation should produce well under half the loss mass"
         );
-    }
-
-    #[test]
-    fn hook_fires_every_epoch() {
-        let data = SyntheticConfig::smoke().generate(5);
-        let mut sim = Simulation::new(&data, smoke_cfg(), Box::new(NoAttack), 0);
-        let mut count = 0usize;
-        let mut hook = |snap: &Snapshot<'_>, hist: &mut TrainingHistory| {
-            count += 1;
-            hist.hr_at_10.push(snap.epoch, 0.0);
-        };
-        let h = sim.run(Some(&mut hook));
-        assert_eq!(count, 10);
-        assert_eq!(h.hr_at_10.len(), 10);
     }
 
     #[test]
@@ -1082,8 +1037,8 @@ mod tests {
         };
         let mut with_attack = Simulation::new(&data, smoke_cfg(), Box::new(adv), 10);
         let mut without = Simulation::new(&data, smoke_cfg(), Box::new(NoAttack), 10);
-        with_attack.run(None);
-        without.run(None);
+        with_attack.run();
+        without.run();
         assert_eq!(
             *calls.borrow(),
             10,
@@ -1106,7 +1061,7 @@ mod tests {
             if gate {
                 sim.enable_faults(FaultPlan::gate_only(), 77);
             }
-            let h = sim.run(None);
+            let h = sim.run();
             (h.losses, sim.items().clone(), h.faults.len())
         };
         let (l0, v0, f0) = run(false);
@@ -1126,7 +1081,7 @@ mod tests {
             };
             let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 4);
             sim.enable_faults(FaultPlan::smoke(), 13);
-            let h = sim.run(None);
+            let h = sim.run();
             (h.losses, h.faults, sim.items().clone())
         };
         let (l1, f1, v1) = run(1);
@@ -1155,7 +1110,7 @@ mod tests {
             },
             21,
         );
-        let h = sim.run(None);
+        let h = sim.run();
         assert_eq!(h.faults.len(), 30);
         let (dropped, late, rejected, _retried, _skipped) = h.fault_totals();
         let deferred: usize = h.faults.iter().map(|f| f.deferred).sum();
@@ -1187,7 +1142,7 @@ mod tests {
             5,
         );
         let before = sim.items().clone();
-        let h = sim.run(None);
+        let h = sim.run();
         assert!(
             h.faults.iter().all(|f| f.quorum_skipped),
             "total dropout must starve every round below quorum"
@@ -1230,7 +1185,7 @@ mod tests {
         let data = SyntheticConfig::smoke().generate(12);
         let mut gated = Simulation::new(&data, smoke_cfg(), Box::new(NanAdversary), 3);
         gated.enable_faults(FaultPlan::gate_only(), 1);
-        let h = gated.run(None);
+        let h = gated.run();
         assert!(
             gated.items().row(0).iter().all(|x| x.is_finite()),
             "gated run must keep V finite"
@@ -1239,7 +1194,7 @@ mod tests {
         assert_eq!(rejected, 30, "3 NaN uploads × 10 rounds all quarantined");
 
         let mut open = Simulation::new(&data, smoke_cfg(), Box::new(NanAdversary), 3);
-        let _ = open.run(None);
+        let _ = open.run();
         assert!(
             open.items().row(0).iter().any(|x| x.is_nan()),
             "without the gate the NaN upload must poison V (the regression \
@@ -1267,18 +1222,18 @@ mod tests {
             };
             // Straight-through reference.
             let mut straight = build();
-            let h_straight = straight.run(None);
+            let h_straight = straight.run();
 
             // Killed at epoch 5, resumed in a fresh simulation.
             let mut first = build();
             let mut h_first = TrainingHistory::new();
-            first.run_segment(None, &mut h_first, 5);
+            first.run_segment(&mut h_first, 5);
             let blob = first.checkpoint(&h_first);
             drop(first);
             let mut resumed = build();
             let mut h_resumed = resumed.restore(&blob);
             assert_eq!(resumed.next_epoch(), 5);
-            resumed.run_segment(None, &mut h_resumed, cfg.epochs);
+            resumed.run_segment(&mut h_resumed, cfg.epochs);
 
             assert_eq!(h_straight.losses, h_resumed.losses);
             assert_eq!(h_straight.faults, h_resumed.faults);
@@ -1316,5 +1271,68 @@ mod tests {
         };
         let mut b = Simulation::new(&data, other_cfg, Box::new(NoAttack), 0);
         let _ = b.restore(&blob);
+    }
+
+    /// A damaged touched-id list in a real mid-run checkpoint — an id equal
+    /// to the population, a duplicate, a swapped pair — is refused with one
+    /// named panic before `restore` writes anything, on both stores.
+    #[test]
+    fn restore_rejects_bad_touched_ids_before_writing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let data = Arc::new(SyntheticConfig::smoke().generate(15));
+        for backend in [StoreBackend::Dense, StoreBackend::sharded()] {
+            let build = || {
+                Simulation::with_model(
+                    data.clone(),
+                    smoke_cfg(),
+                    Box::new(MfClientModel),
+                    Box::new(NoAttack),
+                    0,
+                    DefensePipeline::plain(Box::new(SumAggregator)),
+                    backend,
+                )
+            };
+            let mut first = build();
+            let mut history = TrainingHistory::new();
+            first.run_segment(&mut history, 3);
+            let blob = first.checkpoint(&history);
+            let ids: Vec<usize> = (0..first.num_benign())
+                .filter(|&i| first.touched[i])
+                .collect();
+            assert!(ids.len() >= 2, "need two touched ids to damage");
+            // The list is written as its length, then one u64 per id.
+            let words: Vec<u8> = std::iter::once(ids.len())
+                .chain(ids.iter().copied())
+                .flat_map(|x| (x as u64).to_le_bytes())
+                .collect();
+            let at = 8 + blob
+                .windows(words.len())
+                .position(|w| w == words)
+                .expect("touched-id list in the blob");
+            let last = ids.len() - 1;
+            let cases = [
+                ("id = population", vec![(last, first.num_benign())]),
+                ("duplicate", vec![(1, ids[0])]),
+                ("swapped", vec![(0, ids[1]), (1, ids[0])]),
+            ];
+            for (what, edits) in cases {
+                let mut bad = blob.clone();
+                for (i, id) in edits {
+                    bad[at + 8 * i..at + 8 * i + 8].copy_from_slice(&(id as u64).to_le_bytes());
+                }
+                let mut fresh = build();
+                let v0 = fresh.items().clone();
+                let err = catch_unwind(AssertUnwindSafe(|| fresh.restore(&bad)))
+                    .expect_err(&format!("{what}: restore accepted the list"));
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| err.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(msg.contains("checkpoint touched ids"), "{what}: {msg}");
+                assert_eq!(fresh.next_epoch(), 0, "{what}: cursor written");
+                assert_eq!(fresh.items(), &v0, "{what}: V written");
+            }
+        }
     }
 }

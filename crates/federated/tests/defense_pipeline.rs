@@ -57,7 +57,7 @@ fn gated_pipeline_excludes_detected_attack_in_loop() {
             DefensePipeline::plain(Box::new(SumAggregator))
         };
         let mut sim = Simulation::with_defense(&data, smoke_cfg(), Box::new(Blatant), 10, pipeline);
-        let h = sim.run(None);
+        let h = sim.run();
         (h, sim.items().row(0).to_vec())
     };
     let (defended, defended_row0) = run(true);
@@ -90,7 +90,7 @@ fn monitored_pipeline_matches_undefended_training_bitwise() {
             DefensePipeline::plain(Box::new(SumAggregator))
         };
         let mut sim = Simulation::with_defense(&data, smoke_cfg(), Box::new(NoAttack), 5, pipeline);
-        let h = sim.run(None);
+        let h = sim.run();
         (h, sim.items().clone())
     };
     let (monitored, v_monitored) = run(true);

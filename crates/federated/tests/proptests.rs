@@ -37,7 +37,7 @@ proptest! {
         let run = |t: usize| {
             let cfg = FedConfig { threads: t, ..tiny_cfg(seed) };
             let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-            let h = sim.run(None);
+            let h = sim.run();
             (h.losses, sim.items().clone())
         };
         let (l1, v1) = run(1);
@@ -46,11 +46,12 @@ proptest! {
         prop_assert_eq!(v1, vt);
     }
 
-    /// The parallel engine's full observable output — every recorded
-    /// series of the `TrainingHistory` plus the final `V` — is
-    /// byte-identical across 1, 2 and 8 worker threads, under partial
-    /// participation and DP noise (the stress case for slot bookkeeping:
-    /// rounds where some clients skip and buffers are recompacted).
+    /// The parallel engine's full observable output — the recorded loss
+    /// series, a `V`-derived series read between rounds and the final
+    /// `V` — is byte-identical across 1, 2 and 8 worker threads, under
+    /// partial participation and DP noise (the stress case for slot
+    /// bookkeeping: rounds where some clients skip and buffers are
+    /// recompacted).
     #[test]
     fn history_and_items_identical_for_1_2_8_threads(
         seed in 0u64..200,
@@ -66,28 +67,28 @@ proptest! {
                 ..tiny_cfg(seed)
             };
             let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 3);
-            let mut hook = |snap: &fedrec_federated::simulation::Snapshot<'_>,
-                            hist: &mut fedrec_federated::history::TrainingHistory| {
-                // Record a V-derived series so the hook-visible state is
-                // part of the comparison too.
-                hist.hr_at_10.push(snap.epoch, snap.items.frobenius_norm() as f64);
-            };
-            let h = sim.run(Some(&mut hook));
-            (h, sim.items().clone())
+            // Step one epoch at a time and record a V-derived series, so the
+            // state visible between rounds is part of the comparison too.
+            let mut h = fedrec_federated::history::TrainingHistory::new();
+            let mut norms = Vec::new();
+            for epoch in 0..cfg.epochs {
+                sim.run_segment(&mut h, epoch + 1);
+                norms.push(sim.items().frobenius_norm() as f64);
+            }
+            (h, norms, sim.items().clone())
         };
-        let (h1, v1) = run(1);
+        let (h1, n1, v1) = run(1);
         for t in [2usize, 8] {
-            let (ht, vt) = run(t);
+            let (ht, nt, vt) = run(t);
             // Byte-identical histories: compare the raw bit patterns, not
             // just float equality.
             let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&h1.losses), bits(&ht.losses), "losses differ at t={}", t);
-            prop_assert_eq!(&h1.hr_at_10.epochs, &ht.hr_at_10.epochs);
             let fbits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(
-                fbits(&h1.hr_at_10.values),
-                fbits(&ht.hr_at_10.values),
-                "hook series differ at t={}", t
+                fbits(&n1),
+                fbits(&nt),
+                "per-epoch V norms differ at t={}", t
             );
             prop_assert_eq!(
                 bits(v1.as_slice()),
@@ -120,7 +121,7 @@ proptest! {
                 Box::new(TrimmedMean { trim_fraction: 0.1 }),
             );
             let mut sim = Simulation::with_defense(&data, cfg, Box::new(NoAttack), 4, pipeline);
-            let h = sim.run(None);
+            let h = sim.run();
             (h, sim.items().clone())
         };
         let (h1, v1) = run(1);
@@ -139,12 +140,12 @@ proptest! {
     }
 
     /// Dense and sharded client stores are interchangeable: the complete
-    /// observable output of a run — every loss, every hook-recorded
-    /// series, every per-round `RoundDefense`, the final `V` and the
-    /// assembled user factors — is **byte-identical** between the two
-    /// backends, for 1, 2 and 8 worker threads, with and without an
-    /// in-loop defense pipeline, under partial participation (the case
-    /// the sharded store exists for: most users never materialize).
+    /// observable output of a run — every loss, every per-round
+    /// `RoundDefense`, the final `V` and the assembled user factors — is
+    /// **byte-identical** between the two backends, for 1, 2 and 8 worker
+    /// threads, with and without an in-loop defense pipeline, under
+    /// partial participation (the case the sharded store exists for: most
+    /// users never materialize).
     #[test]
     fn dense_and_sharded_stores_byte_identical_for_1_2_8_threads(
         seed in 0u64..150,
@@ -183,7 +184,7 @@ proptest! {
                 pipeline(),
                 backend,
             );
-            let h = sim.run(None);
+            let h = sim.run();
             let users = sim.user_factors();
             (h, sim.items().clone(), users, sim.rows_materialized())
         };
@@ -196,7 +197,7 @@ proptest! {
             3,
             pipeline(),
         );
-        let hl = legacy.run(None);
+        let hl = legacy.run();
         prop_assert_eq!(&h0.losses, &hl.losses, "with_defense vs with_model(Dense)");
 
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -231,7 +232,7 @@ proptest! {
         let data = tiny_data(seed);
         let cfg = FedConfig { epochs: 8, ..tiny_cfg(seed) };
         let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-        let h = sim.run(None);
+        let h = sim.run();
         for &l in &h.losses {
             prop_assert!(l.is_finite() && l >= 0.0);
         }
@@ -256,7 +257,7 @@ proptest! {
             ..tiny_cfg(seed)
         };
         let mut sim = Simulation::new(&data, cfg, Box::new(NoAttack), 0);
-        sim.run(None);
+        sim.run();
         for &x in sim.items().as_slice() {
             prop_assert!(x.is_finite());
         }
@@ -271,7 +272,7 @@ proptest! {
         let data = tiny_data(7);
         let run = |s: u64| {
             let mut sim = Simulation::new(&data, tiny_cfg(s), Box::new(NoAttack), 0);
-            sim.run(None).losses
+            sim.run().losses
         };
         prop_assert_ne!(run(seed), run(seed + 10_000));
     }
@@ -314,7 +315,7 @@ proptest! {
                 backend,
             );
             sim.enable_faults(plan, fault_seed);
-            let h = sim.run(None);
+            let h = sim.run();
             (h, sim.items().clone())
         };
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -384,17 +385,17 @@ proptest! {
             sim
         };
         let mut straight = build();
-        let h_straight = straight.run(None);
+        let h_straight = straight.run();
 
         let mut first = build();
         let mut h_part = TrainingHistory::new();
-        first.run_segment(None, &mut h_part, kill_after);
+        first.run_segment(&mut h_part, kill_after);
         let blob = first.checkpoint(&h_part);
         drop(first);
 
         let mut resumed = build();
         let mut h_resumed = resumed.restore(&blob);
-        resumed.run_segment(None, &mut h_resumed, cfg.epochs);
+        resumed.run_segment(&mut h_resumed, cfg.epochs);
 
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&h_straight.losses), bits(&h_resumed.losses));
@@ -466,7 +467,7 @@ proptest! {
             DefensePipeline::plain(aggregator),
         );
         sim.enable_faults(FaultPlan::gate_only(), 1);
-        let h = sim.run(None);
+        let h = sim.run();
         for &x in sim.items().as_slice() {
             prop_assert!(x.is_finite(), "NaN leaked into V past the gate");
         }

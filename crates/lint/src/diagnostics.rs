@@ -35,18 +35,15 @@ impl Diagnostic {
     }
 }
 
-/// A full lint run: what fired, what was suppressed, what the baseline
-/// absorbed.
+/// A full lint run: what fired and what was suppressed.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Violations not covered by a suppression or the baseline. Any entry
-    /// here makes the run fail.
+    /// Violations not covered by a suppression. Any entry here makes the
+    /// run fail.
     pub new_violations: Vec<Diagnostic>,
     /// Violations covered by an in-source `fedrec-lint: allow(...)`
     /// comment, paired with the written justification.
     pub suppressed: Vec<(Diagnostic, String)>,
-    /// Violations absorbed by the checked-in baseline file.
-    pub baselined: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -56,7 +53,6 @@ impl Report {
     pub fn normalize(&mut self) {
         self.new_violations.sort_by_key(|d| d.key());
         self.suppressed.sort_by_key(|(d, _)| d.key());
-        self.baselined.sort_by_key(|d| d.key());
     }
 
     /// True when the run should exit 0.
@@ -80,11 +76,10 @@ impl Report {
         }
         let _ = writeln!(
             s,
-            "fedrec-lint: {} files scanned; {} new violation(s), {} suppressed, {} baselined",
+            "fedrec-lint: {} files scanned; {} new violation(s), {} suppressed",
             self.files_scanned,
             self.new_violations.len(),
-            self.suppressed.len(),
-            self.baselined.len()
+            self.suppressed.len()
         );
         s
     }
@@ -93,7 +88,7 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": 1,");
+        let _ = writeln!(s, "  \"version\": 2,");
         let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(s, "  \"new_violations\": [");
         for (i, d) in self.new_violations.iter().enumerate() {
@@ -113,16 +108,6 @@ impl Report {
                 ""
             };
             let _ = writeln!(s, "    {}{}", diag_json(d, Some(why)), comma);
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"baselined\": [");
-        for (i, d) in self.baselined.iter().enumerate() {
-            let comma = if i + 1 < self.baselined.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {}{}", diag_json(d, None), comma);
         }
         let _ = writeln!(s, "  ]");
         s.push_str("}\n");
@@ -197,7 +182,6 @@ mod tests {
                 diag("a.rs", 2, "x"),
             ],
             suppressed: vec![],
-            baselined: vec![],
             files_scanned: 3,
         };
         r.normalize();
@@ -217,7 +201,6 @@ mod tests {
         let mut r = Report {
             new_violations: vec![diag("a.rs", 1, "x")],
             suppressed: vec![(diag("a.rs", 2, "y"), "because".into())],
-            baselined: vec![],
             files_scanned: 1,
         };
         r.normalize();

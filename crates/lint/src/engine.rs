@@ -1,7 +1,6 @@
-//! Workspace walking, suppression matching, baseline diffing and the CLI
-//! entry point shared by the `fedrec-lint` binary and `repro lint`.
+//! Workspace walking, suppression matching and the CLI entry point shared
+//! by the `fedrec-lint` binary and `repro lint`.
 
-use crate::baseline::Baseline;
 use crate::diagnostics::{Diagnostic, Report};
 use crate::rules::{check_file, SourceFile};
 use crate::suppress::{self, Suppression};
@@ -17,10 +16,6 @@ const SKIP_PREFIXES: &[&str] = &["crates/devtools"];
 pub struct Options {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Baseline file; defaults to `<root>/lint-baseline.json`.
-    pub baseline_path: Option<PathBuf>,
-    /// Rewrite the baseline to absorb all current violations, then report.
-    pub write_baseline: bool,
     /// Emit machine-readable JSON instead of the human report.
     pub json: bool,
 }
@@ -28,18 +23,7 @@ pub struct Options {
 impl Options {
     /// Default options for `root`.
     pub fn new(root: PathBuf) -> Self {
-        Self {
-            root,
-            baseline_path: None,
-            write_baseline: false,
-            json: false,
-        }
-    }
-
-    fn baseline_file(&self) -> PathBuf {
-        self.baseline_path
-            .clone()
-            .unwrap_or_else(|| self.root.join("lint-baseline.json"))
+        Self { root, json: false }
     }
 }
 
@@ -166,26 +150,19 @@ pub fn lint_source(
     (new, suppressed, meta)
 }
 
-/// Lint every file under `root` against `baseline`.
-pub fn lint_tree(root: &Path, baseline: &Baseline) -> Result<Report, String> {
+/// Lint every file under `root`.
+pub fn lint_tree(root: &Path) -> Result<Report, String> {
     let files = collect_files(root)?;
     let mut report = Report {
         new_violations: Vec::new(),
         suppressed: Vec::new(),
-        baselined: Vec::new(),
         files_scanned: files.len(),
     };
     for rel in &files {
         let src =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
         let (new, suppressed, meta) = lint_source(rel, &src);
-        for d in new.into_iter().chain(meta) {
-            if baseline.covers(&d) {
-                report.baselined.push(d);
-            } else {
-                report.new_violations.push(d);
-            }
-        }
+        report.new_violations.extend(new.into_iter().chain(meta));
         report.suppressed.extend(suppressed);
     }
     report.normalize();
@@ -194,24 +171,7 @@ pub fn lint_tree(root: &Path, baseline: &Baseline) -> Result<Report, String> {
 
 /// Run a full lint pass per `opts`. Returns the report and its rendering.
 pub fn run(opts: &Options) -> Result<(Report, String), String> {
-    let baseline_file = opts.baseline_file();
-    let baseline = if opts.write_baseline {
-        Baseline::empty()
-    } else if baseline_file.is_file() {
-        let text = std::fs::read_to_string(&baseline_file)
-            .map_err(|e| format!("read {}: {e}", baseline_file.display()))?;
-        Baseline::parse(&text)?
-    } else {
-        Baseline::empty()
-    };
-    let mut report = lint_tree(&opts.root, &baseline)?;
-    if opts.write_baseline {
-        let fresh = Baseline::from_diagnostics(&report.new_violations);
-        std::fs::write(&baseline_file, fresh.render())
-            .map_err(|e| format!("write {}: {e}", baseline_file.display()))?;
-        report.baselined = std::mem::take(&mut report.new_violations);
-        report.normalize();
-    }
+    let report = lint_tree(&opts.root)?;
     let rendered = if opts.json {
         report.render_json()
     } else {
@@ -224,24 +184,14 @@ pub fn run(opts: &Options) -> Result<(Report, String), String> {
 /// runs, prints, returns the process exit code (0 clean, 1 violations,
 /// 2 usage or I/O error).
 pub fn run_cli(args: &[String]) -> i32 {
-    let mut opts = Options {
-        root: PathBuf::new(),
-        baseline_path: None,
-        write_baseline: false,
-        json: false,
-    };
+    let mut opts = Options::new(PathBuf::new());
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--root" => match it.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
                 None => return usage(),
             },
             "--rules" => {
@@ -279,8 +229,8 @@ pub fn run_cli(args: &[String]) -> i32 {
 
 fn usage() -> i32 {
     eprintln!(
-        "usage: fedrec-lint [--root DIR] [--baseline FILE] [--json] [--write-baseline] [--rules]\n\
-         \x20 exit 0: no new violations; exit 1: new violations; exit 2: error"
+        "usage: fedrec-lint [--root DIR] [--json] [--rules]\n\
+         \x20 exit 0: no unsuppressed violations; exit 1: violations; exit 2: error"
     );
     2
 }
@@ -312,14 +262,5 @@ mod tests {
         let rules: Vec<&str> = meta.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&"unused-suppression"));
         assert!(rules.contains(&"bad-suppression"));
-    }
-
-    #[test]
-    fn baseline_absorbs_known_violations() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        let (new, _, _) = lint_source("crates/federated/src/x.rs", src);
-        assert_eq!(new.len(), 1);
-        let baseline = Baseline::from_diagnostics(&new);
-        assert!(baseline.covers(&new[0]));
     }
 }

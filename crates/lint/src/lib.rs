@@ -10,9 +10,8 @@
 //! external deps, matching the offline devtools policy) feeds a rule
 //! engine ([`rules`]) with seven determinism and checkpoint-safety rules,
 //! a per-line suppression mechanism with mandatory justifications
-//! ([`suppress`]), a checked-in baseline so the gate is zero-tolerance for
-//! *new* violations ([`baseline`]), and byte-stable human/JSON reports
-//! ([`diagnostics`]).
+//! ([`suppress`]) — the one way to accept a violation — and byte-stable
+//! human/JSON reports ([`diagnostics`]).
 //!
 //! Drive it via `cargo run -p fedrec-lint` or `repro lint`; CI runs it in
 //! the `checks` job. See `docs/ARCHITECTURE.md` § "Determinism invariants
@@ -30,7 +29,6 @@
 
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod diagnostics;
 pub mod engine;
 pub mod lexer;

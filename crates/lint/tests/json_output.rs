@@ -8,7 +8,6 @@ fn report_from(path: &str, src: &str) -> Report {
     let mut r = Report {
         new_violations: new.into_iter().chain(meta).collect(),
         suppressed,
-        baselined: Vec::new(),
         files_scanned: 1,
     };
     r.normalize();
@@ -27,11 +26,10 @@ fn json_document_has_the_fixed_schema() {
     let json = r.render_json();
     // Top-level keys in fixed order.
     let order: Vec<usize> = [
-        "\"version\": 1,",
+        "\"version\": 2,",
         "\"files_scanned\": 1,",
         "\"new_violations\": [",
         "\"suppressed\": [",
-        "\"baselined\": [",
     ]
     .iter()
     .map(|k| json.find(k).unwrap_or_else(|| panic!("missing key {k}")))
@@ -88,9 +86,8 @@ fn human_report_totals_match_the_sections() {
     let r = report_from("crates/federated/src/x.rs", SRC);
     let human = r.render_human();
     assert!(human.contains(&format!(
-        "{} new violation(s), {} suppressed, {} baselined",
+        "{} new violation(s), {} suppressed",
         r.new_violations.len(),
-        r.suppressed.len(),
-        r.baselined.len()
+        r.suppressed.len()
     )));
 }

@@ -1,8 +1,6 @@
-//! The workspace itself must be lint-clean: zero new violations against
-//! the checked-in (empty) baseline, and the full-tree JSON report must be
-//! byte-stable across two walks.
+//! The workspace itself must be lint-clean: zero unsuppressed violations,
+//! and the full-tree JSON report must be byte-stable across two walks.
 
-use fedrec_lint::baseline::Baseline;
 use fedrec_lint::engine::lint_tree;
 use std::path::PathBuf;
 
@@ -14,17 +12,10 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
-fn load_baseline(root: &std::path::Path) -> Baseline {
-    let path = root.join("lint-baseline.json");
-    let text = std::fs::read_to_string(&path).expect("lint-baseline.json is checked in");
-    Baseline::parse(&text).expect("baseline parses")
-}
-
 #[test]
 fn workspace_is_lint_clean() {
     let root = workspace_root();
-    let baseline = load_baseline(&root);
-    let report = lint_tree(&root, &baseline).expect("lint walk");
+    let report = lint_tree(&root).expect("lint walk");
     assert!(
         report.files_scanned > 50,
         "walk found too few files — wrong root?"
@@ -33,12 +24,6 @@ fn workspace_is_lint_clean() {
         report.is_clean(),
         "workspace has new lint violations:\n{}",
         report.render_human()
-    );
-    // The shipped baseline is empty: zero tolerance for new violations.
-    assert!(
-        report.baselined.is_empty(),
-        "baseline should stay empty; baselined={:?}",
-        report.baselined
     );
     // Every suppression in the tree carries a justification.
     for (d, why) in &report.suppressed {
@@ -54,8 +39,7 @@ fn workspace_is_lint_clean() {
 #[test]
 fn full_tree_json_report_is_byte_stable() {
     let root = workspace_root();
-    let baseline = load_baseline(&root);
-    let a = lint_tree(&root, &baseline).expect("walk 1").render_json();
-    let b = lint_tree(&root, &baseline).expect("walk 2").render_json();
+    let a = lint_tree(&root).expect("walk 1").render_json();
+    let b = lint_tree(&root).expect("walk 2").render_json();
     assert_eq!(a, b, "full-tree JSON report is not byte-stable");
 }

@@ -369,11 +369,11 @@ mod tests {
             ..smoke_cfg()
         };
         let mut sim = ncf_sim(&train, cfg, Box::new(attack), malicious);
-        sim.run(None);
+        sim.run();
         let rep = evaluate(&sim, &train, &test, &targets, 3);
 
         let mut clean = ncf_sim(&train, cfg, Box::new(NoAttack), 0);
-        clean.run(None);
+        clean.run();
         let clean_rep = evaluate(&clean, &train, &test, &targets, 3);
 
         assert!(
@@ -453,9 +453,9 @@ mod tests {
             ..smoke_cfg()
         };
         let mut sim = ncf_sim(&train, cfg, Box::new(attack), malicious);
-        sim.run(None);
+        sim.run();
         let mut clean = ncf_sim(&train, cfg, Box::new(NoAttack), 0);
-        clean.run(None);
+        clean.run();
         let attacked_rank = mean_target_rank(&sim, &train, targets[0]);
         let clean_rank = mean_target_rank(&clean, &train, targets[0]);
         assert!(
@@ -485,16 +485,16 @@ mod tests {
             )
         };
         let mut straight = sim();
-        straight.run(None);
+        straight.run();
 
         let mut first = sim();
         let mut history = TrainingHistory::new();
-        first.run_segment(None, &mut history, 3);
+        first.run_segment(&mut history, 3);
         let blob = first.checkpoint(&history);
         drop(first);
         let mut resumed = sim();
         let mut history = resumed.restore(&blob);
-        resumed.run_segment(None, &mut history, cfg.epochs);
+        resumed.run_segment(&mut history, cfg.epochs);
 
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(

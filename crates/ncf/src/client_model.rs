@@ -175,7 +175,7 @@ mod tests {
         let data = SyntheticConfig::smoke().generate(1);
         let (train, test) = leave_one_out(&data, 2);
         let mut sim = ncf_sim(&train, smoke_cfg(), Box::new(NoAttack), 0);
-        let losses = sim.run(None).losses;
+        let losses = sim.run().losses;
         assert!(losses.last().unwrap() < &(losses[0] * 0.95), "{losses:?}");
         let targets = train.coldest_items(1);
         let rep = evaluate(&sim, &train, &test, &targets, 3);
@@ -188,7 +188,7 @@ mod tests {
         let data = SyntheticConfig::smoke().generate(2);
         let go = || {
             let mut sim = ncf_sim(&data, smoke_cfg(), Box::new(NoAttack), 3);
-            let losses = sim.run(None).losses;
+            let losses = sim.run().losses;
             (losses, sim.shared().to_vec())
         };
         let (l1, t1) = go();

@@ -45,7 +45,7 @@
 //!     DefensePipeline::plain(Box::new(SumAggregator)),
 //!     StoreBackend::Dense,
 //! );
-//! assert_eq!(sim.run(None).losses.len(), 2);
+//! assert_eq!(sim.run().losses.len(), 2);
 //! assert_eq!(Theta::from_shared(cfg.k, sim.shared()).hidden, 16);
 //! ```
 

@@ -253,9 +253,9 @@ impl Service {
 
     /// Drain everything currently queued using `threads` transient
     /// workers (scoped; returns when the backlog is gone). The training
-    /// integration calls this from the between-rounds hook, where the
-    /// trainer is paused and user rows are stable. Returns the number of
-    /// requests served. Requires at least one prior publish.
+    /// integration calls this between rounds, where the trainer is paused
+    /// and user rows are stable. Returns the number of requests served.
+    /// Requires at least one prior publish.
     pub fn drain_now(&self, rows: &(dyn UserRowSource + Sync), threads: usize) -> usize {
         assert!(
             self.store.publish_count() > 0,

@@ -1,8 +1,8 @@
 //! Serving concurrently with real federated training.
 //!
 //! A requester thread fires top-K requests while a federated simulation
-//! trains; the between-rounds hook publishes each epoch's item matrix and
-//! drains the backlog against the live (paused) user store with rotating
+//! trains one epoch at a time; between rounds the test publishes each
+//! epoch's item matrix and drains the backlog against the live (paused) user store with rotating
 //! worker counts. Every response must byte-match offline evaluation of
 //! the exact (item matrix, user row) state its epoch tag names, response
 //! epochs must arrive monotonically, and serving must never materialize a
@@ -10,12 +10,13 @@
 
 use fedrec_data::synthetic::SyntheticConfig;
 use fedrec_federated::defense::DefensePipeline;
+use fedrec_federated::history::TrainingHistory;
 use fedrec_federated::server::SumAggregator;
 use fedrec_federated::{FedConfig, MfClientModel, NoAttack, Simulation, StoreBackend};
 use fedrec_linalg::Matrix;
 use fedrec_recsys::scorer::{PrunedItems, PrunedScores};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 fn offline_topk(items: &Matrix, row: &[f32], exclude: &[u32], k: usize) -> Vec<(u32, f32)> {
     let pruned = PrunedItems::build(items);
@@ -67,7 +68,7 @@ fn serving_mid_training_is_exact_monotonic_and_cold() {
     let svc = Arc::new(Service::new(ServeConfig::default()));
     let k = svc.config().k;
     // Per-epoch (V, user rows) copies for after-the-fact verification.
-    let recorded: Mutex<Vec<(Matrix, Matrix)>> = Mutex::new(Vec::new());
+    let mut recorded: Vec<(Matrix, Matrix)> = Vec::with_capacity(epochs);
     let passes = 20usize;
     let expected = passes * n;
 
@@ -87,35 +88,30 @@ fn serving_mid_training_is_exact_monotonic_and_cold() {
             rx
         });
 
-        let mut hook =
-            |snap: &fedrec_federated::simulation::Snapshot<'_>,
-             _h: &mut fedrec_federated::history::TrainingHistory| {
-                svc.publish(snap.epoch as u64, snap.items);
-                let mut rows = Matrix::zeros(n, cfg.k);
-                for u in 0..n {
-                    snap.users.write_user_row(u, rows.row_mut(u));
-                }
-                recorded
-                    .lock()
-                    .expect("recorder poisoned")
-                    .push((snap.items.clone(), rows));
-                // Rotate worker counts: determinism must not care.
-                let threads = [1usize, 2, 8][snap.epoch % 3];
-                svc.drain_now(snap.users, threads);
-            };
-        sim.run(Some(&mut hook));
+        let mut history = TrainingHistory::new();
+        for epoch in 0..epochs {
+            sim.run_segment(&mut history, epoch + 1);
+            let users = sim.user_rows();
+            svc.publish(epoch as u64, sim.items());
+            let mut rows = Matrix::zeros(n, cfg.k);
+            for u in 0..n {
+                users.write_user_row(u, rows.row_mut(u));
+            }
+            recorded.push((sim.items().clone(), rows));
+            // Rotate worker counts: determinism must not care.
+            let threads = [1usize, 2, 8][epoch % 3];
+            svc.drain_now(users, threads);
+        }
         let materialized = sim.rows_materialized();
 
         // Training is done; flush whatever the requester queued after
-        // the last in-hook drain, serving rows frozen at the final epoch.
+        // the last between-rounds drain, serving rows frozen at the final
+        // epoch.
         let rx = requester.join().expect("requester panicked");
-        let final_rows = {
-            let rec = recorded.lock().expect("recorder poisoned");
-            rec.last().expect("at least one epoch").1.clone()
-        };
+        let final_rows = &recorded.last().expect("at least one epoch").1;
         let mut responses: Vec<ServedTopK> = Vec::with_capacity(expected);
         loop {
-            svc.drain_now(&final_rows, 2);
+            svc.drain_now(final_rows, 2);
             while let Ok(r) = rx.try_recv() {
                 responses.push(r);
             }
@@ -128,7 +124,6 @@ fn serving_mid_training_is_exact_monotonic_and_cold() {
     });
 
     assert_eq!(responses.len(), expected);
-    let recorded = recorded.into_inner().expect("recorder poisoned");
     assert_eq!(recorded.len(), epochs);
 
     // Monotone epoch tags in arrival order: drains are serialized by the

@@ -62,7 +62,7 @@ fn main() {
         let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, num_malicious);
         let plain = DefensePipeline::plain(agg);
         let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), num_malicious, plain);
-        sim.run(None);
+        sim.run();
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         println!(
             "{name:<18} {:>6.4}   {:>6.4}",
@@ -137,7 +137,7 @@ fn main() {
         Box::new(SumAggregator),
     );
     let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), num_malicious, pipeline);
-    let history = sim.run(None);
+    let history = sim.run();
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     println!(
         "detector-gated sum: ER@10 {:.4}  HR@10 {:.4}  ({} uploads excluded \

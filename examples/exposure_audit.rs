@@ -66,14 +66,14 @@ fn main() {
     };
 
     let mut clean = Simulation::new(&train, fed, Box::new(NoAttack), 0);
-    clean.run(None);
+    clean.run();
     let clean_model = MfModel::from_factors(clean.user_factors(), clean.items().clone());
 
     let malicious = train.num_users() / 20;
     let public = PublicView::sample(&train, 0.05, 2);
     let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, malicious);
     let mut attacked = Simulation::new(&train, fed, Box::new(attack), malicious);
-    attacked.run(None);
+    attacked.run();
     let attacked_model = MfModel::from_factors(attacked.user_factors(), attacked.items().clone());
 
     println!(

@@ -28,7 +28,7 @@ fn er10_for(train: &Dataset, test: &fedrecattack::data::split::TestSet, xi: f64,
         ..FedConfig::smoke()
     };
     let mut sim = Simulation::new(train, fed, adversary, num_malicious);
-    sim.run(None);
+    sim.run();
     let evaluator = Evaluator::new(train, test, &targets, 17);
     evaluator
         .evaluate(sim.items(), sim.user_rows(), train, test)

@@ -56,7 +56,7 @@ fn main() {
             DefensePipeline::plain(Box::new(SumAggregator)),
             StoreBackend::Dense,
         );
-        sim.run(None);
+        sim.run();
         // Every user, in a single shard.
         let n = train.num_users();
         let theta = Theta::from_shared(cfg.k, sim.shared());

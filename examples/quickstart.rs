@@ -33,7 +33,7 @@ fn main() {
 
     // Clean run.
     let mut clean = Simulation::new(&train, fed, Box::new(NoAttack), 0);
-    clean.run(None);
+    clean.run();
     let clean_rep = evaluator.evaluate(clean.items(), clean.user_rows(), &train, &test);
 
     // Attacked run: the attacker sees 5 % of interactions (likes,
@@ -42,7 +42,7 @@ fn main() {
     let public = PublicView::sample(&train, 0.05, 2);
     let attack = FedRecAttack::new(AttackConfig::new(targets.clone()), public, malicious);
     let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
-    sim.run(None);
+    sim.run();
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
 
     println!("\n               clean      attacked");

@@ -50,7 +50,7 @@ fn main() {
             .public(0.05, 19);
         let adversary = build_adversary(method, &env);
         let mut sim = Simulation::new(&train, fed, adversary, num_malicious);
-        sim.run(None);
+        sim.run();
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         results.push((method.label(), rep.attack.er_at_10, rep.hr_at_10));
     }

@@ -42,7 +42,7 @@
 //! // 3. Run federated training under attack.
 //! let fed = FedConfig { epochs: 10, ..FedConfig::smoke() };
 //! let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
-//! sim.run(None);
+//! sim.run();
 //!
 //! // 4. Measure the damage.
 //! let eval = Evaluator::new(&train, &test, &targets, 3);

@@ -82,7 +82,7 @@ fn fedrecattack_respects_kappa_and_clip_every_round() {
         ..FedConfig::smoke()
     };
     let mut sim = Simulation::new(&train, fed, Box::new(auditor), malicious);
-    sim.run(None);
+    sim.run();
 
     assert_eq!(
         *rounds.borrow(),
@@ -129,7 +129,7 @@ fn shilling_attacks_respect_clip_every_round() {
             ..FedConfig::smoke()
         };
         let mut sim = Simulation::new(&train, fed, Box::new(auditor), 5);
-        sim.run(None);
+        sim.run();
         let v = violations.borrow();
         assert!(v.is_empty(), "{method:?} violations: {v:?}");
     }
@@ -159,7 +159,7 @@ fn fedrecattack_uploads_shrink_in_partial_participation() {
         ..FedConfig::smoke()
     };
     let mut sim = Simulation::new(&train, fed, Box::new(auditor), malicious);
-    sim.run(None);
+    sim.run();
     let v = violations.borrow();
     assert!(v.is_empty(), "violations: {v:?}");
     // Some rounds may select zero malicious clients; most select a few.

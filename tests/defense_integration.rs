@@ -16,7 +16,7 @@ fn er10_under(aggregator: Box<dyn Aggregator>) -> (f64, f64) {
     };
     let plain = DefensePipeline::plain(aggregator);
     let mut sim = Simulation::with_defense(&train, fed, Box::new(attack), malicious, plain);
-    sim.run(None);
+    sim.run();
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     (rep.attack.er_at_10, rep.hr_at_10)
@@ -78,7 +78,7 @@ fn defended_clean_training_still_learns() {
         let name = agg.name();
         let plain = DefensePipeline::plain(agg);
         let mut sim = Simulation::with_defense(&train, fed, Box::new(NoAttack), 0, plain);
-        sim.run(None);
+        sim.run();
         let evaluator = Evaluator::new(&train, &test, &targets, 3);
         let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
         assert!(

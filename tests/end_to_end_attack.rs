@@ -17,7 +17,7 @@ fn run(
         ..FedConfig::smoke()
     };
     let mut sim = Simulation::new(train, fed, adversary, num_malicious);
-    let history = sim.run(None);
+    let history = sim.run();
     let evaluator = Evaluator::new(train, test, targets, 3);
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), train, test);
     (rep.attack.er_at_10, rep.hr_at_10, history.losses)

@@ -51,7 +51,7 @@ fn loaded_file_supports_full_attack_pipeline() {
         ..FedConfig::smoke()
     };
     let mut sim = Simulation::new(&train, fed, Box::new(attack), malicious);
-    sim.run(None);
+    sim.run();
     let evaluator = Evaluator::new(&train, &test, &targets, 3);
     let rep = evaluator.evaluate(sim.items(), sim.user_rows(), &train, &test);
     assert!(

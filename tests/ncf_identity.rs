@@ -102,7 +102,7 @@ fn run_ncf(
     if faults {
         sim.enable_faults(FaultPlan::smoke(), seed ^ 0xFA17);
     }
-    let history = sim.run(None);
+    let history = sim.run();
     let losses = history.losses.iter().map(|l| l.to_bits()).collect();
     let theta_bits = sim.shared().iter().map(|x| x.to_bits()).collect();
     (
@@ -246,7 +246,7 @@ fn ncf_kill_and_resume_matches_straight_run() {
     let straight = {
         let mut sim = build(1);
         let mut history = fedrecattack::federated::history::TrainingHistory::new();
-        sim.run_segment(None, &mut history, 4);
+        sim.run_segment(&mut history, 4);
         (
             digest(sim.items().as_slice().iter().copied()),
             digest(sim.shared().iter().copied()),
@@ -261,13 +261,13 @@ fn ncf_kill_and_resume_matches_straight_run() {
         let blob = {
             let mut sim = build(threads);
             let mut history = fedrecattack::federated::history::TrainingHistory::new();
-            sim.run_segment(None, &mut history, 2);
+            sim.run_segment(&mut history, 2);
             sim.checkpoint(&history)
             // sim dropped here: the "crash".
         };
         let mut sim = build(threads);
         let mut history = sim.restore(&blob);
-        sim.run_segment(None, &mut history, 4);
+        sim.run_segment(&mut history, 4);
         let resumed = (
             digest(sim.items().as_slice().iter().copied()),
             digest(sim.shared().iter().copied()),

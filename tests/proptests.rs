@@ -108,7 +108,7 @@ proptest! {
         };
         let fed = FedConfig { epochs: 6, k: 8, lr: 0.05, seed, ..FedConfig::default() };
         let mut sim = Simulation::new(&train, fed, adversary, malicious);
-        let history = sim.run(None);
+        let history = sim.run();
         for loss in &history.losses {
             prop_assert!(loss.is_finite() && *loss >= 0.0);
         }

@@ -56,7 +56,7 @@ fn run(
         pipeline,
         backend,
     );
-    let history = sim.run(None);
+    let history = sim.run();
     let losses = history.losses.iter().map(|l| l.to_bits()).collect();
     (
         losses,
