@@ -25,6 +25,15 @@ pub trait InteractionSource {
     /// Sorted item ids user `u` has interacted with (`V_u⁺`).
     fn user_items(&self, u: usize) -> &[u32];
 
+    /// Append user `u`'s sorted item ids to `out` — the same items as
+    /// [`InteractionSource::user_items`]. A lazily generated source
+    /// overrides it to generate the row straight into `out` without
+    /// caching it, so a wrapper that keeps its own copy of each row
+    /// ([`crate::HoldoutView`]) is the only cache.
+    fn append_user_items(&self, u: usize, out: &mut Vec<u32>) {
+        out.extend_from_slice(self.user_items(u));
+    }
+
     /// Number of interactions of user `u` (`|V_u⁺|`).
     fn user_degree(&self, u: usize) -> usize {
         self.user_items(u).len()

@@ -12,19 +12,26 @@
 //! [`HoldoutView::test_set`], so scale-free cells report a real HR@10
 //! instead of skipping hit-rate evaluation entirely.
 //!
-//! Masked rows are cached in fixed-size shards of [`OnceLock`], mirroring
-//! the laziness of the wrapped source: untouched spans of the population
-//! cost one empty lock, and the choice of held item is a pure function of
+//! The view is the only row cache of a lazily generated population. It
+//! keeps masked rows in blocks of 16 users behind [`OnceLock`]s; the first
+//! read of a block generates its rows straight from the wrapped source
+//! through [`InteractionSource::append_user_items`], which a
+//! [`crate::scalefree::ScaleFreeDataset`] answers without filling its own
+//! shards. So a run generates only the blocks it reads, an unread block
+//! costs one empty lock, and the choice of held item is a pure function of
 //! `(holdout seed, user)` — independent of access order, thread count and
-//! shard size.
+//! block size.
 
 use crate::dataset::InteractionSource;
 use crate::split::TestSet;
 use fedrec_linalg::SeededRng;
 use std::sync::OnceLock;
 
-/// Default users per masked-row shard.
-const DEFAULT_SHARD_ROWS: usize = 1_024;
+/// Default users per masked-row block. Participants are drawn uniformly
+/// over the population, so each one faults in a whole block: small blocks
+/// keep a million-user run near the users it reads (each block costs a
+/// lock and three exact-size allocations).
+const DEFAULT_SHARD_ROWS: usize = 16;
 
 /// One cached block of masked CSR rows.
 #[derive(Debug)]
@@ -97,28 +104,25 @@ impl<S: InteractionSource> HoldoutView<S> {
         ptr.push(0usize);
         let mut items: Vec<u32> = Vec::new();
         let mut held = Vec::with_capacity(rows);
-        for local in 0..rows {
-            let u = start + local;
-            let row = self.inner.user_items(u);
-            if row.len() >= 2 {
+        for u in start..start + rows {
+            // The row lands in `items[base..]`; removing the held item
+            // shifts only this row's tail.
+            let base = items.len();
+            self.inner.append_user_items(u, &mut items);
+            let degree = items.len() - base;
+            if degree >= 2 {
                 // The pick is a pure function of (seed, u): access order,
                 // thread count and shard size cannot change it.
                 let mut rng =
                     SeededRng::new(self.seed ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let pick = rng.below(row.len());
-                held.push(Some(row[pick]));
-                items.extend(
-                    row.iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != pick)
-                        .map(|(_, &v)| v),
-                );
+                let pick = rng.below(degree);
+                held.push(Some(items.remove(base + pick)));
             } else {
                 held.push(None);
-                items.extend_from_slice(row);
             }
             ptr.push(items.len());
         }
+        items.shrink_to_fit();
         MaskShard { ptr, items, held }
     }
 }
@@ -169,19 +173,29 @@ mod tests {
         }
     }
 
+    /// Rows and held items of `users` agree across block sizes 1, 16 and
+    /// 1024, with the 1024-user view touched in reverse order.
+    fn assert_block_size_free(cfg: &ScaleFreeConfig, users: std::ops::Range<usize>) {
+        let mk = |rows| HoldoutView::with_shard_rows(cfg.generate(3), 9, rows);
+        let views = [mk(1), mk(16), mk(1_024)];
+        for u in users.clone().rev() {
+            let _ = views[2].user_items(u);
+        }
+        let read = |v: &HoldoutView<_>, u| (v.held_item(u), v.user_items(u).to_vec());
+        for u in users {
+            for v in &views[1..] {
+                assert_eq!(read(&views[0], u), read(v, u), "user {u} diverged");
+            }
+        }
+    }
+
     #[test]
     fn holdout_is_deterministic_and_shard_size_free() {
-        let mk = |rows| HoldoutView::with_shard_rows(ScaleFreeConfig::tiny().generate(3), 9, rows);
-        let a = mk(64);
-        let b = mk(1_024);
-        // Touch b in reverse order to vary generation order too.
-        for u in (0..b.num_users()).rev() {
-            let _ = b.user_items(u);
-        }
-        for u in 0..a.num_users() {
-            assert_eq!(a.held_item(u), b.held_item(u), "user {u} pick diverged");
-            assert_eq!(a.user_items(u), b.user_items(u), "user {u} row diverged");
-        }
+        let tiny = ScaleFreeConfig::tiny();
+        assert_block_size_free(&tiny, 0..tiny.num_users);
+        // A span of the million preset whose ends fall inside 1024-user
+        // blocks.
+        assert_block_size_free(&ScaleFreeConfig::million(), 497_000..502_000);
     }
 
     #[test]

@@ -14,17 +14,15 @@
 //! (`P(d > x) ∝ x^{-(a-1)}`, i.e. density exponent `a`), item popularity
 //! follows the same Zipf law the Table II generators use.
 //!
-//! Granularity trade-off: faulting in *one* user generates and retains
-//! its whole CSR shard (`shard_rows` users), because
-//! [`InteractionSource::user_items`] hands out `&[u32]` slices that need
-//! contiguous backing. With scattered participants this over-generates by
-//! up to a `shard_rows` factor — bounded by the full dataset size, and
-//! amortized as soon as repeated sampling revisits shards (at the default
-//! fractions every shard is warm within a few rounds). Since each user's
-//! stream is a pure function of `(seed, user)`, a per-user generation
-//! path with no shard retention would be possible; until one exists,
-//! shrink [`ScaleFreeConfig::shard_rows`] if first-touch cost matters more
-//! than per-shard overhead.
+//! Two read paths. [`InteractionSource::user_items`] hands out `&[u32]`
+//! slices, which need contiguous backing, so faulting in one user
+//! generates and keeps its whole CSR shard (`shard_rows` users); with
+//! scattered readers that touches nearly every shard within a few rounds.
+//! [`InteractionSource::append_user_items`] generates one user's row
+//! straight into the caller's buffer and keeps nothing. The leave-one-out
+//! [`crate::HoldoutView`] every scale-free cell trains on reads through
+//! the second path and caches 16-user blocks itself, so under it the
+//! shards stay empty and serve direct readers only (tests, benches).
 
 use crate::dataset::InteractionSource;
 use fedrec_linalg::rng::ZipfTable;
@@ -123,7 +121,7 @@ impl ScaleFreeConfig {
 
     /// Build the lazily-sharded dataset. Construction is `O(m)` (the Zipf
     /// table and rank permutation); no interaction is generated until a
-    /// user's shard is first read. Deterministic in `(config, seed)`.
+    /// user is first read. Deterministic in `(config, seed)`.
     pub fn generate(&self, seed: u64) -> ScaleFreeDataset {
         self.validate();
         let mut rng = SeededRng::new(seed ^ 0x5CA1_EF0E);
@@ -218,35 +216,37 @@ impl ScaleFreeDataset {
         let mut ptr = Vec::with_capacity(rows + 1);
         ptr.push(0usize);
         let mut items: Vec<u32> = Vec::new();
-        let mut user_items: Vec<u32> = Vec::new();
-        for local in 0..rows {
-            let u = start + local;
-            // Every user owns an independent stream derived from (seed, u),
-            // so a shard's contents do not depend on generation order.
-            let mut rng =
-                SeededRng::new(self.seed ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let want = self.degree(&mut rng);
-            user_items.clear();
-            // Zipf-popular draws with rejection; the degree cap is ≤ m/2,
-            // so collisions stay cheap. A bounded attempt budget keeps the
-            // loop total even for adversarial configs, topping up from
-            // uniform draws (still seeded, still deterministic).
-            let mut attempts = 0usize;
-            while user_items.len() < want {
-                let v = if attempts < 50 * want {
-                    self.rank_to_item[self.zipf.sample(&mut rng)]
-                } else {
-                    rng.below(self.cfg.num_items) as u32
-                };
-                attempts += 1;
-                if let Err(pos) = user_items.binary_search(&v) {
-                    user_items.insert(pos, v);
-                }
-            }
-            items.extend_from_slice(&user_items);
+        for u in start..start + rows {
+            self.generate_user(u, &mut items);
             ptr.push(items.len());
         }
         DatasetShard { ptr, items }
+    }
+
+    /// Generate user `u`'s sorted row and append it to `out`, keeping
+    /// `out[..base]` (`base = out.len()` on entry) untouched.
+    fn generate_user(&self, u: usize, out: &mut Vec<u32>) {
+        // Every user owns an independent stream derived from (seed, u),
+        // so a row does not depend on generation order or granularity.
+        let mut rng = SeededRng::new(self.seed ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let want = self.degree(&mut rng);
+        let base = out.len();
+        // Zipf-popular draws with rejection; the degree cap is ≤ m/2,
+        // so collisions stay cheap. A bounded attempt budget keeps the
+        // loop total even for adversarial configs, topping up from
+        // uniform draws (still seeded, still deterministic).
+        let mut attempts = 0usize;
+        while out.len() - base < want {
+            let v = if attempts < 50 * want {
+                self.rank_to_item[self.zipf.sample(&mut rng)]
+            } else {
+                rng.below(self.cfg.num_items) as u32
+            };
+            attempts += 1;
+            if let Err(pos) = out[base..].binary_search(&v) {
+                out.insert(base + pos, v);
+            }
+        }
     }
 }
 
@@ -264,6 +264,13 @@ impl InteractionSource for ScaleFreeDataset {
         let shard = self.shard(u / self.cfg.shard_rows);
         let local = u % self.cfg.shard_rows;
         &shard.items[shard.ptr[local]..shard.ptr[local + 1]]
+    }
+
+    /// Generates the row straight into `out`; the shard cache is neither
+    /// read nor filled.
+    fn append_user_items(&self, u: usize, out: &mut Vec<u32>) {
+        assert!(u < self.cfg.num_users, "user {u} out of range");
+        self.generate_user(u, out);
     }
 }
 

@@ -30,7 +30,8 @@
 //! participation; ~500 participants per round). `matrix --smoke` runs
 //! the {MF, NCF} × attack × defense grid on the scale-free preset
 //! `--population` names (`smoke50k` by default, the CI gate; `tiny` runs
-//! the same gate in seconds; a dense population is a usage error), the
+//! the same gate in seconds; a dense population is a usage error, and so
+//! is `--eval-every`, since the preset's cadence is part of the gate), the
 //! NCF half over a representative attack/defense subset. It checks every
 //! record's schema and that the report has a row per cell, asserts the
 //! lazy-store invariant (`rows_materialized ≤ participants_touched`, and
@@ -244,6 +245,11 @@ fn parse_rhos(s: &str) -> Vec<f64> {
 
 fn matrix_config(args: &Args) -> MatrixConfig {
     let mut cfg = if args.smoke {
+        // The smoke preset's eval cadence is part of its gate: an
+        // `--eval-every` it would ignore is a usage error, not a no-op.
+        if args.eval_every.is_some() {
+            usage();
+        }
         match args.population {
             None => MatrixConfig::smoke(ScalePreset::Smoke50k, args.seed),
             Some(Population::ScaleFree(preset)) => MatrixConfig::smoke(preset, args.seed),
@@ -265,7 +271,7 @@ fn matrix_config(args: &Args) -> MatrixConfig {
             },
         }
     };
-    if let (false, Some(every)) = (args.smoke, args.eval_every) {
+    if let Some(every) = args.eval_every {
         // Only an explicit --eval-every overrides the preset's cadence:
         // scale-free defaults record the final epoch only, and clobbering
         // that with the dense default would add a mid-training streamed

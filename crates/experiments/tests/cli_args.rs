@@ -4,9 +4,32 @@
 //! directory without cell files with a `repro:` error and exit code 1 —
 //! never an allocation abort, a panic, a silently run nonsense cell or a
 //! silently dropped report row. And `repro matrix --smoke` runs its whole
-//! gate on the tiny preset.
+//! gate on the tiny preset, and rejects flags that would change the gate.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+/// A scratch directory under the system temp dir, removed on drop — also
+/// when a failing assertion unwinds the test.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("repro-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -54,8 +77,8 @@ fn matrix_rejects_rho_lists_with_a_bad_entry() {
 /// write, not at reading the directory.
 #[test]
 fn unwritable_out_path_fails_cleanly() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-out-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = TempDir::new("out");
+    let dir = tmp.path();
     let cell_lines: Vec<&str> = include_str!("../testdata/pairwise_tiny_reference.jsonl")
         .lines()
         .take(2)
@@ -91,15 +114,14 @@ fn unwritable_out_path_fails_cleanly() {
         assert!(stderr.starts_with(prefix), "{}: {stderr}", args[0]);
         assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A report directory without a single cell file is a `repro:` error
 /// with exit code 1, not an empty table.
 #[test]
 fn report_fails_on_a_directory_without_cell_files() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-empty-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = TempDir::new("empty");
+    let dir = tmp.path();
     std::fs::write(dir.join("notes.txt"), "not a cell\n").unwrap();
     let got = repro(&["report", "--dir", dir.to_str().unwrap()]);
     let stderr = String::from_utf8_lossy(&got.stderr);
@@ -110,7 +132,6 @@ fn report_fails_on_a_directory_without_cell_files() {
     );
     assert!(stderr.starts_with(&want), "{stderr}");
     assert!(got.stdout.is_empty(), "rendered a table: {:?}", got.stdout);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A cell file without a final record the current schema accepts — an
@@ -119,7 +140,8 @@ fn report_fails_on_a_directory_without_cell_files() {
 /// the table.
 #[test]
 fn report_fails_on_a_cell_file_without_a_final_record() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-report-{}", std::process::id()));
+    let tmp = TempDir::new("report");
+    let dir = tmp.path();
     let old_schema = include_str!("../testdata/mf_tiny_reference.jsonl");
     // The first cell of a current-schema file, cut inside its final line.
     let mut lines = include_str!("../testdata/pairwise_tiny_reference.jsonl").lines();
@@ -138,7 +160,6 @@ fn report_fails_on_a_cell_file_without_a_final_record() {
         assert!(stderr.contains("last rejected line"), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `repro matrix --smoke --population tiny` runs the gate CI runs at 50k
@@ -148,8 +169,8 @@ fn report_fails_on_a_cell_file_without_a_final_record() {
 /// no smoke grid and is a usage error.
 #[test]
 fn tiny_smoke_gate_passes_and_keeps_the_out_dir() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let tmp = TempDir::new("smoke");
+    let dir = tmp.path();
     let sentinel = dir.join("keep.txt");
     std::fs::write(&sentinel, "not a cell\n").unwrap();
     let dir_arg = dir.to_str().unwrap();
@@ -172,5 +193,21 @@ fn tiny_smoke_gate_passes_and_keeps_the_out_dir() {
     );
     let dense = repro(&["matrix", "--smoke", "--population", "ml100k"]);
     assert_usage_error(&dense, "--smoke --population ml100k");
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The smoke preset's eval cadence is part of its gate, so `--smoke` with
+/// `--eval-every` is a usage error rather than a flag silently ignored.
+#[test]
+fn smoke_rejects_an_eval_cadence() {
+    for every in ["1", "4"] {
+        let out = repro(&[
+            "matrix",
+            "--smoke",
+            "--population",
+            "tiny",
+            "--eval-every",
+            every,
+        ]);
+        assert_usage_error(&out, &format!("--smoke --eval-every {every}"));
+    }
 }
