@@ -30,11 +30,7 @@ pub(crate) fn train_surrogate(
     rng: &mut SeededRng,
 ) -> MfModel {
     let mut model = MfModel::init(data.num_users(), data.num_items(), k, rng);
-    let cfg = TrainConfig {
-        epochs,
-        lr: 0.05,
-        l2_reg: 0.0,
-    };
+    let cfg = TrainConfig { epochs, lr: 0.05 };
     CentralizedTrainer::new(cfg).fit(&mut model, data, rng);
     model
 }

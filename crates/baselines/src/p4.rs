@@ -88,7 +88,7 @@ impl Adversary for P4 {
             .iter()
             .map(|&mi| {
                 self.clients[mi]
-                    .local_round(items, ctx.lr, 0.0, ctx.clip_norm, 0.0)
+                    .local_round(items, ctx.lr, ctx.clip_norm, 0.0)
                     .map(|u| u.item_grads)
                     .unwrap_or_else(|| SparseGrad::new(k))
             })

@@ -145,7 +145,7 @@ impl Adversary for ShillingAdversary {
                     // Fake clients obey the same clip bound as benign ones
                     // and add no DP noise (the attacker has no privacy to
                     // protect).
-                    .local_round(items, ctx.lr, 0.0, ctx.clip_norm, 0.0)
+                    .local_round(items, ctx.lr, ctx.clip_norm, 0.0)
                     .map(|up| up.item_grads)
                     .unwrap_or_else(|| SparseGrad::new(items.cols()))
             })
@@ -256,7 +256,7 @@ mod tests {
             };
             let lazy_up = adv.poison(&items, &ctx, &mut rng);
             let eager_up = eager[mi]
-                .local_round(&items, 0.05, 0.0, 1.0, 0.0)
+                .local_round(&items, 0.05, 1.0, 0.0)
                 .expect("profiles train");
             assert_eq!(lazy_up[0], eager_up.item_grads, "client {mi} diverged");
         }

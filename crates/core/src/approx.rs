@@ -143,7 +143,7 @@ impl UserApproximator {
                         &mut grad,
                     );
                 }
-                vector::axpy(-lr, &grad, self.u_hat.row_mut(i));
+                descend(self.u_hat.row_mut(i), &grad, lr);
             }
         }
     }
@@ -169,6 +169,15 @@ impl UserApproximator {
         }
         self.rng = SeededRng::from_full_state(rng_state.0, rng_state.1);
     }
+}
+
+/// One SGD step `row ← row − lr·grad` on a user estimate. Never inlined,
+/// like [`bpr::user_pair_step`], so the refinement and its pair-list
+/// reference in the tests run the same compiled step and agree on NaN
+/// signs too.
+#[inline(never)]
+fn descend(row: &mut [f32], grad: &[f32], lr: f32) {
+    vector::axpy(-lr, grad, row);
 }
 
 impl UserRows for UserApproximator {
@@ -200,7 +209,6 @@ mod tests {
         let cfg = TrainConfig {
             epochs: 30,
             lr: 0.05,
-            l2_reg: 0.0,
         };
         CentralizedTrainer::new(cfg).fit(&mut model, &data, &mut rng);
 
@@ -347,8 +355,8 @@ mod tests {
                         }
                     })
                     .collect();
-                let g = bpr::user_round_grads(a.u_hat.row(i), items, &pairs, 0.0);
-                vector::axpy(-lr, &g.grad_user, a.u_hat.row_mut(i));
+                let g = bpr::user_round_grads(a.u_hat.row(i), items, &pairs);
+                descend(a.u_hat.row_mut(i), &g.grad_user, lr);
             }
         }
     }

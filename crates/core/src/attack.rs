@@ -9,7 +9,7 @@
 //!    (Eq. 23), subtract it from the residual (Eq. 24).
 
 use crate::approx::UserApproximator;
-use crate::config::AttackConfig;
+use crate::config::{AttackConfig, APPROX_EPOCHS_PER_ROUND, APPROX_LR};
 use crate::loss::attack_gradient;
 use crate::upload::{select_item_set, take_upload};
 use fedrec_data::PublicView;
@@ -27,8 +27,6 @@ pub struct FedRecAttack {
     /// Sorted targets (the config's list, deduplicated).
     targets: Vec<u32>,
     seed: u64,
-    /// Loss trace, one entry per poisoned round (diagnostics).
-    loss_trace: Vec<f32>,
 }
 
 impl FedRecAttack {
@@ -52,18 +50,12 @@ impl FedRecAttack {
             item_sets: vec![None; num_malicious],
             targets,
             seed: 0x0FED_0ABC,
-            loss_trace: Vec::new(),
         }
     }
 
     /// Sorted, deduplicated target items.
     pub fn targets(&self) -> &[u32] {
         &self.targets
-    }
-
-    /// Attack-loss value per poisoned round.
-    pub fn loss_trace(&self) -> &[f32] {
-        &self.loss_trace
     }
 
     /// The currently fixed item set of malicious client `i`, if any.
@@ -83,12 +75,7 @@ impl Adversary for FedRecAttack {
         let approx = self
             .approx
             .get_or_insert_with(|| UserApproximator::new(&self.public, items.cols(), self.seed));
-        approx.refine(
-            &self.public,
-            items,
-            self.cfg.approx_epochs_per_round,
-            self.cfg.approx_lr,
-        );
+        approx.refine(&self.public, items, APPROX_EPOCHS_PER_ROUND, APPROX_LR);
 
         // Step 2: poisoned gradient ∇Ṽ = ζ·∂Latk/∂V (Eq. 20). Only the
         // public view's active users carry an estimate, so the subset is
@@ -104,9 +91,7 @@ impl Adversary for FedRecAttack {
             &self.targets,
             self.cfg.top_k,
             Some(&subset),
-            self.cfg.surrogate,
         );
-        self.loss_trace.push(out.loss);
         if self.cfg.zeta != 1.0 {
             for r in 0..out.grad.rows() {
                 fedrec_linalg::vector::scale(self.cfg.zeta, out.grad.row_mut(r));
@@ -121,7 +106,7 @@ impl Adversary for FedRecAttack {
                 "malicious client {mi} selected but the attack was built for {} clients",
                 self.item_sets.len()
             );
-            if self.item_sets[mi].is_none() || self.cfg.refresh_item_sets {
+            if self.item_sets[mi].is_none() {
                 self.item_sets[mi] = Some(select_item_set(
                     &out.grad,
                     &self.targets,
@@ -160,7 +145,6 @@ impl Adversary for FedRecAttack {
                 None => w.bool(false),
             }
         }
-        w.f32_slice(&self.loss_trace);
         out.extend_from_slice(&w.into_bytes());
     }
 
@@ -192,7 +176,6 @@ impl Adversary for FedRecAttack {
         for set in &mut self.item_sets {
             *set = if r.bool() { Some(r.u32_vec()) } else { None };
         }
-        self.loss_trace = r.f32_vec();
         assert!(r.is_exhausted(), "trailing bytes in adversary checkpoint");
     }
 }
@@ -334,83 +317,6 @@ mod tests {
                 assert!(set.contains(t));
             }
         }
-    }
-
-    #[test]
-    fn loss_trace_accumulates_per_poisoned_round() {
-        let data = SyntheticConfig::smoke().generate(25);
-        let public = PublicView::sample(&data, 0.05, 8);
-        let targets = data.coldest_items(1);
-        let mut attack = FedRecAttack::new(AttackConfig::new(targets), public, 1);
-        let mut rng = SeededRng::new(3);
-        let items = Matrix::random_normal(data.num_items(), 8, 0.0, 0.1, &mut rng);
-        let selected = [0usize];
-        for round in 0..4 {
-            let ctx = RoundCtx {
-                round,
-                lr: 0.05,
-                clip_norm: 1.0,
-                selected_malicious: &selected,
-            };
-            let _ = attack.poison(&items, &ctx, &mut rng);
-        }
-        assert_eq!(attack.loss_trace().len(), 4);
-    }
-
-    #[test]
-    fn refresh_item_sets_resamples_each_round() {
-        let data = SyntheticConfig::smoke().generate(27);
-        let public = PublicView::sample(&data, 0.05, 8);
-        let targets = data.coldest_items(1);
-        let mut cfg = AttackConfig::new(targets.clone());
-        cfg.refresh_item_sets = true;
-        cfg.kappa = 10;
-        let mut attack = FedRecAttack::new(cfg, public, 1);
-        let mut rng = SeededRng::new(4);
-        let items = Matrix::random_normal(data.num_items(), 8, 0.0, 0.1, &mut rng);
-        let selected = [0usize];
-        let mut sets = std::collections::HashSet::new();
-        for round in 0..6 {
-            let ctx = RoundCtx {
-                round,
-                lr: 0.05,
-                clip_norm: 1.0,
-                selected_malicious: &selected,
-            };
-            let _ = attack.poison(&items, &ctx, &mut rng);
-            sets.insert(attack.item_set(0).unwrap().to_vec());
-        }
-        assert!(sets.len() > 1, "refresh mode never changed the item set");
-        for set in &sets {
-            assert!(set.contains(&targets[0]), "targets always included");
-        }
-    }
-
-    #[test]
-    fn hinge_surrogate_produces_larger_gradients_once_target_leads() {
-        use crate::loss::Surrogate;
-        // When the target is far above the margin, the saturating g stops
-        // pushing but the hinge keeps a full-strength gradient.
-        let users = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let items = Matrix::from_vec(3, 2, vec![20.0, 0.0, 0.1, 0.0, 0.2, 0.0]);
-        let public = PublicView::empty(1, 3);
-        let sat = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &[0],
-            1,
-            None,
-            Surrogate::Saturating,
-        );
-        let hinge = attack_gradient(&users, &items, &public, &[0], 1, None, Surrogate::Hinge);
-        let norm = |m: &Matrix| fedrec_linalg::vector::l2_norm(m.row(0));
-        assert!(norm(&sat.grad) < 1e-6, "saturating g must be flat here");
-        assert!(
-            norm(&hinge.grad) > 0.9,
-            "hinge must keep pushing: {}",
-            norm(&hinge.grad)
-        );
     }
 
     /// A damaged adversary blob fails with a panic, never an abort: a

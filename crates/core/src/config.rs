@@ -1,14 +1,29 @@
 //! Attack configuration.
 
-use crate::loss::Surrogate;
+/// κ of §V-A: at most this many non-zero rows per malicious upload.
+pub const DEFAULT_KAPPA: usize = 60;
+
+/// K of §V-A: the recommendation-list length inside `L^atk`, the largest
+/// K the paper's metrics use.
+pub const DEFAULT_TOP_K: usize = 10;
+
+/// SGD passes over `D′` per round when refining the user-matrix
+/// approximation (Eq. 19). The approximation warm-starts from the previous
+/// round, so a few passes suffice.
+pub const APPROX_EPOCHS_PER_ROUND: usize = 4;
+
+/// Learning rate of the approximation SGD (Eq. 19).
+pub const APPROX_LR: f32 = 0.05;
 
 /// Hyper-parameters of FedRecAttack.
 ///
-/// Defaults follow §V-A: κ = 60, step size ζ = 1, recommendation length
-/// K = 10 (the largest K the paper's metrics use). The ℓ2 bound C is not
-/// here — it is a property of the *federation* (the adversary reads it
-/// from the round context, since malicious uploads must look like benign
-/// ones).
+/// Defaults follow §V-A: κ = [`DEFAULT_KAPPA`], step size ζ = 1,
+/// recommendation length K = [`DEFAULT_TOP_K`]. The attack loss is the
+/// saturating `g` of Eq. 14 and each malicious client's item set is frozen
+/// at first participation (Eq. 21); neither is configurable. The ℓ2 bound
+/// C is not here — it is a property of the *federation* (the adversary
+/// reads it from the round context, since malicious uploads must look like
+/// benign ones).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackConfig {
     /// The target items `V^tar` whose exposure the attacker maximizes.
@@ -20,24 +35,10 @@ pub struct AttackConfig {
     /// Length K of the (approximate) recommendation lists used inside
     /// `L^atk` (Eq. 15).
     pub top_k: usize,
-    /// SGD passes over `D′` per round when refining the user-matrix
-    /// approximation (Eq. 19). The approximation warm-starts from the
-    /// previous round, so a few passes suffice.
-    pub approx_epochs_per_round: usize,
-    /// Learning rate of the approximation SGD.
-    pub approx_lr: f32,
     /// Optional cap on how many users enter the attack loss each round
     /// (subsampling keeps paper-scale datasets affordable; `None` = all
     /// users, the paper's formulation).
     pub max_users_per_round: Option<usize>,
-    /// Margin surrogate (ablation knob; the paper uses the saturating
-    /// `g` of Eq. 14 — see §V-D for why that matters for stealth).
-    pub surrogate: Surrogate,
-    /// Ablation knob: re-sample each malicious client's item set every
-    /// round instead of freezing it at first participation (Eq. 21
-    /// freezes it; refreshing makes uploads look like a user whose
-    /// entire history churns every round — powerful but conspicuous).
-    pub refresh_item_sets: bool,
 }
 
 impl AttackConfig {
@@ -45,14 +46,10 @@ impl AttackConfig {
     pub fn new(targets: Vec<u32>) -> Self {
         Self {
             targets,
-            kappa: 60,
+            kappa: DEFAULT_KAPPA,
             zeta: 1.0,
-            top_k: 10,
-            approx_epochs_per_round: 4,
-            approx_lr: 0.05,
+            top_k: DEFAULT_TOP_K,
             max_users_per_round: None,
-            surrogate: Surrogate::default(),
-            refresh_item_sets: false,
         }
     }
 
@@ -67,7 +64,6 @@ impl AttackConfig {
         );
         assert!(self.zeta > 0.0, "zeta must be positive");
         assert!(self.top_k > 0, "top_k must be positive");
-        assert!(self.approx_lr > 0.0, "approx_lr must be positive");
     }
 }
 

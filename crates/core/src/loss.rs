@@ -55,44 +55,6 @@ pub fn g_prime(x: f32) -> f32 {
     }
 }
 
-/// Which margin surrogate the attack loss uses.
-///
-/// The paper argues (§V-D) that the saturation of `g` is *why*
-/// FedRecAttack's side effects are small: target scores are pushed only
-/// "a little higher than the last item in the recommendation list",
-/// never indefinitely. [`Surrogate::Hinge`] removes that saturation
-/// (constant slope even after the target clears the boundary), which the
-/// ablation bench uses to measure the claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Surrogate {
-    /// The paper's Eq. 14 (`x` above zero, `eˣ − 1` below).
-    #[default]
-    Saturating,
-    /// A plain linear penalty `g(x) = x` with `g′ ≡ 1`: keeps pushing
-    /// target scores up long after they enter the list.
-    Hinge,
-}
-
-impl Surrogate {
-    /// Evaluate the surrogate.
-    #[inline]
-    pub fn value(&self, x: f32) -> f32 {
-        match self {
-            Surrogate::Saturating => g(x),
-            Surrogate::Hinge => x,
-        }
-    }
-
-    /// Evaluate its derivative.
-    #[inline]
-    pub fn derivative(&self, x: f32) -> f32 {
-        match self {
-            Surrogate::Saturating => g_prime(x),
-            Surrogate::Hinge => 1.0,
-        }
-    }
-}
-
 /// A (possibly partial) view of user feature vectors for the attack loss.
 ///
 /// The attacker's approximation only covers the public view's active
@@ -138,8 +100,8 @@ pub struct AttackGradient {
 /// * `top_k` — list length K.
 /// * `user_subset` — evaluate only these users (`None` = all), the
 ///   `max_users_per_round` scaling knob.
-/// * `surrogate` — which margin penalty to use (the paper's saturating
-///   `g`, or the hinge ablation).
+///
+/// The margin penalty is the saturating [`g`] of Eq. 14.
 pub fn attack_gradient<U: UserRows + ?Sized>(
     users: &U,
     items: &Matrix,
@@ -147,7 +109,6 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
     targets: &[u32],
     top_k: usize,
     user_subset: Option<&[usize]>,
-    surrogate: Surrogate,
 ) -> AttackGradient {
     debug_assert!(targets.windows(2).all(|w| w[0] < w[1]), "targets unsorted");
     let m = items.rows();
@@ -202,8 +163,8 @@ pub fn attack_gradient<U: UserRows + ?Sized>(
                     continue; // (u_i, t) ∈ D′ — already interacted publicly
                 }
                 let d = margin - vector::dot(u, items.row(t as usize));
-                loss += surrogate.value(d);
-                let gp = surrogate.derivative(d);
+                loss += g(d);
+                let gp = g_prime(d);
                 // ∂L/∂v_t = −g′·u ; ∂L/∂v_j* = +g′·u
                 grad.axpy_row(t as usize, -gp, u);
                 grad.axpy_row(jstar as usize, gp, u);
@@ -298,15 +259,7 @@ mod tests {
     #[test]
     fn gradient_pushes_target_toward_users() {
         let (users, items, public, targets) = tiny_setup();
-        let out = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &targets,
-            2,
-            None,
-            Surrogate::Saturating,
-        );
+        let out = attack_gradient(&users, &items, &public, &targets, 2, None);
         // Target row gradient = -Σ g'·u_i: descending it *raises* target
         // scores. Both users contribute, so both coords negative.
         let trow = out.grad.row(3);
@@ -318,15 +271,7 @@ mod tests {
     #[test]
     fn margin_item_receives_positive_gradient() {
         let (users, items, public, targets) = tiny_setup();
-        let out = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &targets,
-            2,
-            None,
-            Surrogate::Saturating,
-        );
+        let out = attack_gradient(&users, &items, &public, &targets, 2, None);
         // Some non-target row must be pushed *down* (positive gradient,
         // since the server descends).
         let any_positive = (0..6)
@@ -339,15 +284,7 @@ mod tests {
     fn finite_difference_check_on_v() {
         let (users, items, public, targets) = tiny_setup();
         let eps = 1e-3f32;
-        let base = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &targets,
-            2,
-            None,
-            Surrogate::Saturating,
-        );
+        let base = attack_gradient(&users, &items, &public, &targets, 2, None);
         // Check the target row (the only row with smooth dependence; the
         // margin item can switch discretely so we test the target).
         for dim in 0..2 {
@@ -355,26 +292,8 @@ mod tests {
             up.row_mut(3)[dim] += eps;
             let mut dn = items.clone();
             dn.row_mut(3)[dim] -= eps;
-            let lu = attack_gradient(
-                &users,
-                &up,
-                &public,
-                &targets,
-                2,
-                None,
-                Surrogate::Saturating,
-            )
-            .loss;
-            let ld = attack_gradient(
-                &users,
-                &dn,
-                &public,
-                &targets,
-                2,
-                None,
-                Surrogate::Saturating,
-            )
-            .loss;
+            let lu = attack_gradient(&users, &up, &public, &targets, 2, None).loss;
+            let ld = attack_gradient(&users, &dn, &public, &targets, 2, None).loss;
             let num = (lu - ld) / (2.0 * eps);
             let ana = base.grad.row(3)[dim];
             assert!(
@@ -391,15 +310,7 @@ mod tests {
         let items = Matrix::from_vec(3, 2, vec![0.9, 0.0, 0.5, 0.0, -0.5, 0.0]);
         let data = Dataset::from_tuples(1, 3, vec![(0, 2)]);
         let public = PublicView::sample(&data, 1.0, 1);
-        let out = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &[2],
-            1,
-            None,
-            Surrogate::Saturating,
-        );
+        let out = attack_gradient(&users, &items, &public, &[2], 1, None);
         assert_eq!(out.loss, 0.0);
         assert!(out.grad.row(2).iter().all(|&x| x == 0.0));
     }
@@ -410,15 +321,7 @@ mod tests {
         let users = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let items = Matrix::from_vec(3, 2, vec![20.0, 0.0, 0.1, 0.0, 0.2, 0.0]);
         let public = PublicView::empty(1, 3);
-        let out = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &[0],
-            1,
-            None,
-            Surrogate::Saturating,
-        );
+        let out = attack_gradient(&users, &items, &public, &[0], 1, None);
         assert!(out.loss < 0.0, "saturated g is negative but bounded");
         assert!(out.loss > -1.01);
         assert!(vector::l2_norm(out.grad.row(0)) < 1e-6);
@@ -427,15 +330,7 @@ mod tests {
     #[test]
     fn user_subset_restricts_contributions() {
         let (users, items, public, targets) = tiny_setup();
-        let only0 = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &targets,
-            2,
-            Some(&[0]),
-            Surrogate::Saturating,
-        );
+        let only0 = attack_gradient(&users, &items, &public, &targets, 2, Some(&[0]));
         // Only user 0 = e0 contributes: target grad dim 1 must be zero.
         assert!(only0.grad.row(3)[0] < 0.0);
         assert_eq!(only0.grad.row(3)[1], 0.0);
@@ -451,7 +346,6 @@ mod tests {
         targets: &[u32],
         top_k: usize,
         user_subset: Option<&[usize]>,
-        surrogate: Surrogate,
     ) -> AttackGradient {
         let (m, k) = (items.rows(), items.cols());
         let mut grad = Matrix::zeros(m, k);
@@ -475,8 +369,8 @@ mod tests {
                     continue;
                 }
                 let d = margin - scores[t as usize];
-                loss += surrogate.value(d);
-                let gp = surrogate.derivative(d);
+                loss += g(d);
+                let gp = g_prime(d);
                 grad.axpy_row(t as usize, -gp, u);
                 grad.axpy_row(jstar as usize, gp, u);
             }
@@ -590,21 +484,17 @@ mod tests {
                 }
                 for subset in &subsets {
                     for top_k in [1usize, 2, 10] {
-                        for surrogate in [Surrogate::Saturating, Surrogate::Hinge] {
-                            let subset = subset.as_deref();
-                            let got = attack_gradient(
-                                &users, &items, &public, &targets, top_k, subset, surrogate,
-                            );
-                            let want = attack_gradient_reference(
-                                &users, &items, &public, &targets, top_k, subset, surrogate,
-                            );
-                            assert_eq!(
-                                bits(&got),
-                                bits(&want),
-                                "k {k} shape {shape} subset {:?} top_k {top_k} {surrogate:?}",
-                                subset.map(<[usize]>::len)
-                            );
-                        }
+                        let subset = subset.as_deref();
+                        let got = attack_gradient(&users, &items, &public, &targets, top_k, subset);
+                        let want = attack_gradient_reference(
+                            &users, &items, &public, &targets, top_k, subset,
+                        );
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "k {k} shape {shape} subset {:?} top_k {top_k}",
+                            subset.map(<[usize]>::len)
+                        );
                     }
                 }
             }
@@ -614,29 +504,13 @@ mod tests {
     #[test]
     fn loss_decreases_when_descending_the_gradient() {
         let (users, items, public, targets) = tiny_setup();
-        let out = attack_gradient(
-            &users,
-            &items,
-            &public,
-            &targets,
-            2,
-            None,
-            Surrogate::Saturating,
-        );
+        let out = attack_gradient(&users, &items, &public, &targets, 2, None);
         let mut poisoned = items.clone();
         for r in 0..poisoned.rows() {
             let g = out.grad.row(r).to_vec();
             vector::axpy(-0.1, &g, poisoned.row_mut(r));
         }
-        let after = attack_gradient(
-            &users,
-            &poisoned,
-            &public,
-            &targets,
-            2,
-            None,
-            Surrogate::Saturating,
-        );
+        let after = attack_gradient(&users, &poisoned, &public, &targets, 2, None);
         assert!(
             after.loss < out.loss,
             "descent failed: {} -> {}",

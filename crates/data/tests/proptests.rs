@@ -1,5 +1,7 @@
-//! Property-based tests for dataset structures and views.
+//! Property-based tests for dataset structures, views and the file
+//! loaders.
 
+use fedrec_data::loader::{parse_movielens_100k, parse_movielens_1m, parse_steam_200k};
 use fedrec_data::public::PublicView;
 use fedrec_data::split::leave_one_out;
 use fedrec_data::synthetic::SyntheticConfig;
@@ -118,6 +120,62 @@ proptest! {
             prop_assert_eq!(d2.user_items(u), d.user_items(u));
         }
         prop_assert_eq!(d2.user_items(d.num_users()), &[0u32, 1][..]);
+    }
+}
+
+/// Field-like tokens: digits, letters, the two Steam behaviors, a decimal,
+/// an empty field and one with a space inside.
+const FIELDS: &[&str] = &[
+    "1", "7", "42", "0", "2.5", "a", "b c", "play", "purchase", "",
+];
+
+/// The formats' separators (`\t`, `::`, `,`), a lone `:` and a space.
+const SEPS: &[&str] = &["\t", "::", ",", ":", " "];
+
+/// Hostile file content: up to 5 newline-separated lines of up to 6
+/// fields, each line joined by one separator, so well-formed lines of
+/// every format sit next to malformed ones (too few fields, non-numeric
+/// ids, unknown behaviors, blank lines).
+fn hostile_text() -> impl Strategy<Value = String> {
+    collection::vec(
+        (0..SEPS.len(), collection::vec(0..FIELDS.len(), 0..7)),
+        0..6,
+    )
+    .prop_map(|lines| {
+        lines
+            .iter()
+            .map(|(sep, fields)| {
+                let fields: Vec<&str> = fields.iter().map(|&f| FIELDS[f]).collect();
+                fields.join(SEPS[*sep])
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Each loader parser answers any file content with `Ok` or `Err`,
+    /// never a panic, and an `Ok` dataset has no more users or items than
+    /// the content has non-blank lines.
+    #[test]
+    fn loaders_never_panic_on_hostile_content(text in hostile_text()) {
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        for (format, parsed) in [
+            ("ml-100k", parse_movielens_100k(&text)),
+            ("ml-1m", parse_movielens_1m(&text)),
+            ("steam-200k", parse_steam_200k(&text)),
+        ] {
+            if let Ok(d) = parsed {
+                prop_assert!(
+                    d.num_users() <= lines && d.num_items() <= lines,
+                    "{format}: {} users, {} items from {lines} lines: {text:?}",
+                    d.num_users(),
+                    d.num_items()
+                );
+            }
+        }
     }
 }
 

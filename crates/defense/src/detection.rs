@@ -27,27 +27,21 @@ use fedrec_linalg::{stats, PairDots, SparseGrad};
 
 /// Flags clients whose update Frobenius norm is an outlier for the round.
 ///
-/// By default only the *high* side is flagged (`z > z_threshold`):
-/// poisoning has to inject signal, so attack uploads sit at or above the
-/// benign norm range, while unusually *small* norms are ordinary honest
-/// users with few interactions (or a quiet round) — flagging them is a
-/// guaranteed false positive. Set [`two_sided`](Self::two_sided) to also
-/// flag the low side (`|z| > z_threshold`), the historical behavior.
+/// Only the *high* side is flagged (`z > z_threshold`): poisoning has to
+/// inject signal, so attack uploads sit at or above the benign norm range,
+/// while unusually *small* norms are ordinary honest users with few
+/// interactions (or a quiet round) — flagging them is a guaranteed false
+/// positive.
 #[derive(Debug, Clone, Copy)]
 pub struct NormDetector {
     /// Z-score threshold (e.g. 3.0).
     pub z_threshold: f32,
-    /// Flag `|z| > z_threshold` instead of `z > z_threshold`.
-    pub two_sided: bool,
 }
 
 impl NormDetector {
     /// One-sided (high-norm) detector with the given threshold.
     pub fn new(z_threshold: f32) -> Self {
-        Self {
-            z_threshold,
-            two_sided: false,
-        }
+        Self { z_threshold }
     }
 
     /// Score one round of uploads.
@@ -58,17 +52,7 @@ impl NormDetector {
             .collect();
         let mean = stats::mean(&norms);
         let sd = stats::std_dev(&norms).max(1e-9);
-        let scores: Vec<f32> = norms
-            .iter()
-            .map(|n| {
-                let z = (n - mean) / sd;
-                if self.two_sided {
-                    z.abs()
-                } else {
-                    z
-                }
-            })
-            .collect();
+        let scores: Vec<f32> = norms.iter().map(|n| (n - mean) / sd).collect();
         let flagged = scores
             .iter()
             .enumerate()
@@ -199,39 +183,26 @@ mod tests {
     }
 
     /// Regression test for the one-sidedness fix: a low-interaction honest
-    /// client uploads a tiny-but-normal gradient. The old `.abs()` z-score
-    /// flagged it as an attacker; the one-sided default must not.
+    /// client uploads a tiny-but-normal gradient, a >3σ *downward*
+    /// outlier. An `.abs()` z-score flagged it as an attacker; the
+    /// one-sided detector must not.
     #[test]
     fn norm_detector_spares_low_interaction_honest_client() {
         // Eleven ordinary clients near norm ~1.4, one honest client with a
         // single interaction (norm ~0.014).
         let mut updates: Vec<SparseGrad> = (0..11).map(|i| grad(2, &[(i, 1.0)])).collect();
         updates.push(grad(2, &[(11, 0.01)]));
-        let one_sided = NormDetector::new(3.0);
-        let rep = one_sided.inspect(&updates);
+        let rep = NormDetector::new(3.0).inspect(&updates);
         assert!(
             rep.flagged.is_empty(),
             "low-norm honest client must not be flagged: {:?}",
             rep.flagged
-        );
-        // The historical two-sided variant exhibits the bug: the small
-        // norm is a >3σ *downward* outlier and gets flagged.
-        let two_sided = NormDetector {
-            two_sided: true,
-            ..one_sided
-        };
-        let rep = two_sided.inspect(&updates);
-        assert_eq!(
-            rep.flagged,
-            vec![11],
-            "two-sided variant should flag the low side"
         );
     }
 
     #[test]
     fn norm_detector_default_is_one_sided() {
         let d = NormDetector::default();
-        assert!(!d.two_sided);
         assert_eq!(d.z_threshold, 3.0);
     }
 

@@ -2,25 +2,28 @@
 //! defended attack×defense×ρ scenario matrix.
 //!
 //! ```text
-//! repro <experiment> [--scale smoke|paper] [--seed N] [--dataset ml100k|ml1m|steam]
-//!       [--eval-every N] [--csv] [--out FILE]
+//! repro <experiment> [--scale smoke|paper] [--seed N] [--csv] [--out FILE]
+//! repro fig3|all [--scale smoke|paper] [--seed N] [--eval-every N] [--csv] [--out FILE]
 //!
 //! experiments: table2 table3 table4 table5 table6 table7 table8 table9
 //!              fig3 defenses detection all
 //!
 //! repro matrix [--attacks a,b,..|all] [--defenses d,e,..|all] [--rhos r1,r2,..]
-//!       [--population million|smoke50k|tiny|ml100k|ml1m|steam]
-//!       [--backend dense|sharded] [--shard-rows N] [--eval-users N]
-//!       [--eval-mode full|pruned|incremental] [--eval-threads N]
-//!       [--out-dir DIR] [--workers N] [--epochs N] [--scale ...] [--seed N]
-//!       [--dataset ...] [--eval-every N] [--smoke]
-//! repro cell --attack A --defense D --rho R [--model mf|ncf] [--epochs N]
-//!       [--scale ...] [--seed N] [--dataset ...] [--population ...]
-//!       [--eval-every N] [--eval-mode full|pruned|incremental]
-//!       [--eval-threads N] [--out FILE]
+//!       [--workers N] [--out-dir DIR] [--csv] [grid flags]
+//! repro matrix --smoke [--population smoke50k|tiny] [--out-dir DIR] [--workers N]
+//! repro cell --attack A --defense D --rho R [--out FILE] [grid flags]
 //! repro report --dir DIR [--csv] [--out FILE]
 //! repro lint [--json] [--rules] [--root DIR]
+//!
+//! grid flags: [--scale smoke|paper] [--seed N] [--dataset ml100k|ml1m|steam]
+//!       [--population million|smoke50k|tiny|ml100k|ml1m|steam]
+//!       [--backend dense|sharded] [--eval-users N] [--epochs N]
+//!       [--eval-every N] [--eval-mode full|pruned|incremental]
+//!       [--eval-threads N] [--serve] [--model mf|ncf] [--smoke]
 //! ```
+//!
+//! Each subcommand accepts only the flags it reads; any other flag is a
+//! usage error (exit 2), never silently ignored.
 //!
 //! `--scale smoke` (default) runs in seconds on miniature datasets;
 //! `--scale paper` reproduces the full §V-A protocol (much slower).
@@ -30,17 +33,21 @@
 //! participation; ~500 participants per round). `matrix --smoke` runs
 //! the {MF, NCF} × attack × defense grid on the scale-free preset
 //! `--population` names (`smoke50k` by default, the CI gate; `tiny` runs
-//! the same gate in seconds; a dense population is a usage error, and so
-//! is `--eval-every`, since the preset's cadence is part of the gate), the
-//! NCF half over a representative attack/defense subset. It checks every
-//! record's schema and that the report has a row per cell, asserts the
-//! lazy-store invariant (`rows_materialized ≤ participants_touched`, and
-//! fewer rows than the population on the sharded backend), reruns the
-//! grid on the dense backend to assert dense-vs-sharded byte-identity,
-//! reruns one cell standalone to assert byte-identical output, and reruns
-//! a probe cell under `--eval-mode pruned` and `incremental` to assert the
-//! eval fast paths reproduce the full sweep's records byte-identically
-//! (modulo the mode bookkeeping fields) — the CI determinism gate.
+//! the same gate in seconds), the NCF half over a representative
+//! attack/defense subset, at seed 42. It checks every record's schema and
+//! that the report has a row per cell, asserts the lazy-store invariant
+//! (`rows_materialized ≤ participants_touched`, and fewer rows than the
+//! population on the sharded backend), reruns the grid on the dense
+//! backend to assert dense-vs-sharded byte-identity, reruns one cell
+//! standalone to assert byte-identical output, reruns a probe cell under
+//! `--eval-mode pruned` and `incremental` to assert the eval fast paths
+//! reproduce the full sweep's records byte-identically (modulo the mode
+//! bookkeeping fields), and compares each cell's digest, written to
+//! `<out-dir>/digests.txt`, against the preset's checked-in golden — the
+//! CI determinism gate. The golden pins the preset's default grid, so
+//! with `--smoke` only `--population`, `--out-dir` and `--workers` are
+//! accepted, and a preset without a golden (`million`) or a dense
+//! population is a usage error.
 //!
 //! `--eval-mode` selects the streamed-evaluation strategy for MF cells:
 //! `full` (blocked exact sweep, default), `pruned`
@@ -67,8 +74,9 @@ use fedrec_experiments::{
 use fedrec_federated::StoreBackend;
 use fedrec_recsys::EvalMode;
 use fedrec_serve::Stamp;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Args {
     experiment: String,
@@ -93,8 +101,7 @@ struct Args {
     dir: Option<PathBuf>,
     smoke: bool,
     eval_users: Option<usize>,
-    backend_dense: Option<bool>,
-    shard_rows: Option<usize>,
+    backend: Option<StoreBackend>,
     eval_mode: Option<EvalMode>,
     eval_threads: Option<usize>,
     serve: bool,
@@ -102,21 +109,69 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table2|table3|table4|table5|table6|table7|table8|table9|fig3|defenses|detection|all>\n\
-         \x20      [--scale smoke|paper] [--seed N] [--dataset ml100k|ml1m|steam]\n\
-         \x20      [--eval-every N] [--csv] [--out FILE]\n\
+        "usage: repro <table2|table3|table4|table5|table6|table7|table8|table9|defenses|detection>\n\
+         \x20      [--scale smoke|paper] [--seed N] [--csv] [--out FILE]\n\
+         \x20 repro <fig3|all> [--scale smoke|paper] [--seed N] [--eval-every N] [--csv] [--out FILE]\n\
          \x20 repro matrix [--attacks a,b|all] [--defenses d,e|all] [--rhos r1,r2]\n\
-         \x20      [--population million|smoke50k|tiny|ml100k|ml1m|steam]\n\
-         \x20      [--backend dense|sharded] [--shard-rows N] [--eval-users N]\n\
-         \x20      [--eval-mode full|pruned|incremental] [--eval-threads N]\n\
-         \x20      [--out-dir DIR] [--workers N] [--epochs N] [--smoke] [--serve]\n\
-         \x20      [--model mf|ncf] [shared flags]\n\
-         \x20 repro cell --attack A --defense D --rho R [--model mf|ncf]\n\
-         \x20      [--out FILE] [shared flags]\n\
+         \x20      [--workers N] [--out-dir DIR] [--csv] [grid flags]\n\
+         \x20 repro matrix --smoke [--population smoke50k|tiny] [--out-dir DIR] [--workers N]\n\
+         \x20 repro cell --attack A --defense D --rho R [--out FILE] [grid flags]\n\
          \x20 repro report --dir DIR [--csv] [--out FILE]\n\
-         \x20 repro lint [--json] [--rules] [--root DIR]"
+         \x20 repro lint [--json] [--rules] [--root DIR]\n\
+         grid flags: [--scale smoke|paper] [--seed N] [--dataset ml100k|ml1m|steam]\n\
+         \x20      [--population million|smoke50k|tiny|ml100k|ml1m|steam]\n\
+         \x20      [--backend dense|sharded] [--eval-users N] [--epochs N] [--eval-every N]\n\
+         \x20      [--eval-mode full|pruned|incremental] [--eval-threads N] [--serve]\n\
+         \x20      [--model mf|ncf] [--smoke]"
     );
     std::process::exit(2);
+}
+
+/// The flags [`matrix_config`] reads, shared by `matrix` and `cell`.
+const GRID_FLAGS: &[&str] = &[
+    "--scale",
+    "--seed",
+    "--dataset",
+    "--population",
+    "--backend",
+    "--eval-users",
+    "--epochs",
+    "--eval-every",
+    "--eval-mode",
+    "--eval-threads",
+    "--serve",
+    "--model",
+    "--smoke",
+];
+
+/// Whether `experiment` reads `flag`; every other flag is a usage error.
+fn reads(experiment: &str, smoke: bool, flag: &str) -> bool {
+    let (own, grid): (&[&str], bool) = match experiment {
+        // The digest golden pins the preset's default grid at seed 42.
+        "matrix" if smoke => (
+            &["--smoke", "--population", "--out-dir", "--workers"],
+            false,
+        ),
+        "matrix" => (
+            &[
+                "--attacks",
+                "--defenses",
+                "--rhos",
+                "--workers",
+                "--out-dir",
+                "--csv",
+            ],
+            true,
+        ),
+        "cell" => (&["--attack", "--defense", "--rho", "--out"], true),
+        "report" => (&["--dir", "--csv", "--out"], false),
+        "fig3" | "all" => (
+            &["--scale", "--seed", "--eval-every", "--csv", "--out"],
+            false,
+        ),
+        _ => (&["--scale", "--seed", "--csv", "--out"], false),
+    };
+    own.contains(&flag) || (grid && GRID_FLAGS.contains(&flag))
 }
 
 fn parse_args() -> Args {
@@ -142,8 +197,7 @@ fn parse_args() -> Args {
         dir: None,
         smoke: false,
         eval_users: None,
-        backend_dense: None,
-        shard_rows: None,
+        backend: None,
         eval_mode: None,
         eval_threads: None,
         serve: false,
@@ -154,6 +208,7 @@ fn parse_args() -> Args {
         Some(e) => args.experiment = e,
         None => usage(),
     }
+    let mut given = Vec::new();
     while let Some(flag) = it.next() {
         let mut next = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
@@ -183,17 +238,12 @@ fn parse_args() -> Args {
             "--dir" => args.dir = Some(PathBuf::from(next())),
             "--smoke" => args.smoke = true,
             "--eval-users" => args.eval_users = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--backend" => match next().to_ascii_lowercase().as_str() {
-                "dense" => args.backend_dense = Some(true),
-                "sharded" => args.backend_dense = Some(false),
-                _ => usage(),
-            },
-            "--shard-rows" => {
-                let v: usize = next().parse().unwrap_or_else(|_| usage());
-                if v == 0 {
-                    usage()
-                }
-                args.shard_rows = Some(v);
+            "--backend" => {
+                args.backend = Some(match next().to_ascii_lowercase().as_str() {
+                    "dense" => StoreBackend::Dense,
+                    "sharded" => StoreBackend::sharded(),
+                    _ => usage(),
+                })
             }
             "--eval-mode" => {
                 args.eval_mode = Some(EvalMode::parse(&next()).unwrap_or_else(|| usage()))
@@ -208,6 +258,13 @@ fn parse_args() -> Args {
             "--serve" => args.serve = true,
             _ => usage(),
         }
+        given.push(flag);
+    }
+    if !given
+        .iter()
+        .all(|flag| reads(&args.experiment, args.smoke, flag))
+    {
+        usage()
     }
     args
 }
@@ -245,11 +302,6 @@ fn parse_rhos(s: &str) -> Vec<f64> {
 
 fn matrix_config(args: &Args) -> MatrixConfig {
     let mut cfg = if args.smoke {
-        // The smoke preset's eval cadence is part of its gate: an
-        // `--eval-every` it would ignore is a usage error, not a no-op.
-        if args.eval_every.is_some() {
-            usage();
-        }
         match args.population {
             None => MatrixConfig::smoke(ScalePreset::Smoke50k, args.seed),
             Some(Population::ScaleFree(preset)) => MatrixConfig::smoke(preset, args.seed),
@@ -278,13 +330,8 @@ fn matrix_config(args: &Args) -> MatrixConfig {
         // evaluation to every million-user cell.
         cfg.eval_every = every;
     }
-    match (args.backend_dense, args.shard_rows) {
-        (Some(true), _) => cfg.backend = fedrec_federated::StoreBackend::Dense,
-        (Some(false), None) => cfg.backend = fedrec_federated::StoreBackend::sharded(),
-        (_, Some(rows)) => {
-            cfg.backend = fedrec_federated::StoreBackend::Sharded { shard_rows: rows }
-        }
-        (None, None) => {}
+    if let Some(backend) = args.backend {
+        cfg.backend = backend;
     }
     if let Some(e) = args.eval_users {
         cfg.eval_users = e;
@@ -337,6 +384,9 @@ fn fail(msg: &str) -> ! {
 
 fn cmd_matrix(args: &Args) {
     let cfg = matrix_config(args);
+    let golden = args
+        .smoke
+        .then(|| smoke_golden(cfg.population).unwrap_or_else(|| usage()));
     let out_dir = args.out_dir.clone().unwrap_or_else(|| {
         PathBuf::from(if args.smoke {
             "target/matrix-smoke"
@@ -357,8 +407,8 @@ fn cmd_matrix(args: &Args) {
         cfg.workers,
         started.elapsed_ns() as f64 / 1e9
     );
-    if args.smoke {
-        smoke_checks(&cfg, &outcomes);
+    if let Some(golden) = golden {
+        smoke_checks(&cfg, &outcomes, &out_dir, golden);
     } else {
         // Report over exactly the cells this run wrote — the directory
         // may hold files from earlier runs with other grids.
@@ -412,10 +462,19 @@ fn cmd_matrix(args: &Args) {
 ///    math) and must report the zero serve fields;
 /// 8. the NCF probe cell reruns byte-identically standalone, and a rerun
 ///    under `--eval-mode pruned` is byte-identical *including* the mode
-///    fields — NCF cells pin `full`-mode evaluation.
+///    fields — NCF cells pin `full`-mode evaluation;
+/// 9. every cell's [`cell_digest`], written to `<out_dir>/digests.txt`
+///    before any check runs, equals the preset's checked-in `golden` —
+///    the only absolute pin: checks 3–8 compare the code with itself, so
+///    a change that moves every cell the same way passes them.
 ///
 /// [`FaultPlan::smoke`]: fedrec_federated::FaultPlan::smoke
-fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
+fn smoke_checks(
+    cfg: &MatrixConfig,
+    outcomes: &[matrix::CellOutcome],
+    out_dir: &Path,
+    golden: &str,
+) {
     let sharded_backend = cfg.backend != StoreBackend::Dense;
     let mut checked = 0usize;
     // One read and one parse per cell file; the later identity checks
@@ -430,6 +489,14 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
                 .collect()
         })
         .collect();
+    let digests: String = outcomes
+        .iter()
+        .zip(&sharded_cells)
+        .map(|(o, lines)| format!("{} {:016x}\n", o.cell.id(), cell_digest(lines)))
+        .collect();
+    let digests_path = out_dir.join("digests.txt");
+    std::fs::write(&digests_path, &digests)
+        .unwrap_or_else(|e| fail(&format!("write {}: {e}", digests_path.display())));
     for (o, lines) in outcomes.iter().zip(&sharded_cells) {
         let records: Vec<Record> = lines
             .iter()
@@ -660,6 +727,17 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
         crash_ids.push(crash_cell.id());
     }
 
+    let diverged = digest_mismatches(golden, &digests);
+    if !diverged.is_empty() {
+        fail(&format!(
+            "digest gate: {} cell(s) differ from the checked-in golden (this run's digests are \
+             in {}):\n  {}",
+            diverged.len(),
+            digests_path.display(),
+            diverged.join("\n  ")
+        ));
+    }
+
     println!(
         "smoke OK: {checked} records schema-valid, rows_materialized <= participants_touched \
          and < users in every record, report renders {} rows ({ncf_rows} ncf), dense/sharded \
@@ -668,13 +746,62 @@ fn smoke_checks(cfg: &MatrixConfig, outcomes: &[matrix::CellOutcome]) {
          eval threads ({pruned_skipped} items pruned), NCF cell {} byte-identical on \
          standalone rerun and pinned to full-mode eval, cells {} kill-and-resume \
          byte-identical at 1/2/8 threads, every MF cell served offline-identical \
-         mid-training top-K traffic",
+         mid-training top-K traffic, {} cell digests equal the golden",
         report.rows.len(),
         outcomes.len(),
         probe.cell.id(),
         ncf_probe.cell.id(),
-        crash_ids.join(" and ")
+        crash_ids.join(" and "),
+        outcomes.len()
     );
+}
+
+/// The checked-in `matrix --smoke` cell digests of a scale-free preset's
+/// default grid at seed 42, or `None` when the population has none.
+/// Regenerate one by copying a run's `digests.txt` over it.
+fn smoke_golden(population: Population) -> Option<&'static str> {
+    match population {
+        Population::ScaleFree(ScalePreset::Smoke50k) => {
+            Some(include_str!("../../testdata/smoke_digests_smoke50k.txt"))
+        }
+        Population::ScaleFree(ScalePreset::Tiny) => {
+            Some(include_str!("../../testdata/smoke_digests_tiny.txt"))
+        }
+        Population::ScaleFree(ScalePreset::Million) | Population::Dense(_) => None,
+    }
+}
+
+/// FNV-1a 64 of a cell file's lines under the [`Mask::VOLATILE`]
+/// projection, each line followed by `\n`. The smoke run is always
+/// sharded, so `backend` and `rows_materialized` are pinned too.
+fn cell_digest(lines: &[String]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in lines {
+        for b in project(line, Mask::VOLATILE).bytes().chain([b'\n']) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every cell whose `<cell-id> <digest>` line differs between the golden
+/// and this run's digests, is missing from the run or is extra in it.
+fn digest_mismatches(golden: &str, run: &str) -> Vec<String> {
+    fn cells(text: &str) -> BTreeMap<&str, &str> {
+        text.lines()
+            .map(|l| l.split_once(' ').unwrap_or((l, "")))
+            .collect()
+    }
+    let (want, got) = (cells(golden), cells(run));
+    let ids: BTreeSet<&str> = want.keys().chain(got.keys()).copied().collect();
+    ids.into_iter()
+        .filter_map(|id| match (want.get(id), got.get(id)) {
+            (Some(w), Some(g)) if w == g => None,
+            (Some(w), Some(g)) => Some(format!("{id}: {g}, golden {w}")),
+            (None, _) => Some(format!("{id}: extra, not in the golden")),
+            (_, None) => Some(format!("{id}: missing from this run")),
+        })
+        .collect()
 }
 
 /// Project every line of one cell under `mask`.

@@ -3,8 +3,10 @@
 //! an unwritable output path, an unreadable cell file or a report
 //! directory without cell files with a `repro:` error and exit code 1 —
 //! never an allocation abort, a panic, a silently run nonsense cell or a
-//! silently dropped report row. And `repro matrix --smoke` runs its whole
-//! gate on the tiny preset, and rejects flags that would change the gate.
+//! silently dropped report row. Each subcommand refuses, with a usage
+//! error, every flag it does not read. And `repro matrix --smoke` runs its
+//! whole gate on the tiny preset, digest golden included, and rejects
+//! flags that would change the gate.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -164,9 +166,11 @@ fn report_fails_on_a_cell_file_without_a_final_record() {
 
 /// `repro matrix --smoke --population tiny` runs the gate CI runs at 50k
 /// users — schema, lazy-store invariant, dense-vs-sharded identity,
-/// standalone rerun, eval-mode identity, serve gate, crash-resume — and
-/// leaves files it did not write in `--out-dir`. A dense population has
-/// no smoke grid and is a usage error.
+/// standalone rerun, eval-mode identity, serve gate, crash-resume and the
+/// per-cell digests against `testdata/smoke_digests_tiny.txt` — writes
+/// one digest line per cell to `digests.txt`, and leaves files it did not
+/// write in `--out-dir`. A dense population has no smoke grid and is a
+/// usage error.
 #[test]
 fn tiny_smoke_gate_passes_and_keeps_the_out_dir() {
     let tmp = TempDir::new("smoke");
@@ -191,6 +195,12 @@ fn tiny_smoke_gate_passes_and_keeps_the_out_dir() {
         "the smoke run deleted {}",
         sentinel.display()
     );
+    let digests = std::fs::read_to_string(dir.join("digests.txt")).unwrap();
+    assert_eq!(
+        digests,
+        include_str!("../testdata/smoke_digests_tiny.txt"),
+        "digests.txt"
+    );
     let dense = repro(&["matrix", "--smoke", "--population", "ml100k"]);
     assert_usage_error(&dense, "--smoke --population ml100k");
 }
@@ -210,4 +220,115 @@ fn smoke_rejects_an_eval_cadence() {
         ]);
         assert_usage_error(&out, &format!("--smoke --eval-every {every}"));
     }
+}
+
+/// Assert that `base` followed by each flag set in `extras` is a usage
+/// error: a flag the subcommand never reads is refused, not ignored.
+fn assert_each_rejected(base: &[&str], extras: &[&[&str]]) {
+    for extra in extras {
+        let args = [base, extra].concat();
+        assert_usage_error(&repro(&args), &args.join(" "));
+    }
+}
+
+/// The paper experiments read `--scale --seed --csv --out`, and `fig3` and
+/// `all` a cadence too; every grid, cell or report flag is a usage error.
+#[test]
+fn paper_experiments_reject_flags_they_never_read() {
+    let grid_flags: &[&[&str]] = &[
+        &["--population", "million"],
+        &["--attacks", "random"],
+        &["--backend", "dense"],
+        &["--eval-mode", "pruned"],
+        &["--serve"],
+        &["--dataset", "ml1m"],
+        &["--rho", "0.1"],
+        &["--dir", "runs"],
+    ];
+    for experiment in ["table2", "detection", "fig3", "all"] {
+        assert_each_rejected(&[experiment, "--seed", "1"], grid_flags);
+    }
+    assert_each_rejected(&["table3"], &[&["--eval-every", "5"]]);
+}
+
+/// `report` reads `--dir --csv --out` and nothing else.
+#[test]
+fn report_rejects_flags_it_never_reads() {
+    assert_each_rejected(
+        &["report", "--dir", "runs"],
+        &[
+            &["--seed", "1"],
+            &["--scale", "paper"],
+            &["--population", "tiny"],
+            &["--out-dir", "runs"],
+        ],
+    );
+}
+
+/// `cell` reads the grid configuration and its own cell and `--out`, but
+/// not the grid's arms, worker count or output directory.
+#[test]
+fn cell_rejects_the_grids_arms_and_outputs() {
+    assert_each_rejected(
+        &[
+            "cell",
+            "--population",
+            "tiny",
+            "--attack",
+            "random",
+            "--defense",
+            "none",
+            "--rho",
+            "0",
+        ],
+        &[
+            &["--attacks", "random"],
+            &["--defenses", "krum"],
+            &["--rhos", "0.1"],
+            &["--out-dir", "runs"],
+            &["--workers", "2"],
+            &["--csv"],
+            &["--dir", "runs"],
+        ],
+    );
+}
+
+/// `matrix` writes a directory, so it refuses `--out`, and it refuses a
+/// single cell's `--attack --defense --rho`.
+#[test]
+fn matrix_rejects_cell_flags_and_a_single_output_file() {
+    assert_each_rejected(
+        &["matrix", "--population", "tiny"],
+        &[
+            &["--out", "x.md"],
+            &["--attack", "random"],
+            &["--defense", "krum"],
+            &["--rho", "0.1"],
+            &["--dir", "runs"],
+        ],
+    );
+}
+
+/// The digest golden pins the smoke preset's default grid at seed 42: with
+/// `--smoke` every flag that changes the grid or its bytes is a usage
+/// error, and so is a preset without a golden.
+#[test]
+fn smoke_rejects_flags_that_change_the_pinned_grid() {
+    assert_each_rejected(
+        &["matrix", "--smoke"],
+        &[
+            &["--seed", "42"],
+            &["--attacks", "random"],
+            &["--rhos", "0.1"],
+            &["--model", "ncf"],
+            &["--epochs", "2"],
+            &["--backend", "dense"],
+            &["--eval-mode", "pruned"],
+            &["--eval-threads", "2"],
+            &["--eval-users", "100"],
+            &["--serve"],
+            &["--csv"],
+            &["--population", "million"],
+        ],
+    );
 }

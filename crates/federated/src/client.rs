@@ -169,21 +169,13 @@ impl BenignClient {
         &mut self,
         items: &Matrix,
         lr: f32,
-        l2_reg: f32,
         clip_norm: f32,
         noise_scale: f32,
     ) -> Option<ClientUpdate> {
         let mut scratch = RoundScratch::new();
         let mut out = SparseGrad::new(items.cols());
-        let loss = self.local_round_into(
-            items,
-            lr,
-            l2_reg,
-            clip_norm,
-            noise_scale,
-            &mut scratch,
-            &mut out,
-        )?;
+        let loss =
+            self.local_round_into(items, lr, clip_norm, noise_scale, &mut scratch, &mut out)?;
         Some(ClientUpdate {
             item_grads: out,
             loss,
@@ -198,7 +190,6 @@ impl BenignClient {
         &mut self,
         items: &Matrix,
         lr: f32,
-        l2_reg: f32,
         clip_norm: f32,
         noise_scale: f32,
         scratch: &mut RoundScratch,
@@ -212,7 +203,6 @@ impl BenignClient {
             &self.user_vec,
             items,
             &scratch.pairs,
-            l2_reg,
             &mut scratch.bpr,
             out,
         );
@@ -293,7 +283,7 @@ mod tests {
     fn round_touches_positives_and_some_negatives() {
         let v = items(4, 20);
         let mut c = client(vec![2, 5, 9]);
-        let up = c.local_round(&v, 0.01, 0.0, 1.0, 0.0).unwrap();
+        let up = c.local_round(&v, 0.01, 1.0, 0.0).unwrap();
         for &p in &[2u32, 5, 9] {
             assert!(up.item_grads.get(p).is_some(), "positive {p} missing");
         }
@@ -306,7 +296,7 @@ mod tests {
     fn empty_client_skips_round() {
         let v = items(4, 20);
         let mut c = client(vec![]);
-        assert!(c.local_round(&v, 0.01, 0.0, 1.0, 0.0).is_none());
+        assert!(c.local_round(&v, 0.01, 1.0, 0.0).is_none());
     }
 
     #[test]
@@ -314,7 +304,7 @@ mod tests {
         let v = items(4, 3);
         let mut rng = SeededRng::new(1);
         let mut c = BenignClient::new(0, vec![0, 1, 2], 3, 4, &mut rng);
-        assert!(c.local_round(&v, 0.01, 0.0, 1.0, 0.0).is_none());
+        assert!(c.local_round(&v, 0.01, 1.0, 0.0).is_none());
     }
 
     #[test]
@@ -322,7 +312,7 @@ mod tests {
         let v = items(4, 20);
         let mut c = client(vec![2, 5]);
         let before = c.user_vec().to_vec();
-        c.local_round(&v, 0.1, 0.0, 1.0, 0.0);
+        c.local_round(&v, 0.1, 1.0, 0.0);
         assert_ne!(before, c.user_vec());
     }
 
@@ -335,7 +325,7 @@ mod tests {
         for x in c.user_vec.iter_mut() {
             *x = 10.0;
         }
-        let up = c.local_round(&v, 0.01, 0.0, 0.5, 0.0).unwrap();
+        let up = c.local_round(&v, 0.01, 0.5, 0.0).unwrap();
         assert!(up.item_grads.max_row_norm() <= 0.5 + 1e-4);
     }
 
@@ -345,7 +335,7 @@ mod tests {
         let run = |noise: f32| {
             let mut rng = SeededRng::new(7);
             let mut c = BenignClient::new(3, vec![1, 4], 20, 4, &mut rng);
-            c.local_round(&v, 0.01, 0.0, 1.0, noise).unwrap()
+            c.local_round(&v, 0.01, 1.0, noise).unwrap()
         };
         let clean = run(0.0);
         let noisy = run(0.3);
@@ -373,7 +363,7 @@ mod tests {
         let v = items(4, 16);
         let mut rng = SeededRng::new(3);
         let mut c = BenignClient::new(0, (0..15u32).collect(), 16, 4, &mut rng);
-        let up = c.local_round(&v, 0.01, 0.0, 10.0, 0.0).unwrap();
+        let up = c.local_round(&v, 0.01, 10.0, 0.0).unwrap();
         assert_eq!(up.item_grads.nnz_rows(), 16);
         assert!(up.item_grads.get(15).is_some());
     }
@@ -386,8 +376,8 @@ mod tests {
             BenignClient::new(2, (0..15u32).collect(), 20, 4, &mut rng)
         };
         let (mut a, mut b) = (mk(), mk());
-        let ua = a.local_round(&v, 0.01, 0.0, 1.0, 0.1).unwrap();
-        let ub = b.local_round(&v, 0.01, 0.0, 1.0, 0.1).unwrap();
+        let ua = a.local_round(&v, 0.01, 1.0, 0.1).unwrap();
+        let ub = b.local_round(&v, 0.01, 1.0, 0.1).unwrap();
         assert_eq!(ua.item_grads, ub.item_grads);
     }
 
@@ -404,9 +394,9 @@ mod tests {
         // The same scratch and output slot serve consecutive rounds; state
         // must not leak between calls.
         for _ in 0..3 {
-            let up = a.local_round(&v, 0.05, 0.01, 1.0, 0.1).unwrap();
+            let up = a.local_round(&v, 0.05, 1.0, 0.1).unwrap();
             let loss = b
-                .local_round_into(&v, 0.05, 0.01, 1.0, 0.1, &mut scratch, &mut out)
+                .local_round_into(&v, 0.05, 1.0, 0.1, &mut scratch, &mut out)
                 .unwrap();
             assert_eq!(up.item_grads, out);
             assert_eq!(up.loss, loss);
@@ -422,8 +412,8 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        let ua = a.local_round(&v, 0.01, 0.0, 1.0, 0.1).unwrap();
-        let ub = b.local_round(&v, 0.01, 0.0, 1.0, 0.1).unwrap();
+        let ua = a.local_round(&v, 0.01, 1.0, 0.1).unwrap();
+        let ub = b.local_round(&v, 0.01, 1.0, 0.1).unwrap();
         assert_eq!(ua.item_grads, ub.item_grads);
         assert_eq!(ua.loss, ub.loss);
     }

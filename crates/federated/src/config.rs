@@ -23,8 +23,6 @@ pub struct FedConfig {
     /// ℓ2 bound `C` on uploaded gradient rows; benign clients clip to it
     /// (standard DP-SGD practice) and malicious uploads must respect it.
     pub clip_norm: f32,
-    /// ℓ2 regularization λ of local BPR (0 = paper's plain BPR).
-    pub l2_reg: f32,
     /// Worker threads for client-round computation. 1 = sequential.
     /// Results are identical for any thread count (aggregation order is
     /// fixed by client id).
@@ -42,7 +40,6 @@ impl Default for FedConfig {
             client_fraction: 1.0,
             noise_scale: 0.0,
             clip_norm: 1.0,
-            l2_reg: 0.0,
             threads: 1,
             seed: 42,
         }

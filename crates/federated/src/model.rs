@@ -106,15 +106,7 @@ impl ClientModel for MfClientModel {
         shared_out: &mut Vec<f32>,
     ) -> Option<f32> {
         shared_out.clear();
-        client.local_round_into(
-            items,
-            cfg.lr,
-            cfg.l2_reg,
-            cfg.clip_norm,
-            cfg.noise_scale,
-            scratch,
-            out,
-        )
+        client.local_round_into(items, cfg.lr, cfg.clip_norm, cfg.noise_scale, scratch, out)
     }
 }
 
@@ -169,7 +161,6 @@ mod tests {
         let lb = b.local_round_into(
             &items,
             cfg.lr,
-            cfg.l2_reg,
             cfg.clip_norm,
             cfg.noise_scale,
             &mut scratch_b,

@@ -76,7 +76,8 @@ const CHECKPOINT_MAGIC: u64 = 0x4645_4443_4B50_5400;
 /// shared-parameter block after `V`, and per-pending-upload shared
 /// gradients.
 /// v3: the history block lost its HR@10 and ER@10 lists.
-const CHECKPOINT_VERSION: u64 = 3;
+/// v4: FedRecAttack's adversary blob lost its per-round loss trace.
+const CHECKPOINT_VERSION: u64 = 4;
 
 /// A benign upload in flight: produced in `produced_round` against that
 /// round's item matrix, due to arrive (staleness-downweighted) in
@@ -349,11 +350,6 @@ impl Simulation {
             self.store.write_user_row(u, m.row_mut(u));
         }
         m
-    }
-
-    /// The defense pipeline in use.
-    pub fn defense(&self) -> &DefensePipeline {
-        &self.defense
     }
 
     /// Run the full training loop and return what the rounds recorded.

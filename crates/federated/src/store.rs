@@ -270,12 +270,12 @@ mod tests {
         let d_ups: Vec<_> = dense
             .selected_mut(&ids)
             .into_iter()
-            .map(|c| c.local_round(&items, 0.05, 0.0, 1.0, 0.1))
+            .map(|c| c.local_round(&items, 0.05, 1.0, 0.1))
             .collect();
         let s_ups: Vec<_> = sharded
             .selected_mut(&ids)
             .into_iter()
-            .map(|c| c.local_round(&items, 0.05, 0.0, 1.0, 0.1))
+            .map(|c| c.local_round(&items, 0.05, 1.0, 0.1))
             .collect();
         assert_eq!(sharded.materialized(), ids.len());
         for ((d, s), u) in d_ups.iter().zip(&s_ups).zip(ids) {

@@ -162,7 +162,7 @@ proptest! {
         let pipeline = || -> DefensePipeline {
             if defended {
                 Pipeline::gated(
-                    Box::new(NormDetector { z_threshold: 2.0, two_sided: false }),
+                    Box::new(NormDetector::new(2.0)),
                     Box::new(TrimmedMean { trim_fraction: 0.1 }),
                 )
             } else {
@@ -473,5 +473,74 @@ proptest! {
         }
         let (_, _, rejected, _, _) = h.fault_totals();
         prop_assert_eq!(rejected, 3 * 4, "3 NaN uploads × 4 rounds quarantined");
+    }
+}
+
+/// A wire value: finite most of the time, else NaN or ±∞.
+fn wire_value() -> impl Strategy<Value = f32> {
+    (-4.0f32..4.0, 0u32..16).prop_map(|(x, pick)| match pick {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        _ => x,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The upload gate on arbitrary wire parts. An accepted payload builds
+    /// a `SparseGrad` that `validate_grad` accepts with the same ids and
+    /// value bits; a rejected one names the first failing check in the
+    /// documented order: length, ordering, range, finiteness. Half the
+    /// cases sort their ids and three in four fit the value buffer to the
+    /// ids, so every branch is reached.
+    #[test]
+    fn upload_gate_admits_exactly_the_well_formed_payloads(
+        k in 1usize..5,
+        num_items in 0usize..16,
+        raw_items in collection::vec(0u32..20, 0..6),
+        raw_values in collection::vec(wire_value(), 0..24),
+        sort in 0u32..2,
+        fit in 0u32..4,
+    ) {
+        use fedrec_federated::faults::{validate_grad, validate_upload};
+        use fedrec_federated::RejectReason;
+        use fedrec_linalg::SparseGrad;
+
+        let mut items = raw_items;
+        if sort == 1 {
+            items.sort_unstable();
+            items.dedup();
+        }
+        let mut values = raw_values;
+        if fit > 0 {
+            values.resize(items.len() * k, 0.25);
+        }
+        let want = if values.len() != items.len() * k {
+            Err(RejectReason::LengthMismatch)
+        } else if items.windows(2).any(|w| w[0] >= w[1]) {
+            Err(RejectReason::UnsortedOrDuplicate)
+        } else if items.iter().any(|&i| i as usize >= num_items) {
+            Err(RejectReason::ItemOutOfRange)
+        } else if values.iter().any(|v| !v.is_finite()) {
+            Err(RejectReason::NonFinite)
+        } else {
+            Ok(())
+        };
+        let got = validate_upload(&items, &values, k, num_items);
+        prop_assert_eq!(
+            got, want,
+            "got {:?}, want {:?} for items {:?} values {:?} k {} catalog {}",
+            got, want, items, values, k, num_items
+        );
+        if got.is_ok() {
+            let grad = SparseGrad::from_sorted_rows(k, items.clone(), values.clone());
+            prop_assert_eq!(validate_grad(&grad, num_items), Ok(()));
+            prop_assert_eq!(grad.items(), items.as_slice());
+            let bits: Vec<u32> = grad.iter().flat_map(|(_, row)| row.iter().map(|v| v.to_bits())).collect();
+            let want_bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(bits, want_bits);
+        }
     }
 }

@@ -27,6 +27,7 @@
 
 use crate::model::NcfModel;
 use crate::theta::Theta;
+use fedrec_attack::config::{APPROX_EPOCHS_PER_ROUND, APPROX_LR, DEFAULT_KAPPA, DEFAULT_TOP_K};
 use fedrec_attack::loss::{g_prime, margin_item};
 use fedrec_attack::upload::{select_item_set, take_upload};
 use fedrec_data::PublicView;
@@ -41,16 +42,15 @@ pub struct NcfFedRecAttack {
     public: PublicView,
     targets: Vec<u32>,
     kappa: usize,
-    top_k: usize,
-    approx_epochs: usize,
-    approx_lr: f32,
     u_hat: Option<Matrix>,
     item_sets: Vec<Option<Vec<u32>>>,
     rng: SeededRng,
 }
 
 impl NcfFedRecAttack {
-    /// Build the adversary (defaults mirror the MF attack: κ=60, K=10).
+    /// Build the adversary with the MF attack's defaults: κ =
+    /// [`DEFAULT_KAPPA`], K = [`DEFAULT_TOP_K`] and the approximation's
+    /// [`APPROX_EPOCHS_PER_ROUND`] passes at rate [`APPROX_LR`].
     pub fn new(targets: Vec<u32>, public: PublicView, num_malicious: usize, seed: u64) -> Self {
         let mut t = targets;
         t.sort_unstable();
@@ -59,10 +59,7 @@ impl NcfFedRecAttack {
         Self {
             public,
             targets: t,
-            kappa: 60,
-            top_k: 10,
-            approx_epochs: 4,
-            approx_lr: 0.05,
+            kappa: DEFAULT_KAPPA,
             u_hat: None,
             item_sets: vec![None; num_malicious],
             rng: SeededRng::new(seed),
@@ -77,7 +74,7 @@ impl NcfFedRecAttack {
         let u_hat = self.u_hat.get_or_insert_with(|| {
             Matrix::random_normal(self.public.num_users(), theta.k, 0.0, 0.1, &mut self.rng)
         });
-        for _ in 0..self.approx_epochs {
+        for _ in 0..APPROX_EPOCHS_PER_ROUND {
             for u in 0..self.public.num_users() {
                 let pos = self.public.user_items(u);
                 if pos.is_empty() || pos.len() >= m {
@@ -93,7 +90,7 @@ impl NcfFedRecAttack {
                     })
                     .collect();
                 let (_, grad_u, _, _) = NcfModel::bpr_round(theta, items, u_hat.row(u), &pairs);
-                vector::axpy(-self.approx_lr, &grad_u, u_hat.row_mut(u));
+                vector::axpy(-APPROX_LR, &grad_u, u_hat.row_mut(u));
             }
         }
     }
@@ -110,13 +107,13 @@ impl NcfFedRecAttack {
         let m = items.rows();
         let mut grad = Matrix::zeros(m, items.cols());
         let mut scores = vec![0.0f32; m];
-        let fetch = self.top_k + self.targets.len();
+        let fetch = DEFAULT_TOP_K + self.targets.len();
         for ui in 0..u_hat.rows() {
             let u = u_hat.row(ui);
             NcfModel::scores_for_vector(theta, items, u, &mut scores);
             let exclude = self.public.user_items(ui);
             let extended = topk::top_k_excluding(&scores, exclude, fetch);
-            let Some(jstar) = margin_item(&extended, &self.targets, self.top_k) else {
+            let Some(jstar) = margin_item(&extended, &self.targets, DEFAULT_TOP_K) else {
                 continue;
             };
             let margin = scores[jstar as usize];

@@ -24,8 +24,8 @@ use fedrec_linalg::{Matrix, SeededRng, SparseGrad};
 /// Neural collaborative filtering as a pluggable [`ClientModel`].
 ///
 /// The shape (`hidden`, `k`) is fixed at construction; `k` must match
-/// the federated config's latent dimension. `l2_reg` is ignored — the
-/// NCF local objective is the paper's plain BPR through the MLP.
+/// the federated config's latent dimension. The local objective is the
+/// paper's plain BPR through the MLP.
 #[derive(Debug, Clone, Copy)]
 pub struct NcfClientModel {
     hidden: usize,

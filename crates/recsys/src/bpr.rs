@@ -10,11 +10,8 @@
 //! ∂L/∂v_k = +σ(-d) · u
 //! ```
 //!
-//! An optional ℓ2 regularization term `λ(‖u‖² + ‖v_j‖² + ‖v_k‖²)/2` per
-//! pair is supported (λ = 0 reproduces the paper's plain BPR; a small λ is
-//! exposed because real deployments use it and the attack is insensitive
-//! to it). All formulas are verified against central finite differences in
-//! the tests below.
+//! This is the paper's plain BPR: Eq. 4 has no ℓ2 term. All formulas are
+//! verified against central finite differences in the tests below.
 
 use fedrec_linalg::{vector, Matrix, SparseGrad};
 
@@ -63,15 +60,10 @@ impl GradScratch {
 /// each round (§III-B); the centralized trainer reuses it too. This
 /// convenience wrapper allocates fresh buffers per call; the round loop
 /// uses [`user_round_grads_into`] with pooled buffers instead.
-pub fn user_round_grads(
-    u: &[f32],
-    items: &Matrix,
-    pairs: &[(u32, u32)],
-    l2_reg: f32,
-) -> UserRoundGrads {
+pub fn user_round_grads(u: &[f32], items: &Matrix, pairs: &[(u32, u32)]) -> UserRoundGrads {
     let mut scratch = GradScratch::new();
     let mut grad_items = SparseGrad::with_capacity(items.cols(), pairs.len() * 2);
-    let loss = user_round_grads_into(u, items, pairs, l2_reg, &mut scratch, &mut grad_items);
+    let loss = user_round_grads_into(u, items, pairs, &mut scratch, &mut grad_items);
     UserRoundGrads {
         loss,
         grad_user: std::mem::take(&mut scratch.grad_user),
@@ -85,8 +77,11 @@ pub fn user_round_grads(
 ///
 /// Every BPR user gradient goes through this step: the client round
 /// ([`user_round_grads_into`]) and the attacker's user-only refinement of
-/// `Û`, which must reproduce the client arithmetic bit for bit.
-#[inline]
+/// `Û`, which must reproduce the client arithmetic bit for bit. It is
+/// never inlined, so both run the same compiled step: inlined, the
+/// optimizer may fold its negations differently per caller and give a
+/// NaN from non-finite inputs a different sign.
+#[inline(never)]
 pub fn user_pair_step(
     u: &[f32],
     vj: &[f32],
@@ -108,7 +103,6 @@ pub fn user_round_grads_into(
     u: &[f32],
     items: &Matrix,
     pairs: &[(u32, u32)],
-    l2_reg: f32,
     scratch: &mut GradScratch,
     grad_items: &mut SparseGrad,
 ) -> f32 {
@@ -126,14 +120,6 @@ pub fn user_round_grads_into(
         loss += -vector::log_sigmoid(d);
         grad_items.accumulate(pos, coeff, u);
         grad_items.accumulate(neg, -coeff, u);
-        if l2_reg > 0.0 {
-            loss += 0.5
-                * l2_reg
-                * (vector::l2_norm_sq(u) + vector::l2_norm_sq(vj) + vector::l2_norm_sq(vk));
-            vector::axpy(l2_reg, u, &mut scratch.grad_user);
-            grad_items.accumulate(pos, l2_reg, vj);
-            grad_items.accumulate(neg, l2_reg, vk);
-        }
     }
     loss
 }
@@ -166,60 +152,41 @@ mod tests {
         (u, items, pairs)
     }
 
-    fn loss_at(u: &[f32], items: &Matrix, pairs: &[(u32, u32)], l2: f32) -> f32 {
-        let mut loss = user_loss(u, items, pairs);
-        if l2 > 0.0 {
-            for &(p, n) in pairs {
-                loss += 0.5
-                    * l2
-                    * (vector::l2_norm_sq(u)
-                        + vector::l2_norm_sq(items.row(p as usize))
-                        + vector::l2_norm_sq(items.row(n as usize)));
-            }
-        }
-        loss
-    }
-
     #[test]
     fn grad_user_matches_finite_differences() {
-        for l2 in [0.0, 0.01] {
-            let (u, items, pairs) = setup(5);
-            let g = user_round_grads(&u, &items, &pairs, l2);
-            for dim in 0..u.len() {
-                let mut up = u.clone();
-                up[dim] += EPS;
-                let mut dn = u.clone();
-                dn[dim] -= EPS;
-                let num = (loss_at(&up, &items, &pairs, l2) - loss_at(&dn, &items, &pairs, l2))
-                    / (2.0 * EPS);
-                assert!(
-                    (g.grad_user[dim] - num).abs() < 2e-2,
-                    "l2={l2} dim={dim}: analytic {} vs numeric {}",
-                    g.grad_user[dim],
-                    num
-                );
-            }
+        let (u, items, pairs) = setup(5);
+        let g = user_round_grads(&u, &items, &pairs);
+        for dim in 0..u.len() {
+            let mut up = u.clone();
+            up[dim] += EPS;
+            let mut dn = u.clone();
+            dn[dim] -= EPS;
+            let num =
+                (user_loss(&up, &items, &pairs) - user_loss(&dn, &items, &pairs)) / (2.0 * EPS);
+            assert!(
+                (g.grad_user[dim] - num).abs() < 2e-2,
+                "dim={dim}: analytic {} vs numeric {}",
+                g.grad_user[dim],
+                num
+            );
         }
     }
 
     #[test]
     fn grad_items_matches_finite_differences() {
-        for l2 in [0.0, 0.01] {
-            let (u, items, pairs) = setup(11);
-            let g = user_round_grads(&u, &items, &pairs, l2);
-            for (item, row) in g.grad_items.iter() {
-                for (dim, &analytic) in row.iter().enumerate() {
-                    let mut up = items.clone();
-                    up.row_mut(item as usize)[dim] += EPS;
-                    let mut dn = items.clone();
-                    dn.row_mut(item as usize)[dim] -= EPS;
-                    let num =
-                        (loss_at(&u, &up, &pairs, l2) - loss_at(&u, &dn, &pairs, l2)) / (2.0 * EPS);
-                    assert!(
-                        (analytic - num).abs() < 2e-2,
-                        "l2={l2} item={item} dim={dim}: analytic {analytic} vs numeric {num}",
-                    );
-                }
+        let (u, items, pairs) = setup(11);
+        let g = user_round_grads(&u, &items, &pairs);
+        for (item, row) in g.grad_items.iter() {
+            for (dim, &analytic) in row.iter().enumerate() {
+                let mut up = items.clone();
+                up.row_mut(item as usize)[dim] += EPS;
+                let mut dn = items.clone();
+                dn.row_mut(item as usize)[dim] -= EPS;
+                let num = (user_loss(&u, &up, &pairs) - user_loss(&u, &dn, &pairs)) / (2.0 * EPS);
+                assert!(
+                    (analytic - num).abs() < 2e-2,
+                    "item={item} dim={dim}: analytic {analytic} vs numeric {num}",
+                );
             }
         }
     }
@@ -227,20 +194,20 @@ mod tests {
     #[test]
     fn gradient_step_reduces_loss() {
         let (u, items, pairs) = setup(23);
-        let g = user_round_grads(&u, &items, &pairs, 0.0);
-        let before = loss_at(&u, &items, &pairs, 0.0);
+        let g = user_round_grads(&u, &items, &pairs);
+        let before = user_loss(&u, &items, &pairs);
         let mut u2 = u.clone();
         vector::axpy(-0.05, &g.grad_user, &mut u2);
         let mut items2 = items.clone();
         g.grad_items.apply_to(&mut items2, 0.05);
-        let after = loss_at(&u2, &items2, &pairs, 0.0);
+        let after = user_loss(&u2, &items2, &pairs);
         assert!(after < before, "descent failed: {before} -> {after}");
     }
 
     #[test]
     fn empty_pairs_yield_zero() {
         let (u, items, _) = setup(1);
-        let g = user_round_grads(&u, &items, &[], 0.0);
+        let g = user_round_grads(&u, &items, &[]);
         assert_eq!(g.loss, 0.0);
         assert!(g.grad_user.iter().all(|&x| x == 0.0));
         assert!(g.grad_items.is_empty());
@@ -249,7 +216,7 @@ mod tests {
     #[test]
     fn touched_items_are_exactly_pair_items() {
         let (u, items, pairs) = setup(3);
-        let g = user_round_grads(&u, &items, &pairs, 0.0);
+        let g = user_round_grads(&u, &items, &pairs);
         let mut expect: Vec<u32> = pairs.iter().flat_map(|&(p, n)| [p, n]).collect();
         expect.sort_unstable();
         expect.dedup();
@@ -271,7 +238,7 @@ mod tests {
     #[test]
     fn user_loss_agrees_with_round_grads_loss() {
         let (u, items, pairs) = setup(7);
-        let g = user_round_grads(&u, &items, &pairs, 0.0);
+        let g = user_round_grads(&u, &items, &pairs);
         assert!((g.loss - user_loss(&u, &items, &pairs)).abs() < 1e-5);
     }
 }

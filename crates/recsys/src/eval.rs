@@ -188,7 +188,6 @@ mod tests {
         let cfg = TrainConfig {
             epochs: 30,
             lr: 0.05,
-            l2_reg: 0.0,
         };
         CentralizedTrainer::new(cfg).fit(&mut model, &train, &mut rng);
         let after = eval

@@ -20,8 +20,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// SGD learning rate η.
     pub lr: f32,
-    /// ℓ2 regularization λ (0 = the paper's plain BPR).
-    pub l2_reg: f32,
 }
 
 impl Default for TrainConfig {
@@ -29,7 +27,6 @@ impl Default for TrainConfig {
         Self {
             epochs: 10,
             lr: 0.01,
-            l2_reg: 0.0,
         }
     }
 }
@@ -65,12 +62,8 @@ impl CentralizedTrainer {
                     continue;
                 }
                 let pairs = sampler.pair_for_user(data, u, rng);
-                let g = bpr::user_round_grads(
-                    model.user_factors.row(u),
-                    &model.item_factors,
-                    &pairs,
-                    self.cfg.l2_reg,
-                );
+                let g =
+                    bpr::user_round_grads(model.user_factors.row(u), &model.item_factors, &pairs);
                 epoch_loss += g.loss;
                 vector::axpy(-self.cfg.lr, &g.grad_user, model.user_factors.row_mut(u));
                 g.grad_items.apply_to(&mut model.item_factors, self.cfg.lr);
@@ -94,7 +87,6 @@ mod tests {
         let cfg = TrainConfig {
             epochs: 15,
             lr: 0.05,
-            l2_reg: 0.0,
         };
         let losses = CentralizedTrainer::new(cfg).fit(&mut model, &data, &mut rng);
         assert_eq!(losses.len(), 15);
@@ -113,7 +105,6 @@ mod tests {
             let cfg = TrainConfig {
                 epochs: 2,
                 lr: 0.05,
-                l2_reg: 0.0,
             };
             let losses = CentralizedTrainer::new(cfg).fit(&mut model, &data, &mut rng);
             (losses, model)
@@ -132,7 +123,6 @@ mod tests {
         let cfg = TrainConfig {
             epochs: 30,
             lr: 0.05,
-            l2_reg: 0.0,
         };
         CentralizedTrainer::new(cfg).fit(&mut model, &data, &mut rng);
         // AUC-style check on a sample of users.

@@ -79,7 +79,7 @@ proptest! {
                 (p, n)
             })
             .collect();
-        let g = bpr::user_round_grads(&u, &items, &pairs, 0.0);
+        let g = bpr::user_round_grads(&u, &items, &pairs);
         prop_assume!(g.loss > 1e-3); // skip already-perfect cases
         let mut u2 = u.clone();
         fedrec_linalg::vector::axpy(-0.01, &g.grad_user, &mut u2);

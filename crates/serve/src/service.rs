@@ -24,7 +24,7 @@ use fedrec_recsys::candidates::{rank_cached, Candidates, CAND_K};
 use fedrec_recsys::UserRowSource;
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// Users coalesced per scoring batch — matches the blocked kernel's
 /// user-block size, so one batch is one kernel-shaped unit of work.
@@ -128,16 +128,6 @@ impl Service {
         self.not_empty.notify_all();
     }
 
-    /// The currently served snapshot, if any has been published.
-    pub fn snapshot(&self) -> Option<Arc<ItemSnapshot>> {
-        self.store.current()
-    }
-
-    /// Epoch of the newest publish (staleness reference point).
-    pub fn latest_epoch(&self) -> u64 {
-        self.store.latest_epoch()
-    }
-
     /// Total snapshot publishes.
     pub fn publish_count(&self) -> u64 {
         self.store.publish_count()
@@ -233,22 +223,6 @@ impl Service {
         while let Some(batch) = self.pop_batch() {
             self.process_batch(batch, rows);
         }
-    }
-
-    /// Spawn `n` background workers. Callers keep the handles and
-    /// [`Self::close`] the service to let them finish.
-    pub fn start_workers(
-        self: &Arc<Self>,
-        rows: Arc<dyn UserRowSource + Send + Sync>,
-        n: usize,
-    ) -> Vec<std::thread::JoinHandle<()>> {
-        (0..n)
-            .map(|_| {
-                let svc = Arc::clone(self);
-                let rows = Arc::clone(&rows);
-                std::thread::spawn(move || svc.worker_loop(rows.as_ref()))
-            })
-            .collect()
     }
 
     /// Drain everything currently queued using `threads` transient

@@ -68,9 +68,6 @@ pub struct SnapshotStore {
     slots: [Mutex<Option<Arc<ItemSnapshot>>>; 2],
     /// Index of the slot holding the newest snapshot.
     active: AtomicUsize,
-    /// Epoch of the newest published snapshot (for staleness accounting
-    /// without dereferencing a slot).
-    latest_epoch: AtomicU64,
     publish: Mutex<PublishState>,
     publishes: AtomicU64,
 }
@@ -107,7 +104,6 @@ impl SnapshotStore {
         };
         let inactive = 1 - self.active.load(Ordering::Acquire);
         *self.slots[inactive].lock().expect("snapshot slot poisoned") = Some(snap);
-        self.latest_epoch.store(epoch, Ordering::Release);
         // Release: the slot write above happens-before any reader that
         // acquires the new index.
         self.active.store(inactive, Ordering::Release);
@@ -125,11 +121,6 @@ impl SnapshotStore {
             .lock()
             .expect("snapshot slot poisoned")
             .clone()
-    }
-
-    /// Epoch of the newest publish (0 before the first).
-    pub fn latest_epoch(&self) -> u64 {
-        self.latest_epoch.load(Ordering::Acquire)
     }
 
     /// Total publishes so far.
@@ -170,7 +161,6 @@ mod tests {
         // Each row moved by 1.0 (with the 1e-9 inflation).
         assert!((second.drift - 1.0).abs() < 1e-6, "drift={}", second.drift);
         assert!((second.vmax_seen - 2.0).abs() < 1e-9);
-        assert_eq!(s.latest_epoch(), 3);
         assert_eq!(s.publish_count(), 2);
         // The earlier Arc stays intact for readers that pinned it.
         assert_eq!(first.epoch, 0);

@@ -12,7 +12,7 @@ use fedrec_recsys::{topk, UserRowSource};
 use fedrec_serve::{ServeConfig, ServedTopK, Service};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 /// Offline reference: the exact ranked top-`k` the streamed evaluator
 /// would compute for this user row on this item matrix.
@@ -217,15 +217,16 @@ fn concurrent_publishes_never_tear_responses() {
             v
         })
         .collect();
-    let users = Arc::new(lazy_users(9, n, kdim));
-    let svc = Arc::new(Service::new(ServeConfig::default()));
+    let users = lazy_users(9, n, kdim);
+    let svc = Service::new(ServeConfig::default());
     svc.publish(0, &mats[0]);
-    let handles = svc.start_workers(
-        Arc::clone(&users) as Arc<dyn UserRowSource + Send + Sync>,
-        2,
-    );
     let published_up_to = AtomicU64::new(0);
-    let responses: Vec<ServedTopK> = std::thread::scope(|scope| {
+    let (responses, sent) = std::thread::scope(|scope| {
+        // Two workers batch and serve until the queue is closed and
+        // drained.
+        for _ in 0..2 {
+            scope.spawn(|| svc.worker_loop(&users));
+        }
         // Publisher: rolls through epochs while requests are in flight.
         scope.spawn(|| {
             for e in 1..epochs {
@@ -238,23 +239,19 @@ fn concurrent_publishes_never_tear_responses() {
         let mut sent = 0usize;
         for round in 0..12 {
             for u in 0..n as u32 {
-                assert!(svc.submit(
-                    (u + round) % n as u32,
-                    exclusions_for((u + round) % n as u32, m),
-                    tx.clone()
-                ));
-                sent += 1;
+                let user = (u + round) % n as u32;
+                sent += usize::from(svc.submit(user, exclusions_for(user, m), tx.clone()));
             }
         }
         drop(tx);
         let collected: Vec<ServedTopK> = rx.iter().collect();
-        assert_eq!(collected.len(), sent);
-        collected
+        // Close before any assert, so a failure cannot leave the scope
+        // waiting on workers that never exit.
+        svc.close();
+        (collected, sent)
     });
-    svc.close();
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
+    assert_eq!(sent, 12 * n, "the open service refused a request");
+    assert_eq!(responses.len(), sent);
     // Verify every response against the matrix its epoch tag names: a
     // torn read (half old V, half new V) cannot match either epoch's
     // offline ranking exactly.

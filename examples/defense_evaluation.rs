@@ -83,7 +83,7 @@ fn main() {
             fed.k,
             &mut rng,
         );
-        if let Some(up) = c.local_round(&items, fed.lr, 0.0, fed.clip_norm, 0.0) {
+        if let Some(up) = c.local_round(&items, fed.lr, fed.clip_norm, 0.0) {
             uploads.push(up.item_grads);
         }
     }

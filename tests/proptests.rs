@@ -139,7 +139,7 @@ proptest! {
                 8,
                 &mut rng,
             );
-            if let Some(up) = c.local_round(&items, 0.05, 0.0, clip, 0.0) {
+            if let Some(up) = c.local_round(&items, 0.05, clip, 0.0) {
                 prop_assert!(up.item_grads.max_row_norm() <= clip * 1.0001);
             }
         }
