@@ -23,7 +23,7 @@ use fedrec_linalg::{vector, SeededRng};
 /// Number of surrogate alternations (profile selection → retrain).
 const ALTERNATIONS: usize = 2;
 
-/// Surrogate training epochs per alternation.
+/// Training epochs of the surrogate model per alternation.
 const SURROGATE_EPOCHS: usize = 15;
 
 /// Build the P1 adversary from full knowledge of `data`.

@@ -19,7 +19,7 @@ use fedrec_linalg::SeededRng;
 /// How many filler items are added between surrogate retrainings.
 const GROWTH_CHUNK: usize = 5;
 
-/// Surrogate training epochs per growth step.
+/// Training epochs of the surrogate model per growth step.
 const SURROGATE_EPOCHS: usize = 8;
 
 /// Build the P2 adversary from full knowledge of `data`.

@@ -132,7 +132,7 @@ const FIELDS: &[&str] = &[
 /// The formats' separators (`\t`, `::`, `,`), a lone `:` and a space.
 const SEPS: &[&str] = &["\t", "::", ",", ":", " "];
 
-/// Hostile file content: up to 5 newline-separated lines of up to 6
+/// Structured hostile content: up to 5 newline-separated lines of up to 6
 /// fields, each line joined by one separator, so well-formed lines of
 /// every format sit next to malformed ones (too few fields, non-numeric
 /// ids, unknown behaviors, blank lines).
@@ -153,6 +153,18 @@ fn hostile_text() -> impl Strategy<Value = String> {
     })
 }
 
+/// Digits, letters, the formats' separator characters, a space, a newline
+/// and a multi-byte character.
+const CHARS: &[char] = &[
+    '0', '1', '7', '.', 'a', 'p', 'y', '\t', ':', ',', ' ', '\n', 'ρ',
+];
+
+/// Character-level garbage over [`CHARS`], as `tests/record_codec.rs`
+/// builds it.
+fn garbage() -> impl Strategy<Value = String> {
+    collection::vec(0..CHARS.len(), 0..60).prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -160,20 +172,22 @@ proptest! {
     /// never a panic, and an `Ok` dataset has no more users or items than
     /// the content has non-blank lines.
     #[test]
-    fn loaders_never_panic_on_hostile_content(text in hostile_text()) {
-        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
-        for (format, parsed) in [
-            ("ml-100k", parse_movielens_100k(&text)),
-            ("ml-1m", parse_movielens_1m(&text)),
-            ("steam-200k", parse_steam_200k(&text)),
-        ] {
-            if let Ok(d) = parsed {
-                prop_assert!(
-                    d.num_users() <= lines && d.num_items() <= lines,
-                    "{format}: {} users, {} items from {lines} lines: {text:?}",
-                    d.num_users(),
-                    d.num_items()
-                );
+    fn loaders_never_panic_on_hostile_content(text in hostile_text(), noise in garbage()) {
+        for text in [&text, &noise] {
+            let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+            for (format, parsed) in [
+                ("ml-100k", parse_movielens_100k(text)),
+                ("ml-1m", parse_movielens_1m(text)),
+                ("steam-200k", parse_steam_200k(text)),
+            ] {
+                if let Ok(d) = parsed {
+                    prop_assert!(
+                        d.num_users() <= lines && d.num_items() <= lines,
+                        "{format}: {} users, {} items from {lines} lines: {text:?}",
+                        d.num_users(),
+                        d.num_items()
+                    );
+                }
             }
         }
     }

@@ -36,6 +36,9 @@ impl Aggregator for SumAggregator {
 }
 
 /// The server-side shared state: the item matrix `V` plus the update rule.
+///
+/// `V` has no mutable accessor: [`Server::apply`] is its only write
+/// channel, so no attack or defense path can change it out of band.
 #[derive(Debug)]
 pub struct Server {
     items: Matrix,
@@ -52,19 +55,6 @@ impl Server {
     /// The current shared item matrix `V^t` (what gets "sent" to clients).
     pub fn items(&self) -> &Matrix {
         &self.items
-    }
-
-    /// Mutable access to `V`, for test scaffolding only.
-    ///
-    /// Nothing in the production round loop — and no attack or defense
-    /// path — may mutate the shared parameters out of band; the only
-    /// write channel is [`Server::apply`]. The accessor therefore only
-    /// exists under `cfg(test)` or the explicit `test-access` feature,
-    /// and is hidden from documentation.
-    #[doc(hidden)]
-    #[cfg(any(test, feature = "test-access"))]
-    pub fn items_mut(&mut self) -> &mut Matrix {
-        &mut self.items
     }
 
     /// Apply one aggregated round: `V ← V - η · aggregate`.
@@ -114,15 +104,5 @@ mod tests {
         server.apply(&g);
         server.apply(&g);
         assert_eq!(server.items().row(0), &[-2.0, -2.0]);
-    }
-
-    /// The test-gated accessor still works where tests need it; release
-    /// consumers cannot reach it (it does not exist without `cfg(test)`
-    /// or the `test-access` feature).
-    #[test]
-    fn items_mut_is_test_scoped() {
-        let mut server = Server::new(Matrix::zeros(2, 2), 1.0);
-        server.items_mut().row_mut(1)[0] = 3.0;
-        assert_eq!(server.items().row(1), &[3.0, 0.0]);
     }
 }
